@@ -21,7 +21,8 @@ Exit codes
 2  the matrix failed validation (not Hermitian, wrong trace, not PSD, ...)
 3  the computation refused to answer (ambiguous rank or clustering, point
    outside a chart's domain, eigenvalue on the contour, cone weight too
-   large, dimension cap)
+   large, dimension cap, an eigen- or singular-value solver that did not
+   converge)
 4  a verification suite ran to completion and failed
 
 Reports are byte-deterministic for fixed inputs and seeds; timing goes to
@@ -371,8 +372,9 @@ def main(argv=None) -> int:
         return _fail(exc, 1)
     except ValidationError as exc:
         return _fail(exc, 2)
-    except StratumLabError as exc:
-        # everything left is a refusal to answer: ambiguity, domain, caps
+    except (StratumLabError, np.linalg.LinAlgError) as exc:
+        # everything left is a refusal to answer: ambiguity, domain, caps,
+        # a solver that did not converge
         return _fail(exc, DOMAIN_EXIT)
     finally:
         elapsed = time.perf_counter() - started

@@ -29,6 +29,10 @@ class ValidationError(StratumLabError):
         self.magnitude = magnitude
 
 
+class NotFinite(ValidationError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(ValidationError):
     """Matrix is not Hermitian within tolerance."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -43,7 +44,13 @@ def _as_float_grid(value, key: str, n: int) -> np.ndarray:
         for c, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise SchemaError(f'"{key}"[{r}][{c}] is not a number')
-            grid[r, c] = float(entry)
+            try:
+                value = float(entry)
+            except OverflowError:  # an integer too large for a double
+                value = math.inf
+            if not math.isfinite(value):
+                raise SchemaError(f'"{key}"[{r}][{c}] is not a finite number')
+            grid[r, c] = value
     return grid
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotHermitian, NotOrthonormal
+from .errors import NotFinite, NotHermitian, NotOrthonormal
 
 HERMITICITY_TOL = 1e-12
 
@@ -34,6 +34,9 @@ def as_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     Raises
     ------
+    NotFinite
+        If an entry is NaN or infinite (such an entry always trips the
+        asymmetry guard, so finite input pays nothing for this check).
     NotHermitian
         If the asymmetry exceeds tol.
     """
@@ -41,7 +44,9 @@ def as_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > tol:
+    if not asym <= tol:
+        if not np.isfinite(a).all():
+            raise NotFinite("matrix has a NaN or infinite entry")
         raise NotHermitian("matrix is not Hermitian", magnitude=asym)
     return hermitian_part(a)
 
@@ -66,12 +71,16 @@ def gauge_fix_columns(v: np.ndarray) -> np.ndarray:
     Zero columns are returned unchanged.
     """
     v = np.array(v, dtype=complex, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0.0:
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    if v.size == 0:
+        return v
+    cols = np.arange(v.shape[1])
+    k = np.argmax(np.abs(v), axis=0)
+    pivot = v[k, cols]
+    # hypot rounds like the scalar abs() of one entry; the vectorized
+    # complex abs can differ from it in the last bit
+    modulus = np.hypot(pivot.real, pivot.imag)
+    phase = np.divide(pivot.conj(), modulus, out=np.ones_like(pivot), where=modulus > 0.0)
+    v *= phase
     return v
 
 

@@ -227,8 +227,7 @@ def sequence_toward(
         xm = (1.0 - delta) * y.matrix + delta * sigma
         _audit_rank(xm, j, y.tol)
         x = validate_density(xm, y.alg, y.tol)
-        coeffs = standard_normal(rng, len(basis))
-        h = sum(c * e for c, e in zip(coeffs, basis))
+        h = np.tensordot(standard_normal(rng, len(basis)), basis, axes=1)
         h = h / linalg.hs_norm(h)
         step = 0.5 * delta
         for _ in range(30):

@@ -129,9 +129,10 @@ def validate_density(
 ) -> DensityMatrix:
     """Validate m as a density matrix of alg.
 
-    Checks, in order: shape, Hermiticity (fixed 1e-12 budget), block
-    diagonality (off-block entries <= tol), trace (|Tr m - 1| <= tol),
-    positivity (min eigenvalue >= -tol).
+    Checks, in order: shape, finiteness and Hermiticity (fixed 1e-12
+    budget), block diagonality (off-block entries <= tol), trace
+    (|Tr m - 1| <= tol), positivity (min eigenvalue >= -tol). Every guard
+    is written to fail closed: a NaN comparison rejects.
 
     Returns
     -------
@@ -140,7 +141,7 @@ def validate_density(
 
     Raises
     ------
-    NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
+    NotFinite, NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
         Naming the violated invariant, with the violation magnitude.
     """
     m = np.asarray(m, dtype=complex)
@@ -149,15 +150,15 @@ def validate_density(
         raise ValueError(f"expected shape {(n, n)} for algebra {alg.block_sizes}, got {m.shape}")
     h = linalg.as_hermitian(m)
     off = linalg.off_block_magnitude(h, alg.block_sizes)
-    if off > tol:
+    if not off <= tol:
         raise NotBlockDiagonal(
             f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
         )
     tr_dev = abs(float(np.trace(h).real) - 1.0)
-    if tr_dev > tol:
+    if not tr_dev <= tol:
         raise TraceNotOne("trace differs from 1", magnitude=tr_dev)
     w_min = float(np.linalg.eigvalsh(h)[0])
-    if w_min < -tol:
+    if not w_min >= -tol:
         raise NotPositive("matrix has a negative eigenvalue", magnitude=-w_min)
     return DensityMatrix(alg=alg, matrix=h, tol=tol, _validated=True)
 

@@ -13,6 +13,7 @@ answer rather than guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +218,67 @@ def _contrast_coefficients(weights: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
+@functools.lru_cache(maxsize=64)
+def _tangent_template(block_sizes: tuple[int, ...], per_block: tuple[int, ...]) -> np.ndarray:
+    """Tangent basis of a stratum written in the per-block eigenframe.
+
+    Returns the read-only (d, n, n) array T such that the tangent basis at
+    any point of the stratum is W T W^dagger, W being the point's
+    block-diagonal eigenframe (eigenvalues ascending within each block, so a
+    block's kernel comes before its range).
+    """
+    n = sum(block_sizes)
+    eye = np.eye(n)
+    basis: list[np.ndarray] = []
+    units: list[np.ndarray] = []  # diagonals of the normalized range projectors
+    occupied: list[int] = []
+    at = 0
+    for nb, ib in zip(block_sizes, per_block):
+        if ib >= 1:
+            kept = range(at + nb - ib, at + nb)
+            # range x kernel couplings, then the off-diagonal directions
+            # inside the range block
+            pairs = [(r, q) for r in kept for q in range(at, at + nb - ib)]
+            pairs += [(r, s) for x, r in enumerate(kept) for s in kept[x + 1 :]]
+            for r, q in pairs:
+                outer = np.outer(eye[r], eye[q])
+                basis.append((outer + outer.T) / np.sqrt(2.0))
+                basis.append((1j * outer - 1j * outer.T) / np.sqrt(2.0))
+            # traceless diagonal directions inside the range block
+            for a in range(1, ib):
+                w = np.zeros(n)
+                w[kept[:a]] = 1.0
+                w[kept[a]] = -a
+                basis.append(np.diag(w / np.sqrt(a * (a + 1))))
+            units.append(np.zeros(n))
+            units[-1][kept] = 1.0 / np.sqrt(ib)
+            occupied.append(ib)
+        at += nb
+    # relative weights between occupied blocks (trace-free combinations of
+    # the normalized range projectors)
+    if len(occupied) > 1:
+        contrasts = _contrast_coefficients(np.sqrt(np.asarray(occupied, dtype=float)))
+        basis += [np.diag(w) for w in contrasts.T @ np.array(units)]
+    template = np.array(basis, dtype=complex).reshape(len(basis), n, n)
+    template.flags.writeable = False
+    return template
+
+
 def tangent_basis(
     rho: DensityMatrix, tol: float | None = None, label: StratumLabel | None = None
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Orthonormal basis of the tangent space of rho's stratum at rho.
 
     The tangent space is the set of block-diagonal Hermitian H with total
     trace zero whose compression to the kernel of rho vanishes
     (P_ker H P_ker = 0). The basis is built exactly in the eigenframe of each
     block: range-range traceless directions, range-kernel couplings, and the
-    relative block-weight contrasts; its length is stratum_dim_label of the
-    stratum.
+    relative block-weight contrasts.
+
+    Returns a (d, n, n) array, d = stratum_dim_label of the stratum, whose
+    slices are HS-orthonormal Hermitian matrices. It is W T W^dagger with T
+    a fixed template of the stratum and W the block-diagonal gauge-fixed
+    eigenframe of rho, computed afresh for every call.
 
     Pass label to use construction-known ranks instead of the tolerance
     protocol.
@@ -238,51 +289,12 @@ def tangent_basis(
         label = classify(rho, tol)
     elif label.alg != rho.alg:
         raise ValueError("label belongs to a different algebra")
-    n = rho.dim
-    basis: list[np.ndarray] = []
-    range_projectors: list[np.ndarray] = []
-    occupied: list[int] = []
-    at = 0
-    for b, (nb, ib) in enumerate(zip(rho.alg.block_sizes, label.per_block)):
-        block = rho.matrix[at : at + nb, at : at + nb]
+    frame = np.eye(rho.dim, dtype=complex)
+    for sl, ib in zip(rho.alg.block_slices(), label.per_block):
         if ib >= 1:
-            _, v = linalg.eigh_fixed(block)
-            vr = np.zeros((n, ib), dtype=complex)
-            vr[at : at + nb, :] = v[:, nb - ib :]
-            vk = np.zeros((n, nb - ib), dtype=complex)
-            vk[at : at + nb, :] = v[:, : nb - ib]
-            # range x kernel couplings
-            for r in range(ib):
-                for q in range(nb - ib):
-                    outer = np.outer(vr[:, r], vk[:, q].conj())
-                    basis.append((outer + outer.conj().T) / np.sqrt(2.0))
-                    basis.append((1j * outer - 1j * outer.conj().T) / np.sqrt(2.0))
-            # traceless Hermitian directions inside the range block
-            for r in range(ib):
-                for s in range(r + 1, ib):
-                    outer = np.outer(vr[:, r], vr[:, s].conj())
-                    basis.append((outer + outer.conj().T) / np.sqrt(2.0))
-                    basis.append((1j * outer - 1j * outer.conj().T) / np.sqrt(2.0))
-            for a in range(1, ib):
-                d = np.zeros((n, n), dtype=complex)
-                for c in range(a):
-                    d += np.outer(vr[:, c], vr[:, c].conj())
-                d -= a * np.outer(vr[:, a], vr[:, a].conj())
-                basis.append(d / np.sqrt(a * (a + 1)))
-            range_projectors.append(vr @ vr.conj().T)
-            occupied.append(ib)
-        at += nb
-    # relative weights between occupied blocks (trace-free combinations of
-    # the normalized range projectors)
-    if len(occupied) > 1:
-        contrasts = _contrast_coefficients(np.sqrt(np.asarray(occupied, dtype=float)))
-        units = [p / np.sqrt(i) for p, i in zip(range_projectors, occupied)]
-        for a in range(contrasts.shape[1]):
-            t = np.zeros((n, n), dtype=complex)
-            for b in range(len(units)):
-                t += contrasts[b, a] * units[b]
-            basis.append(t)
-    return basis
+            frame[sl, sl] = linalg.eigh_fixed(rho.matrix[sl, sl])[1]
+    template = _tangent_template(rho.alg.block_sizes, label.per_block)
+    return frame @ template @ frame.conj().T
 
 
 def retract_to_stratum(

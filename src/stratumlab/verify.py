@@ -101,8 +101,7 @@ def suite_whitney(
                     gap_threshold=gap_threshold,
                 )
                 control = whitney_negative_control(
-                    y, j, rate=rate, length=length, trials=trials, seed=seed,
-                    gap_threshold=gap_threshold,
+                    rep.terminal_pairs, seed=seed, gap_threshold=gap_threshold
                 )
                 slope_ok = rep.slope >= min_slope
                 row_ok = bool(rep.passed and slope_ok and control["fraction_failed"] >= 0.95)

@@ -24,7 +24,7 @@ the norm of the dropped eigenvalue tail).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +54,17 @@ def secant_direction(x: np.ndarray, y: np.ndarray, tol: float = 1e-14) -> np.nda
 
 def gap_line_space(v: np.ndarray, basis) -> float:
     """HS norm of the component of v orthogonal to the span of an orthonormal
-    basis of Hermitian matrices."""
-    residual = np.array(v, dtype=complex, copy=True)
-    for e in basis:
-        residual -= linalg.hs_inner(e, v) * e
-    return linalg.hs_norm(residual)
+    basis of Hermitian matrices.
+
+    basis is a (d, n, n) array, as tangent_basis returns, or a sequence of
+    n x n matrices (possibly empty). The residual v - sum_a c_a e_a with
+    c_a = Re Tr(e_a^dagger v) is formed explicitly in one projection; the
+    shortcut sqrt(|v|^2 - |c|^2) would lose gaps near 1e-10 to cancellation.
+    """
+    flat = np.asarray(v, dtype=complex).ravel()
+    stacked = np.asarray(basis, dtype=complex).reshape(-1, flat.size)
+    coeffs = (stacked.conj() @ flat).real
+    return linalg.hs_norm(flat - coeffs @ stacked)
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,9 @@ class WhitneyReport:
     pairs / pairs_fixed_base hold (k, max distance to y, max gap) per step,
     maxima over trials; distances decrease strictly. slope is the pooled
     log-log decay rate of the moving-base gaps (fit above slope_fit_floor).
+    terminal_pairs holds each trial's last (x_k, y_k) pair of DensityMatrix,
+    in trial order, for whitney_negative_control; it is left out of equality
+    and repr.
     """
 
     n: int
@@ -87,6 +96,9 @@ class WhitneyReport:
     terminal_gap: float
     terminal_gap_fixed_base: float
     passed: bool
+    terminal_pairs: tuple[tuple[DensityMatrix, DensityMatrix], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
         dists = [d for _, d, _ in self.pairs]
@@ -118,8 +130,10 @@ def whitney_b_estimate(
     gaps_b = np.zeros((trials, length))
     gaps_a = np.zeros((trials, length))
     dists = np.zeros((trials, length))
+    terminal_pairs = []
     for t in range(trials):
         seq = sequence_toward(y, j, rate=rate, length=length, seed=seed, index=t)
+        terminal_pairs.append(seq[-1])
         for k, (x, yk) in enumerate(seq):
             basis = tangent_basis(x, label=label_j)
             gaps_b[t, k] = gap_line_space(secant_direction(x.matrix, yk.matrix), basis)
@@ -166,15 +180,12 @@ def whitney_b_estimate(
         terminal_gap=float(max_b[-1]),
         terminal_gap_fixed_base=float(max_a[-1]),
         passed=passed,
+        terminal_pairs=tuple(terminal_pairs),
     )
 
 
 def whitney_negative_control(
-    y: DensityMatrix,
-    j: int,
-    rate: float = 0.5,
-    length: int = 22,
-    trials: int = 50,
+    terminal_pairs,
     seed: int = 0,
     gap_threshold: float = 1e-3,
     subspace_dim: int = 2,
@@ -183,13 +194,21 @@ def whitney_negative_control(
     plane of traceless Hermitians and count the trials whose terminal gap
     still passes. A healthy detector fails nearly all of them.
 
+    terminal_pairs is the WhitneyReport.terminal_pairs of the estimate under
+    test: one (x_L, y_L) pair of DensityMatrix per trial, in trial order.
+    Trial t draws its plane from the (seed, 7, t) stream and measures the
+    moving-base secant of its pair against it.
+
     Returns a dict with the per-trial terminal gaps and the fraction failing
     the gap criterion.
     """
-    n = y.dim
+    trials = len(terminal_pairs)
+    if trials == 0:
+        raise ValueError("the negative control needs at least one terminal pair")
     fails = 0
     terminal_gaps = []
-    for t in range(trials):
+    for t, (x, yk) in enumerate(terminal_pairs):
+        n = x.dim
         rng = _rng(seed, 7, t)
         plane = []
         for _ in range(subspace_dim):
@@ -199,8 +218,6 @@ def whitney_negative_control(
             for e in plane:
                 h = h - linalg.hs_inner(e, h) * e
             plane.append(h / linalg.hs_norm(h))
-        seq = sequence_toward(y, j, rate=rate, length=length, seed=seed, index=t)
-        x, yk = seq[-1]
         gap = gap_line_space(secant_direction(x.matrix, yk.matrix), plane)
         terminal_gaps.append(float(gap))
         if gap > gap_threshold:

@@ -75,6 +75,9 @@ def test_parse_rejects_structural_problems():
         parse_matrix_payload(_payload(im=[[0.0, 0.0], [True, 0.0]]))
     with pytest.raises(SchemaError, match="diagonal imaginary"):
         parse_matrix_payload(_payload(im=[[1e-10, 0.0], [0.0, 0.0]]))
+    for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(SchemaError, match="not a finite number"):
+            parse_matrix_payload(_payload(im=[[0.0, bad], [0.0, 0.0]]))
 
 
 def test_read_matrix_wraps_bad_json(tmp_path):
@@ -171,6 +174,39 @@ def test_cli_exit_3_on_ambiguous_rank(tmp_path, capsys):
     assert cli.main(["classify", str(path)]) == 3
     err = json.loads(capsys.readouterr().err.split("# elapsed")[0])
     assert err["error"] == "AmbiguousRank"
+    assert err["exit_code"] == 3
+
+
+def test_cli_nan_payload_fails_closed(tmp_path):
+    # json accepts the NaN literal; it must stop at the schema, not crash in
+    # a solver further down
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"schema_version":"1","alg":[1,1],"re":[[NaN,0],[0,0.5]],"im":[[0,0],[0,0]]}'
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "stratumlab", "classify", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    text, elapsed = run.stderr.split("# elapsed")
+    err = json.loads(text)
+    assert text == canonical_json(err)
+    assert err["error"] == "SchemaError"
+    assert err["exit_code"] == 1
+    assert "\n" not in elapsed.rstrip("\n")
+
+
+def test_cli_exit_3_on_solver_failure(mm3_file, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "orbit_dim", diverge)
+    assert cli.main(["classify", mm3_file]) == 3
+    err = json.loads(capsys.readouterr().err.split("# elapsed")[0])
+    assert err["error"] == "LinAlgError"
     assert err["exit_code"] == 3
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratumlab import linalg
-from stratumlab.errors import NotHermitian, NotOrthonormal
+from stratumlab.errors import NotFinite, NotHermitian, NotOrthonormal
 
 
 def _rand_complex(rng, n, m=None):
@@ -52,6 +52,13 @@ def test_as_hermitian_accepts_and_rejects():
     # a relaxed budget lets the same matrix through, symmetrized
     out = linalg.as_hermitian(skewed, tol=1e-5)
     npt.assert_array_equal(out, out.conj().T)
+    # non-finite entries fail closed under any budget, symmetric or not
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        for at in ((0, 0), (0, 1)):
+            m = h.copy()
+            m[at] = bad
+            with pytest.raises(NotFinite):
+                linalg.as_hermitian(m, tol=1e300)
 
 
 def test_eigh_fixed_is_deterministic_and_gauged():
@@ -77,6 +84,39 @@ def test_gauge_fix_columns_kills_phase_freedom():
     npt.assert_allclose(
         linalg.gauge_fix_columns(v), linalg.gauge_fix_columns(v * phases), atol=1e-14
     )
+
+
+def _reference_gauge_fix(v):
+    """The per-column loop gauge_fix_columns replaced."""
+    v = np.array(v, dtype=complex, copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if abs(pivot) > 0.0:
+            v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return v
+
+
+def test_gauge_fix_columns_matches_loop():
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        frames = [np.linalg.eigh(_rand_hermitian(rng, n))[1], _rand_complex(rng, n)]
+        # ties: two entries of equal modulus, the first must be the pivot
+        tied = _rand_complex(rng, n, 2)
+        tied[:, 0] = 0.0
+        tied[0, 0], tied[n - 1, 0] = 0.6j, -0.6
+        tied[:, 1] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        frames.append(tied)
+        zero = _rand_complex(rng, n, 3)
+        zero[:, 1] = 0.0
+        frames += [zero, np.zeros((n, 0), dtype=complex)]
+        for v in frames:
+            got = linalg.gauge_fix_columns(v)
+            assert got.shape == v.shape
+            npt.assert_allclose(got, _reference_gauge_fix(v), rtol=0.0, atol=1e-15)
+    npt.assert_array_equal(linalg.gauge_fix_columns(zero)[:, 1], 0.0)
+    npt.assert_array_equal(linalg.gauge_fix_columns(tied)[[0, -1], 0], [0.6, 0.6j])
 
 
 def test_check_frame_rejects_skew():

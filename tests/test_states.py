@@ -23,6 +23,7 @@ from stratumlab import (
 from stratumlab.errors import (
     DimensionTooLarge,
     NotBlockDiagonal,
+    NotFinite,
     NotHermitian,
     NotInAlgebra,
     NotPositive,
@@ -72,6 +73,8 @@ def test_validate_density_error_paths():
     with pytest.raises(NotPositive) as err:
         validate_density(np.diag([1.25, -0.25]), alg)
     assert err.value.magnitude == pytest.approx(0.25)
+    with pytest.raises(NotFinite):
+        validate_density(np.diag([np.nan, 0.5]), alg)
 
 
 def test_validate_density_hermitizes_roundoff():

@@ -21,7 +21,7 @@ from stratumlab import (
 )
 from stratumlab import linalg
 from stratumlab.errors import AmbiguousRank
-from stratumlab.strata import rank_from_eigenvalues
+from stratumlab.strata import _contrast_coefficients, rank_from_eigenvalues
 
 
 def test_rank_gray_zone_protocol():
@@ -159,6 +159,76 @@ def test_tangent_basis_dimension_and_orthonormality():
     basis = tangent_basis(rho)
     assert len(basis) == 3
     _check_tangent_space(rho, basis, classify(rho))
+
+
+def _reference_tangent_basis(rho, label):
+    """The list-of-outer-products construction tangent_basis replaced, kept
+    as the reference the stacked template is checked against."""
+    n = rho.dim
+    basis, range_projectors, occupied = [], [], []
+    at = 0
+    for nb, ib in zip(rho.alg.block_sizes, label.per_block):
+        if ib >= 1:
+            _, v = linalg.eigh_fixed(rho.matrix[at : at + nb, at : at + nb])
+            vr = np.zeros((n, ib), dtype=complex)
+            vr[at : at + nb, :] = v[:, nb - ib :]
+            vk = np.zeros((n, nb - ib), dtype=complex)
+            vk[at : at + nb, :] = v[:, : nb - ib]
+            pairs = [(vr[:, r], vk[:, q]) for r in range(ib) for q in range(nb - ib)]
+            pairs += [(vr[:, r], vr[:, s]) for r in range(ib) for s in range(r + 1, ib)]
+            for a, b in pairs:
+                outer = np.outer(a, b.conj())
+                basis.append((outer + outer.conj().T) / np.sqrt(2.0))
+                basis.append((1j * outer - 1j * outer.conj().T) / np.sqrt(2.0))
+            for a in range(1, ib):
+                d = sum(np.outer(vr[:, c], vr[:, c].conj()) for c in range(a))
+                d = d - a * np.outer(vr[:, a], vr[:, a].conj())
+                basis.append(d / np.sqrt(a * (a + 1)))
+            range_projectors.append(vr @ vr.conj().T)
+            occupied.append(ib)
+        at += nb
+    if len(occupied) > 1:
+        contrasts = _contrast_coefficients(np.sqrt(np.asarray(occupied, dtype=float)))
+        units = [p / np.sqrt(i) for p, i in zip(range_projectors, occupied)]
+        for a in range(contrasts.shape[1]):
+            basis.append(sum(contrasts[b, a] * units[b] for b in range(len(units))))
+    return basis
+
+
+def _real_span_projector(basis):
+    """Orthogonal projector onto the real span of Hermitian matrices, each
+    flattened to its real and imaginary parts."""
+    rows = np.array([np.concatenate([h.real.ravel(), h.imag.ravel()]) for h in basis])
+    q, _ = np.linalg.qr(rows.T)
+    return q @ q.T
+
+
+STACKED_CASES = (
+    ((1, 2), (1, 1)),
+    ((2, 2), (1, 2)),  # contrast directions between two occupied blocks
+    ((1, 1, 1, 1), (1, 0, 1, 1)),
+    ((3,), (1,)),
+    ((4,), (2,)),
+    ((2, 3), (2, 1)),
+)
+
+
+def test_tangent_basis_stacked_matches_reference():
+    for sizes, ranks in STACKED_CASES:
+        alg = AlgebraDescriptor(sizes)
+        label = StratumLabel(alg, ranks)
+        rho = sample_algebra(alg, seed=39, ranks=ranks)
+        basis = tangent_basis(rho, label=label)
+        n = alg.dim
+        assert isinstance(basis, np.ndarray)
+        assert basis.shape == (stratum_dim_label(label), n, n)
+        gram = np.tensordot(basis.conj(), basis, axes=([1, 2], [1, 2])).real
+        npt.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+        _check_tangent_space(rho, basis, label)
+        reference = _reference_tangent_basis(rho, label)
+        assert len(reference) == len(basis)
+        diff = _real_span_projector(basis) - _real_span_projector(reference)
+        assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_tangent_directions_are_velocities():

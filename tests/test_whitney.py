@@ -4,7 +4,7 @@ import pytest
 
 from stratumlab import linalg
 from stratumlab.errors import CoincidentPoints
-from stratumlab.sampler import sample_rank
+from stratumlab.sampler import sample_rank, sequence_toward
 from stratumlab.states import AlgebraDescriptor
 from stratumlab.strata import StratumLabel, frontier_leq
 from stratumlab.whitney import (
@@ -51,6 +51,8 @@ def test_gap_line_space_exact():
     assert gap_line_space(v, [e1, e2]) == pytest.approx(5.0, abs=1e-12)
     assert gap_line_space(v, [e1, e2, e3]) == pytest.approx(0.0, abs=1e-12)
     assert gap_line_space(v, []) == pytest.approx(linalg.hs_norm(v), abs=1e-12)
+    # a stacked (d, n, n) basis gives the same residual as the list
+    assert gap_line_space(v, np.array([e1, e2])) == gap_line_space(v, [e1, e2])
 
 
 def _report_kwargs(**overrides):
@@ -114,10 +116,28 @@ def test_whitney_estimate_open_target():
 
 def test_negative_control_detects_random_plane():
     y = sample_rank(3, 1, seed=33)
-    out = whitney_negative_control(y, 2, trials=20, seed=33)
+    rep = whitney_b_estimate(y, 2, trials=20, seed=33)
+    out = whitney_negative_control(rep.terminal_pairs, seed=33)
     assert out["trials"] == 20
     assert len(out["terminal_gaps"]) == 20
     assert out["fraction_failed"] >= 0.95
+
+
+def test_negative_control_reuse_is_exact():
+    # the control reads the estimate's terminal pairs; rebuilding every
+    # sequence from its seed must give the very same gaps, bit for bit
+    y = sample_rank(3, 1, seed=38)
+    rep = whitney_b_estimate(y, 2, trials=6, seed=38)
+    rebuilt = tuple(sequence_toward(y, 2, seed=38, index=t)[-1] for t in range(6))
+    for (x, yk), (x_fresh, yk_fresh) in zip(rep.terminal_pairs, rebuilt, strict=True):
+        npt.assert_array_equal(x.matrix, x_fresh.matrix)
+        npt.assert_array_equal(yk.matrix, yk_fresh.matrix)
+    reused = whitney_negative_control(rep.terminal_pairs, seed=38)
+    fresh = whitney_negative_control(rebuilt, seed=38)
+    assert reused["terminal_gaps"] == fresh["terminal_gaps"]
+    assert reused == fresh
+    with pytest.raises(ValueError):
+        whitney_negative_control((), seed=38)
 
 
 def test_enumerate_labels_counts():
