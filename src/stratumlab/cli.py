@@ -17,7 +17,7 @@ Exit codes
 ----------
 0  success
 1  input/output or schema problem (unreadable file, malformed JSON, bad
-   invocation)
+   invocation, an option value out of range or refused by the library)
 2  the matrix failed validation (not Hermitian, wrong trace, not PSD, ...)
 3  the computation refused to answer (ambiguous rank or clustering, point
    outside a chart's domain, eigenvalue on the contour, cone weight too
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -40,7 +41,7 @@ import time
 import numpy as np
 
 from . import linalg
-from .charts import chart_config_for, chart_forward, chart_inverse
+from .charts import MIN_NODES, chart_config_for, chart_forward, chart_inverse
 from .errors import SchemaError, StratumLabError, ValidationError
 from .fileio import RunConfig, canonical_json, read_matrix
 from .orbits import isotropy_dim, orbit_dim, orbit_signature
@@ -73,19 +74,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve(cli_value, option: str, cast, default):
+def _resolve(cli_value, option: str, cast, default, valid=None):
+    """The option's value: flag, else environment, else default.
+
+    valid is an optional (predicate, description) pair; a flag or
+    environment value failing the predicate raises SchemaError.
+    """
+    env = ENV_PREFIX + option.upper().replace("-", "_")
     if cli_value is not None:
-        return cli_value
-    raw = os.environ.get(ENV_PREFIX + option.upper().replace("-", "_"))
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(
-            f"environment variable {ENV_PREFIX}{option.upper().replace('-', '_')}="
-            f"{raw!r} is not a valid {cast.__name__}"
-        ) from exc
+        value, source = cli_value, f"--{option}"
+    else:
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        try:
+            value, source = cast(raw), env
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"environment variable {env}={raw!r} is not a valid {cast.__name__}"
+            ) from exc
+    if valid is not None and not valid[0](value):
+        raise SchemaError(f"{source} must be {valid[1]}, got {value!r}")
+    return value
+
+
+_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+
+
+def _at_least(least: int):
+    return (lambda x: x >= least, f"at least {least}")
 
 
 def _build_parser() -> _Parser:
@@ -113,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=None,
                    help="spectral split threshold (default: gap / 4)")
     p.add_argument("--nodes", type=int, default=None,
-                   help="contour quadrature nodes (default 64)")
+                   help="contour quadrature nodes (default 64, at least 16)")
     common(p)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
@@ -125,7 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-dim", type=int, default=None,
                    help="largest ambient dimension for whitney (default 3)")
     p.add_argument("--nodes", type=int, default=None,
-                   help="contour quadrature nodes (projector-equiv; default 64)")
+                   help="contour quadrature nodes (projector-equiv; default 64, at least 16)")
     common(p)
 
     p = sub.add_parser("demo", help="closed-form scans as CSV")
@@ -139,11 +156,13 @@ def _build_parser() -> _Parser:
 
 def _run_config(args) -> RunConfig:
     return RunConfig(
-        tol_rank=_resolve(getattr(args, "tol_rank", None), "tol-rank", float, 1e-9),
-        cluster_tol=_resolve(getattr(args, "cluster_tol", None), "cluster-tol", float, 1e-8),
-        nodes=_resolve(getattr(args, "nodes", None), "nodes", int, 64),
-        seed=_resolve(getattr(args, "seed", None), "seed", int, 0),
-        trials=_resolve(getattr(args, "trials", None), "trials", int, 10),
+        tol_rank=_resolve(getattr(args, "tol_rank", None), "tol-rank", float, 1e-9, _POSITIVE),
+        cluster_tol=_resolve(
+            getattr(args, "cluster_tol", None), "cluster-tol", float, 1e-8, _POSITIVE
+        ),
+        nodes=_resolve(getattr(args, "nodes", None), "nodes", int, 64, _at_least(MIN_NODES)),
+        seed=_resolve(getattr(args, "seed", None), "seed", int, 0, _at_least(0)),
+        trials=_resolve(getattr(args, "trials", None), "trials", int, 10, _at_least(1)),
         out=_resolve(getattr(args, "out", None), "out", str, None),
         format=_resolve(getattr(args, "format", None), "format", str, None),
     )
@@ -211,7 +230,7 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
         )
     f = validate_density(center_m, center_alg, tol=cfg.tol_rank)
     g = validate_density(point_m, point_alg, tol=cfg.tol_rank)
-    epsilon = _resolve(args.epsilon, "epsilon", float, None)
+    epsilon = _resolve(args.epsilon, "epsilon", float, None, _POSITIVE)
     chart_cfg = chart_config_for(f, epsilon=epsilon, nodes=cfg.nodes, tol=cfg.tol_rank)
     p = chart_forward(f, g, chart_cfg)
     back = chart_inverse(p)
@@ -238,9 +257,9 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
 def _cmd_verify(args, cfg: RunConfig) -> int:
     cfg = _fix_format(cfg, "json")
     suite = args.suite
-    samples = _resolve(args.samples, "samples", int, None)
+    samples = _resolve(args.samples, "samples", int, None, _at_least(1))
     if suite == "whitney":
-        max_dim = _resolve(args.max_dim, "max-dim", int, 3)
+        max_dim = _resolve(args.max_dim, "max-dim", int, 3, _at_least(2))
         report = SUITES[suite](max_dim=max_dim, trials=cfg.trials, seed=cfg.seed)
     elif suite == "frontier":
         report = SUITES[suite](samples=10 if samples is None else samples, seed=cfg.seed)
@@ -342,9 +361,7 @@ def _demo_simplex(resolution: int, tol: float) -> str:
 
 def _cmd_demo(args, cfg: RunConfig) -> int:
     cfg = _fix_format(cfg, "csv")
-    resolution = _resolve(args.resolution, "resolution", int, 25)
-    if resolution < 2:
-        raise SchemaError("--resolution must be at least 2")
+    resolution = _resolve(args.resolution, "resolution", int, 25, _at_least(2))
     if args.name == "bloch":
         text = _demo_bloch(resolution, cfg.tol_rank, cfg.cluster_tol)
     elif args.name == "cone":
@@ -376,6 +393,10 @@ def main(argv=None) -> int:
         # everything left is a refusal to answer: ambiguity, domain, caps,
         # a solver that did not converge
         return _fail(exc, DOMAIN_EXIT)
+    except ValueError as exc:
+        # an argument the library refused (LinAlgError, a ValueError too, is
+        # handled above): a bad invocation
+        return _fail(exc, 1)
     finally:
         elapsed = time.perf_counter() - started
         sys.stderr.write(f"# elapsed {elapsed:.3f}s\n")

@@ -11,6 +11,7 @@ not inside the hot loops.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -195,17 +196,38 @@ def block_extract(m: np.ndarray, block_sizes: Sequence[int]) -> list[np.ndarray]
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def off_block_mask(block_sizes: tuple[int, ...]) -> np.ndarray:
+    """Read-only boolean n x n mask of the entries outside the diagonal
+    blocks (n = sum of block_sizes); cached per block_sizes."""
+    n = sum(block_sizes)
+    mask = np.ones((n, n), dtype=bool)
+    at = 0
+    for size in block_sizes:
+        mask[at : at + size, at : at + size] = False
+        at += size
+    mask.flags.writeable = False
+    return mask
+
+
 def off_block_magnitude(m: np.ndarray, block_sizes: Sequence[int]) -> float:
     """Largest entry modulus outside the diagonal blocks."""
     m = np.asarray(m)
     n = sum(block_sizes)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match blocks {tuple(block_sizes)}")
-    mask = np.ones((n, n), dtype=bool)
-    at = 0
-    for size in block_sizes:
-        mask[at : at + size, at : at + size] = False
-        at += size
+    mask = off_block_mask(tuple(int(size) for size in block_sizes))
     if not mask.any():
         return 0.0
     return float(np.max(np.abs(m[mask])))
+
+
+def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int]) -> list[np.ndarray]:
+    """Ascending eigenvalues of each diagonal block of a (B, n, n) stack of
+    Hermitian matrices: one (B, n_b) array per block, in block order."""
+    out = []
+    at = 0
+    for size in block_sizes:
+        out.append(np.linalg.eigvalsh(ms[:, at : at + size, at : at + size]))
+        at += size
+    return out

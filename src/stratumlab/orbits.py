@@ -50,33 +50,61 @@ class OrbitSignature:
         object.__setattr__(self, "per_block", tuple(fixed))
 
 
-def _cluster_multiplicities(w: np.ndarray, cluster_tol: float) -> tuple[int, ...]:
-    """Single-linkage clustering of sorted eigenvalues.
+def _multiplicities(boundaries: tuple[bool, ...], block_sizes: tuple[int, ...]) -> tuple:
+    """Per-block cluster sizes, each block descending, from the flags marking
+    which consecutive sorted eigenvalues of each block start a new cluster
+    (block_sizes[b] - 1 flags per block, blocks concatenated)."""
+    flags = iter(boundaries)
+    patterns = []
+    for n in block_sizes:
+        sizes = [1]
+        for _ in range(n - 1):
+            if next(flags):
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        patterns.append(tuple(sorted(sizes, reverse=True)))
+    return tuple(patterns)
 
-    Consecutive values within cluster_tol merge; the resulting clusters must
+
+def orbit_signature_stack(
+    hs: np.ndarray, alg: AlgebraDescriptor, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> list[OrbitSignature]:
+    """Cluster multiplicity pattern of each block of each matrix of a
+    validated (B, n, n) stack of density matrices of alg.
+
+    Single-linkage clustering of each block's sorted eigenvalues:
+    consecutive values within cluster_tol merge; the resulting clusters must
     then be separated by more than 10 * cluster_tol, else the pattern is
-    declared ambiguous.
+    declared ambiguous. Matrices with equal patterns share one (immutable)
+    OrbitSignature.
+
+    Raises
+    ------
+    AmbiguousClustering
+        If two clusters in some block are separated by less than
+        10 * cluster_tol, naming the gap a per-state loop would meet first.
     """
-    w = np.sort(np.asarray(w, dtype=float))
-    sizes = [1]
-    boundary_gaps = []
-    for a, b in zip(w[:-1], w[1:]):
-        gap = b - a
-        if gap <= cluster_tol:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-            boundary_gaps.append(gap)
-    for gap in boundary_gaps:
-        if gap < 10.0 * cluster_tol:
-            raise AmbiguousClustering(gap, cluster_tol)
-    return tuple(sorted(sizes, reverse=True))
+    gaps = np.concatenate(
+        [w[:, 1:] - w[:, :-1] for w in linalg.block_eigvalsh(hs, alg.block_sizes)], axis=1
+    )
+    boundary = ~(gaps <= cluster_tol)
+    ambiguous = boundary & (gaps < 10.0 * cluster_tol)
+    if np.count_nonzero(ambiguous):
+        raise AmbiguousClustering(float(gaps[ambiguous][0]), cluster_tol)
+    keys = list(map(tuple, boundary.tolist()))
+    made = {
+        key: OrbitSignature(alg=alg, per_block=_multiplicities(key, alg.block_sizes))
+        for key in set(keys)
+    }
+    return [made[key] for key in keys]
 
 
 def orbit_signature(
     rho: DensityMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> OrbitSignature:
-    """Cluster multiplicity pattern of each block of rho.
+    """Cluster multiplicity pattern of each block of rho: orbit_signature_stack
+    on the stack of one matrix.
 
     Raises
     ------
@@ -84,11 +112,7 @@ def orbit_signature(
         If two clusters in some block are separated by less than
         10 * cluster_tol.
     """
-    patterns = []
-    for block in rho.blocks():
-        w = np.linalg.eigvalsh(block)
-        patterns.append(_cluster_multiplicities(w, cluster_tol))
-    return OrbitSignature(alg=rho.alg, per_block=tuple(patterns))
+    return orbit_signature_stack(rho.matrix[None], rho.alg, cluster_tol)[0]
 
 
 def isotropy_dim(sig: OrbitSignature) -> int:
@@ -119,47 +143,37 @@ def adjoint_act(u: np.ndarray, rho: DensityMatrix, tol: float = 1e-10) -> Densit
     return validate_density(u @ rho.matrix @ u.conj().T, rho.alg, rho.tol)
 
 
-def _anti_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real orthogonal basis of the anti-Hermitian n x n matrices (n^2 of them)."""
-    out = []
-    for d in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[d, d] = 1j
-        out.append(m)
-    for d in range(n):
-        for e in range(d + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[d, e] = 1.0
-            m[e, d] = -1.0
-            out.append(m / np.sqrt(2.0))
-            m = np.zeros((n, n), dtype=complex)
-            m[d, e] = 1j
-            m[e, d] = 1j
-            out.append(m / np.sqrt(2.0))
-    return out
+def orbit_dim_stack(hs: np.ndarray, alg: AlgebraDescriptor, tol: float = 1e-9) -> np.ndarray:
+    """Dimension of the adjoint orbit through each matrix of a validated
+    (B, n, n) stack of density matrices of alg, as a (B,) integer array.
+
+    The orbit dimension is the rank of X -> [X, rho] over the block-diagonal
+    anti-Hermitian X (the Lie algebra of the block unitary group). That real
+    map has the singular values of the complex map vec(X) -> (I (x) rho_b^T -
+    rho_b (x) I) vec(X) on each block b (row-major vec): the complex map is
+    its complexification, and [X, rho] is Hermitian for anti-Hermitian X.
+    The singular values of all blocks, descending, are thresholded with the
+    gray-zone protocol; the route never looks at the eigenvalue clustering.
+    Equals dim U(A) - isotropy_dim whenever clustering is clean.
+    """
+    sv = []
+    for sl, n in zip(alg.block_slices(), alg.block_sizes):
+        rho = hs[:, sl, sl]
+        # ad[:, i, j, k, l] = delta_ik rho[l, j] - rho[i, k] delta_jl, built in
+        # place: the stack can be large
+        ad = np.zeros((len(hs), n, n, n, n), dtype=complex)
+        for i in range(n):
+            ad[:, i, :, i, :] += rho.swapaxes(1, 2)
+            ad[:, :, i, :, i] -= rho
+        sv.append(np.linalg.svd(ad.reshape(len(hs), n * n, n * n), compute_uv=False))
+    sv = np.concatenate(sv, axis=1)
+    return rank_from_eigenvalues(-np.sort(-sv, axis=1), tol)
 
 
 def orbit_dim(rho: DensityMatrix, tol: float = 1e-9) -> int:
-    """Dimension of the adjoint orbit through rho.
-
-    Computed as the rank of the real linear map X -> [X, rho] over the
-    anti-Hermitian block-diagonal X (the Lie algebra of the block unitary
-    group); singular values are thresholded with the usual gray-zone
-    protocol. Equals dim U(A) - isotropy_dim whenever clustering is clean.
-    """
-    n = rho.dim
-    columns = []
-    at = 0
-    for nb in rho.alg.block_sizes:
-        for x_block in _anti_hermitian_basis(nb):
-            x = np.zeros((n, n), dtype=complex)
-            x[at : at + nb, at : at + nb] = x_block
-            c = x @ rho.matrix - rho.matrix @ x
-            columns.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-        at += nb
-    m = np.stack(columns, axis=1)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return rank_from_eigenvalues(sv, tol)
+    """Dimension of the adjoint orbit through rho: orbit_dim_stack on the
+    stack of one matrix, thresholded at tol (not rho.tol)."""
+    return int(orbit_dim_stack(rho.matrix[None], rho.alg, tol)[0])
 
 
 def _merges_to(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:

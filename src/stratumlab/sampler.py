@@ -60,12 +60,16 @@ def ginibre(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return complex_normal(rng, (n, m))
 
 
-def sample_hs(n: int, seed: int, index: int = 0, tol: float = 1e-9) -> DensityMatrix:
-    """Hilbert-Schmidt ensemble draw on the states of M_n(C)."""
+def _hs_matrix(n: int, seed: int, index: int) -> np.ndarray:
+    """The unvalidated matrix of sample_hs(n, seed, index)."""
     g = ginibre(_rng(seed, 0, index), n, n)
     m = g @ g.conj().T
-    m = m / float(np.trace(m).real)
-    return validate_density(m, full_algebra(n), tol)
+    return m / float(np.trace(m).real)
+
+
+def sample_hs(n: int, seed: int, index: int = 0, tol: float = 1e-9) -> DensityMatrix:
+    """Hilbert-Schmidt ensemble draw on the states of M_n(C)."""
+    return validate_density(_hs_matrix(n, seed, index), full_algebra(n), tol)
 
 
 def sample_rank(
@@ -117,6 +121,24 @@ def sample_hermitian(n: int, seed: int, index: int = 0) -> np.ndarray:
     return h / linalg.hs_norm(h)
 
 
+def _algebra_matrix(
+    alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None, index: int, attempt: int
+) -> np.ndarray:
+    """The unvalidated matrix of sample_algebra's draw number attempt; with
+    ranks=None the first attempt is the draw."""
+    rng = _rng(seed, 4, index, attempt)
+    blocks = []
+    for b, nb in enumerate(alg.block_sizes):
+        r = nb if ranks is None else ranks[b]
+        if r == 0:
+            blocks.append(np.zeros((nb, nb), dtype=complex))
+            continue
+        g = ginibre(rng, nb, r)
+        blocks.append(g @ g.conj().T)
+    m = linalg.block_embed(blocks)
+    return m / float(np.trace(m).real)
+
+
 def sample_algebra(
     alg: AlgebraDescriptor,
     seed: int,
@@ -141,18 +163,7 @@ def sample_algebra(
         if sum(ranks) == 0:
             raise ValueError("at least one block must have positive rank")
     for attempt in range(MAX_RESAMPLE):
-        rng = _rng(seed, 4, index, attempt)
-        blocks = []
-        for b, nb in enumerate(alg.block_sizes):
-            r = nb if ranks is None else ranks[b]
-            if r == 0:
-                blocks.append(np.zeros((nb, nb), dtype=complex))
-                continue
-            g = ginibre(rng, nb, r)
-            blocks.append(g @ g.conj().T)
-        m = linalg.block_embed(blocks)
-        m = m / float(np.trace(m).real)
-        rho = validate_density(m, alg, tol)
+        rho = validate_density(_algebra_matrix(alg, seed, ranks, index, attempt), alg, tol)
         if ranks is None:
             return rho
         try:

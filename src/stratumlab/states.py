@@ -21,6 +21,8 @@ from . import linalg
 from .errors import (
     DimensionTooLarge,
     NotBlockDiagonal,
+    NotFinite,
+    NotHermitian,
     NotInAlgebra,
     NotPositive,
     TraceNotOne,
@@ -124,15 +126,75 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
+def validate_stack(
+    ms: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Validate a (B, n, n) stack of matrices as density matrices of alg.
+
+    Checks each matrix, in order: shape, finiteness and Hermiticity (fixed
+    1e-12 budget), block diagonality (off-block entries <= tol), trace
+    (|Tr m - 1| <= tol), positivity (min eigenvalue >= -tol). Every guard
+    is written to fail closed: a NaN comparison rejects. Each check runs on
+    the whole stack at once; a later check only sees matrices that passed
+    the earlier ones, so no solver is handed a non-finite matrix.
+
+    Returns
+    -------
+    ndarray
+        The read-only (B, n, n) stack of Hermitized matrices.
+
+    Raises
+    ------
+    NotFinite, NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
+        For the first failing matrix of the stack, the first check it fails,
+        with the violation magnitude: the error a loop of validate_density
+        over the stack would raise.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    n = alg.dim
+    if ms.ndim != 3 or ms.shape[1:] != (n, n):
+        raise ValueError(
+            f"expected {n} x {n} matrices for algebra {alg.block_sizes}, got shape {ms.shape}"
+        )
+    # the stacks are small: one count_nonzero per check is cheaper than a
+    # reduction, and magnitudes are only worked out for the failing matrix
+    adjoint = ms.conj().swapaxes(1, 2)
+    asym = np.abs(ms - adjoint)
+    ok = asym <= linalg.HERMITICITY_TOL
+    if np.count_nonzero(ok) != ok.size:
+        b = int(np.argmin(ok.reshape(len(ms), n * n).all(axis=1)))
+        validate_stack(ms[:b], alg, tol)  # raises if an earlier matrix fails
+        if not np.isfinite(ms[b]).all():
+            raise NotFinite("matrix has a NaN or infinite entry")
+        raise NotHermitian("matrix is not Hermitian", magnitude=float(np.max(asym[b])))
+    h = 0.5 * (ms + adjoint)
+    tr_dev = np.abs(h.diagonal(axis1=1, axis2=2).real.sum(axis=1) - 1.0)
+    ok = tr_dev <= tol
+    if alg.num_blocks > 1:
+        ok &= np.abs(h[:, linalg.off_block_mask(alg.block_sizes)]).max(axis=1) <= tol
+    if np.count_nonzero(ok) != len(ok):
+        b = int(np.argmin(ok))
+        validate_stack(ms[:b], alg, tol)
+        off = linalg.off_block_magnitude(h[b], alg.block_sizes)
+        if not off <= tol:
+            raise NotBlockDiagonal(
+                f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
+            )
+        raise TraceNotOne("trace differs from 1", magnitude=float(tr_dev[b]))
+    w_min = np.linalg.eigvalsh(h)[:, 0]
+    ok = w_min >= -tol
+    if np.count_nonzero(ok) != len(ok):
+        b = int(np.argmin(ok))
+        raise NotPositive("matrix has a negative eigenvalue", magnitude=-float(w_min[b]))
+    h.flags.writeable = False
+    return h
+
+
 def validate_density(
     m: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
 ) -> DensityMatrix:
-    """Validate m as a density matrix of alg.
-
-    Checks, in order: shape, finiteness and Hermiticity (fixed 1e-12
-    budget), block diagonality (off-block entries <= tol), trace
-    (|Tr m - 1| <= tol), positivity (min eigenvalue >= -tol). Every guard
-    is written to fail closed: a NaN comparison rejects.
+    """Validate m as a density matrix of alg: validate_stack on the stack of
+    one matrix m.
 
     Returns
     -------
@@ -144,23 +206,8 @@ def validate_density(
     NotFinite, NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
         Naming the violated invariant, with the violation magnitude.
     """
-    m = np.asarray(m, dtype=complex)
-    n = alg.dim
-    if m.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)} for algebra {alg.block_sizes}, got {m.shape}")
-    h = linalg.as_hermitian(m)
-    off = linalg.off_block_magnitude(h, alg.block_sizes)
-    if not off <= tol:
-        raise NotBlockDiagonal(
-            f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
-        )
-    tr_dev = abs(float(np.trace(h).real) - 1.0)
-    if not tr_dev <= tol:
-        raise TraceNotOne("trace differs from 1", magnitude=tr_dev)
-    w_min = float(np.linalg.eigvalsh(h)[0])
-    if not w_min >= -tol:
-        raise NotPositive("matrix has a negative eigenvalue", magnitude=-w_min)
-    return DensityMatrix(alg=alg, matrix=h, tol=tol, _validated=True)
+    h = validate_stack(np.asarray(m, dtype=complex)[None], alg, tol)
+    return DensityMatrix(alg=alg, matrix=h[0], tol=tol, _validated=True)
 
 
 def is_psd_eigen(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

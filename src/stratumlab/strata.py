@@ -20,23 +20,27 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousRank, NotOrthonormal
-from .states import AlgebraDescriptor, DensityMatrix, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
 
 
-def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int:
+def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
     """Count eigenvalues above tol, enforcing the gray-zone protocol.
 
     Any value inside the open interval (tol/10, 10 tol) makes the count a
-    coin flip, so AmbiguousRank is raised instead. Works on singular values
-    too.
+    coin flip, so AmbiguousRank is raised instead, naming the first such
+    value in row-major order. Works on singular values too.
+
+    Counts over the last axis: an int for a 1-d w, an integer array of
+    w.shape[:-1] otherwise.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     w = np.asarray(w, dtype=float)
     in_zone = (w > tol / 10.0) & (w < 10.0 * tol)
-    if bool(np.any(in_zone)):
+    if np.count_nonzero(in_zone):
         raise AmbiguousRank(float(w[in_zone][0]), tol)
-    return int(np.count_nonzero(w > tol))
+    above = w > tol
+    return int(np.count_nonzero(above)) if w.ndim <= 1 else above.sum(axis=-1)
 
 
 def numerical_rank(rho: DensityMatrix, tol: float | None = None) -> int:
@@ -74,19 +78,34 @@ class StratumLabel:
         return sum(self.per_block)
 
 
+def classify_stack(
+    hs: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Per-block ranks of a validated (B, n, n) stack of density matrices of
+    alg (as validate_stack returns it), as a (B, num_blocks) integer array.
+
+    Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
+    zone, naming the value a per-state loop would meet first.
+    """
+    spectra = linalg.block_eigvalsh(hs, alg.block_sizes)
+    # zero padding is below tol / 10, so it neither counts nor refuses
+    w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
+    for b, wb in enumerate(spectra):
+        w[:, b, : wb.shape[1]] = wb
+    return rank_from_eigenvalues(w, tol)
+
+
 def classify(rho: DensityMatrix, tol: float | None = None) -> StratumLabel:
-    """Stratum label (per-block ranks) of a density matrix.
+    """Stratum label (per-block ranks) of a density matrix: classify_stack on
+    the stack of one matrix, at rho's own tol unless tol is given.
 
     Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
     zone.
     """
     if tol is None:
         tol = rho.tol
-    ranks = []
-    for block in rho.blocks():
-        w = np.linalg.eigvalsh(block)
-        ranks.append(rank_from_eigenvalues(w, tol))
-    return StratumLabel(alg=rho.alg, per_block=tuple(ranks))
+    ranks = classify_stack(rho.matrix[None], rho.alg, tol)[0]
+    return StratumLabel(alg=rho.alg, per_block=tuple(ranks.tolist()))
 
 
 def stratum_dim(n: int, i: int) -> int:

@@ -12,15 +12,30 @@ import numpy as np
 from . import linalg
 from .charts import contour_projector, contour_small_part, small_spectral_projector
 from .joins import JOIN_RANK_NOTE, convex_split, join_piece_label, join_state, make_join_point, rank_of_join
-from .orbits import isotropy_dim, orbit_dim, orbit_signature
-from .sampler import _rng, sample_algebra, sample_hs, sample_rank, sample_unitary
-from .states import AlgebraDescriptor, cone_state, full_algebra, maximally_mixed, validate_density
+from .orbits import isotropy_dim, orbit_dim_stack, orbit_signature_stack
+from .sampler import _algebra_matrix, _hs_matrix, _rng, sample_algebra, sample_rank, sample_unitary
+from .states import (
+    AlgebraDescriptor,
+    cone_state,
+    full_algebra,
+    maximally_mixed,
+    validate_density,
+    validate_stack,
+)
 from .strata import classify
 from .whitney import frontier_matrix, whitney_b_estimate, whitney_negative_control
 
 CONTOUR_RADIUS = 0.25
 SMALL_BAND = 0.15
 LARGE_BAND = (0.4, 1.0)
+
+
+def _require_at_least(least: int, **sizes: int) -> None:
+    """Refuse sizes that would leave a suite without a single check, so that
+    no verdict passes vacuously."""
+    for name, value in sizes.items():
+        if not value >= least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _margin_split_sample(n: int, seed: int, index: int):
@@ -38,6 +53,7 @@ def _margin_split_sample(n: int, seed: int, index: int):
 def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) -> dict:
     """Spectral projector route equivalence: eigendecomposition vs contour
     quadrature, plus the halved-node convergence comparison."""
+    _require_at_least(1, samples=samples)
     err_proj = np.zeros((samples, 2))
     err_part = np.zeros((samples, 2))
     halved = max(nodes // 2, 4)
@@ -90,6 +106,8 @@ def suite_whitney(
 ) -> dict:
     """Whitney (B) gap decay for every stratum pair i < j up to max_dim,
     with the random-plane negative control."""
+    _require_at_least(2, max_dim=max_dim)
+    _require_at_least(1, trials=trials)
     rows = []
     all_ok = True
     for n in range(2, max_dim + 1):
@@ -140,6 +158,7 @@ DEFAULT_FRONTIER_ALGEBRAS = ((1,), (2,), (3,), (4,), (1, 2), (1, 1, 1, 1))
 
 def suite_frontier(samples: int = 10, seed: int = 0, algebras=DEFAULT_FRONTIER_ALGEBRAS) -> dict:
     """Reachability matrix vs componentwise rank order for each algebra."""
+    _require_at_least(1, samples=samples)
     tables = []
     all_ok = True
     for sizes in algebras:
@@ -210,6 +229,7 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
 
 def suite_join(samples: int = 200, seed: int = 0) -> dict:
     """Join round-trips, endpoint collapse, and the tetrahedron piece table."""
+    _require_at_least(1, samples=samples)
     cases = (
         ((1, 2), (1, 1)),
         ((1, 1, 1, 1), (2, 2)),
@@ -251,29 +271,38 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
 
 def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e-8) -> dict:
     """Signature census with stabilizer/orbit dimension consistency on M_2
-    and on C (+) M_2."""
+    and on C (+) M_2.
+
+    The draws are the matrices of sample_hs / sample_algebra (same streams),
+    validated, classified and measured as one stack per algebra.
+    """
+    _require_at_least(1, draws=draws)
     reports = []
     all_ok = True
 
-    def census(alg, samples, constructed, generic_signature):
-        counts: dict = {}
-        consistent = True
+    def census(alg, draw, constructed, generic_signature):
+        # the draws, then the constructed states (which validate unchanged)
+        ms = np.empty((draws + len(constructed), alg.dim, alg.dim), dtype=complex)
+        for s in range(draws):
+            ms[s] = draw(s)
+        ms[draws:] = [c.matrix for c in constructed]
+        hs = validate_stack(ms, alg)
+        del ms  # the raw stack is not needed past validation
+        sigs = orbit_signature_stack(hs, alg, cluster_tol)
+        dims = orbit_dim_stack(hs, alg).tolist()
         dim_u = alg.unitary_group_dim
-        for rho in samples + constructed:
-            sig = orbit_signature(rho, cluster_tol)
+        counts: dict = {}
+        for sig in sigs:
             counts[sig.per_block] = counts.get(sig.per_block, 0) + 1
-            if orbit_dim(rho) + isotropy_dim(sig) != dim_u:
-                consistent = False
-        generic_fraction = sum(
-            counts.get(k, 0) for k in counts if k == generic_signature
-        ) / max(len(samples), 1)
-        return counts, consistent, generic_fraction
+        consistent = all(d + isotropy_dim(sig) == dim_u for sig, d in zip(sigs, dims))
+        generic_fraction = counts.get(generic_signature, 0) / draws
+        return counts, consistent, generic_fraction, dims
 
     m2 = full_algebra(2)
-    m2_samples = [sample_hs(2, seed, index=s) for s in range(draws)]
-    m2_constructed = [maximally_mixed(m2)]
-    counts, consistent, generic_fraction = census(m2, m2_samples, m2_constructed, ((1, 1),))
-    generic_orbit_dims = {orbit_dim(rho) for rho in m2_samples[: min(draws, 50)]}
+    counts, consistent, generic_fraction, dims = census(
+        m2, lambda s: _hs_matrix(2, seed, s), [maximally_mixed(m2)], ((1, 1),)
+    )
+    generic_orbit_dims = set(dims[: min(draws, 50)])
     m2_ok = bool(
         set(counts) == {((1, 1),), ((2,),)}
         and consistent
@@ -294,10 +323,9 @@ def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e
     )
 
     cm2 = AlgebraDescriptor((1, 2))
-    cm2_samples = [sample_algebra(cm2, seed, index=s) for s in range(draws)]
     cm2_constructed = [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))]
-    counts, consistent, generic_fraction = census(
-        cm2, cm2_samples, cm2_constructed, ((1,), (1, 1))
+    counts, consistent, generic_fraction, _ = census(
+        cm2, lambda s: _algebra_matrix(cm2, seed, None, s, 0), cm2_constructed, ((1,), (1, 1))
     )
     cm2_ok = bool(
         set(counts) == {((1,), (1, 1)), ((1,), (2,))}

@@ -36,6 +36,10 @@ from .strata import StratumLabel, classify, frontier_leq, tangent_basis
 
 SLOPE_FIT_FLOOR = 1e-13
 
+# approximant step and witness distance of the frontier checks
+FRONTIER_DELTA = 4e-7
+FRONTIER_DISTANCE = 1e-6
+
 
 def secant_direction(x: np.ndarray, y: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Unit (HS) direction from y to x.
@@ -253,30 +257,22 @@ class FrontierReport:
     min_floor: float
 
 
-def frontier_check(
+def _frontier_report(
     i: StratumLabel,
     j: StratumLabel,
-    samples: int = 15,
-    seed: int = 0,
-    delta: float = 4e-7,
-    distance_target: float = 1e-6,
+    ys,
+    seed: int,
+    delta: float,
+    distance_target: float,
 ) -> FrontierReport:
-    """Decide empirically whether stratum i lies in the closure of stratum j.
-
-    For componentwise-comparable pairs, constructs a rank-j approximant
-    within distance_target of every sampled rank-i point. For incomparable pairs,
-    evaluates the Eckart-Young floor: the distance from the sampled point to
-    anything with the lower block rank, which must exceed distance_target.
-    """
-    if i.alg != j.alg:
-        raise ValueError("labels belong to different algebras")
+    """Reachability of stratum i from stratum j, witnessed at the sampled
+    rank-i points ys (ys[s] drawn with index s)."""
     expected = frontier_leq(i, j)
     comparable = all(ia <= ja for ia, ja in zip(i.per_block, j.per_block))
     max_distance = 0.0
     min_floor = float("inf")
     reachable = True
-    for s in range(samples):
-        y = sample_algebra(i.alg, seed, ranks=i.per_block, index=s)
+    for s, y in enumerate(ys):
         if comparable:
             x = approach_state(y, j, delta=delta, seed=seed, index=s)
             d = linalg.hs_norm(x.matrix - y.matrix)
@@ -303,22 +299,53 @@ def frontier_check(
         expected=expected,
         reachable=reachable,
         matches=(reachable == expected),
-        samples=samples,
+        samples=len(ys),
         max_distance=max_distance,
         min_floor=min_floor if min_floor != float("inf") else 0.0,
     )
 
 
+def _frontier_sources(i: StratumLabel, samples: int, seed: int) -> list[DensityMatrix]:
+    """The sampled rank-i points of a frontier check."""
+    return [
+        sample_algebra(i.alg, seed, ranks=i.per_block, index=s) for s in range(samples)
+    ]
+
+
+def frontier_check(
+    i: StratumLabel,
+    j: StratumLabel,
+    samples: int = 15,
+    seed: int = 0,
+    delta: float = FRONTIER_DELTA,
+    distance_target: float = FRONTIER_DISTANCE,
+) -> FrontierReport:
+    """Decide empirically whether stratum i lies in the closure of stratum j.
+
+    For componentwise-comparable pairs, constructs a rank-j approximant
+    within distance_target of every sampled rank-i point. For incomparable pairs,
+    evaluates the Eckart-Young floor: the distance from the sampled point to
+    anything with the lower block rank, which must exceed distance_target.
+    """
+    ys = _frontier_sources(i, samples, seed)
+    return _frontier_report(i, j, ys, seed, delta, distance_target)
+
+
 def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) -> dict:
-    """Full reachability-vs-order comparison over all stratum label pairs."""
+    """Full reachability-vs-order comparison over all stratum label pairs.
+
+    Each source label's samples are drawn once and shared by all its
+    targets; every pair sees the points frontier_check would draw for it.
+    """
     labels = enumerate_labels(alg)
     expected = []
     reachable = []
     mismatches = []
     for a in labels:
+        ys = _frontier_sources(a, samples, seed)
         e_row, r_row = [], []
         for b in labels:
-            rep = frontier_check(a, b, samples=samples, seed=seed)
+            rep = _frontier_report(a, b, ys, seed, FRONTIER_DELTA, FRONTIER_DISTANCE)
             e_row.append(rep.expected)
             r_row.append(rep.reachable)
             if not rep.matches:

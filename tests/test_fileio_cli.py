@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stratumlab import cli
 from stratumlab.errors import SchemaError
@@ -330,3 +336,204 @@ def test_cli_subprocess_env_passthrough(mm3_file):
     )
     assert run.returncode == 0
     assert json.loads(run.stdout)["config"]["tol_rank"] == 1e-6
+
+
+def _single_error(err: str, code: int) -> dict:
+    """stderr must hold exactly one canonical-JSON error, then the timing line."""
+    text, elapsed = err.split("# elapsed")
+    payload = json.loads(text)
+    assert text == canonical_json(payload)
+    assert set(payload) == {"error", "message", "exit_code"}
+    assert payload["exit_code"] == code
+    assert "\n" not in elapsed.rstrip("\n")
+    return payload
+
+
+@pytest.fixture(scope="module")
+def chart_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chart")
+    alg = full_algebra(2)
+    center, point, state = root / "c.json", root / "p.json", root / "s.json"
+    write_matrix(str(center), np.diag([1.0, 0.0]).astype(complex), alg)
+    write_matrix(str(point), np.diag([0.99, 0.01]).astype(complex), alg)
+    write_matrix(str(state), np.diag([0.7, 0.3]).astype(complex), alg)
+    return str(center), str(point), str(state)
+
+
+BAD_OPTIONS = [
+    # (command, option, value); every one used to crash, exit 2 or pass
+    ("classify", "tol-rank", v) for v in ("0", "inf", "nan", "-1")
+] + [
+    ("classify", "cluster-tol", v) for v in ("nan", "inf", "-1", "0")
+] + [
+    ("chart", "epsilon", "nan"),
+    ("chart", "nodes", "0"),
+    ("projector-equiv", "nodes", "0"),
+    ("whitney", "max-dim", "1"),
+    ("join", "samples", "-3"),
+    ("whitney", "trials", "0"),
+    ("join", "seed", "-1"),
+    ("demo", "resolution", "1"),
+]
+
+
+def _argv(command, chart_files):
+    center, point, state = chart_files
+    return {
+        "classify": ["classify", state],
+        "chart": ["chart", center, point],
+        "demo": ["demo", "bloch"],
+    }.get(command, ["verify", command])
+
+
+@pytest.mark.parametrize("command,option,value", BAD_OPTIONS)
+def test_cli_rejects_bad_numeric_options(command, option, value, chart_files, capsys, monkeypatch):
+    argv = _argv(command, chart_files)
+    assert cli.main(argv + [f"--{option}={value}"]) == 1
+    err = _single_error(capsys.readouterr().err, 1)
+    assert err["error"] == "SchemaError"
+    assert f"--{option}" in err["message"]
+    # the environment route is checked the same way
+    monkeypatch.setenv("STRATUMLAB_" + option.upper().replace("-", "_"), value)
+    assert cli.main(argv) == 1
+    assert _single_error(capsys.readouterr().err, 1)["error"] == "SchemaError"
+
+
+def test_cli_maps_refused_arguments_to_exit_1(chart_files, capsys):
+    center, point, state = chart_files
+    # a finite tolerance that declares every eigenvalue zero
+    assert cli.main(["classify", state, "--tol-rank", "1e300"]) == 1
+    assert _single_error(capsys.readouterr().err, 1)["error"] == "ValueError"
+    # epsilon beyond the center's spectral gap
+    assert cli.main(["chart", center, point, "--epsilon", "10"]) == 1
+    assert _single_error(capsys.readouterr().err, 1)["error"] == "ValueError"
+
+
+def test_suites_refuse_vacuous_sizes():
+    from stratumlab import verify
+
+    for call in (
+        lambda: verify.suite_whitney(max_dim=1),
+        lambda: verify.suite_whitney(trials=0),
+        lambda: verify.suite_frontier(samples=0),
+        lambda: verify.suite_join(samples=-3),
+        lambda: verify.suite_orbit_census(draws=0),
+        lambda: verify.suite_projector_equiv(samples=0),
+    ):
+        with pytest.raises(ValueError, match="must be at least"):
+            call()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid 3x3 state payload with one part broken or replaced."""
+    payload = {
+        "schema_version": "1",
+        "alg": [1, 2],
+        "re": [[0.5, 0.0, 0.0], [0.0, 0.25, 0.1], [0.0, 0.1, 0.25]],
+        "im": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2], [0.0, -0.2, 0.0]],
+    }
+    key = draw(st.sampled_from(sorted(payload)))
+    how = draw(st.sampled_from(["drop", "replace", "entry", "scale"]))
+    if how == "drop":
+        del payload[key]
+    elif how == "replace" or key in ("schema_version", "alg"):
+        payload[key] = draw(JSON_VALUES)
+    elif how == "entry":
+        r, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        payload[key][r][c] = draw(st.one_of(JSON_SCALARS, st.floats(-2.0, 2.0)))
+    else:
+        factor = draw(st.floats(allow_nan=True, allow_infinity=True))
+        payload[key] = [[factor * x for x in row] for row in payload[key]]
+    return payload
+
+
+def _is_valid_state(payload) -> bool:
+    from stratumlab.errors import StratumLabError
+    from stratumlab.states import validate_density
+
+    try:
+        validate_density(*parse_matrix_payload(payload))
+    except (StratumLabError, ValueError):
+        return False
+    return True
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_payloads())
+def test_fuzz_matrix_payloads_fail_closed(payload):
+    # the parser either returns a matrix or raises SchemaError, nothing else
+    try:
+        parse_matrix_payload(payload)
+    except SchemaError:
+        pass
+    assume(not _is_valid_state(payload))
+    with tempfile.TemporaryDirectory() as root:
+        path = f"{root}/state.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code, out, err = _run_cli(["classify", path])
+    assert code in (1, 2, 3)
+    assert out == ""
+    _single_error(err, code)
+
+
+NUMERIC_OPTIONS = {
+    # option: (strategy of values outside its domain, commands taking it)
+    "tol-rank": (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]), ["classify"]),
+    "cluster-tol": (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+                    ["classify", "demo"]),
+    "epsilon": (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]), ["chart"]),
+    "nodes": (st.integers(max_value=15), ["chart", "projector-equiv"]),
+    "samples": (st.integers(max_value=0), ["join", "frontier", "orbit-census"]),
+    "trials": (st.integers(max_value=0), ["whitney"]),
+    "max-dim": (st.integers(max_value=1), ["whitney"]),
+    "resolution": (st.integers(max_value=1), ["demo"]),
+    "seed": (st.integers(max_value=-1), ["join", "classify"]),
+}
+
+
+@st.composite
+def bad_option_calls(draw):
+    option = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    values, commands = NUMERIC_OPTIONS[option]
+    return option, draw(values), draw(st.sampled_from(commands))
+
+
+@settings(max_examples=120, deadline=None)
+@given(bad_option_calls())
+def test_fuzz_numeric_options_fail_closed(call):
+    option, value, command = call
+    with tempfile.TemporaryDirectory() as root:
+        alg = full_algebra(2)
+        center, point = f"{root}/c.json", f"{root}/p.json"
+        write_matrix(center, np.diag([1.0, 0.0]).astype(complex), alg)
+        write_matrix(point, np.diag([0.99, 0.01]).astype(complex), alg)
+        argv = _argv(command, (center, point, point))
+        code, out, err = _run_cli(argv + [f"--{option}={value!r}"])
+    assert code in (1, 2, 3)
+    assert out == ""
+    _single_error(err, code)
