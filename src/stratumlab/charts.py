@@ -10,8 +10,10 @@ variable k). The assignment g -> (h, k) is the chart; its inverse is
     (h, k) -> h on W  +  (1 - Tr h) k on W-perp,
 
 trusted for alpha < 1/2. The production route computes spectral projectors by
-eigendecomposition; an independent contour-quadrature route (trapezoid rule
-on a circle, exponentially convergent) is kept for cross-checking.
+eigendecomposition. An independent route, contour_quadrature, integrates the
+resolvent around a circle with the trapezoid rule (exponentially convergent;
+Trefethen & Weideman, SIAM Rev. 2014) and returns the projector and the
+small part from one set of node resolvents; it is kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -30,24 +32,22 @@ from .errors import (
 from .states import AlgebraDescriptor, DensityMatrix, validate_density
 from .strata import numerical_rank, rank_from_eigenvalues
 
-MIN_NODES = 16
+MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
 
 
 @dataclass(frozen=True)
 class ChartConfig:
-    """Spectral thresholds and quadrature resolution for one chart.
+    """Spectral thresholds for one chart.
 
     gap_a : smallest positive eigenvalue of the chart's center
     epsilon : spectral split threshold, 0 < epsilon < gap_a
     contour_radius : radius of the circle separating small from large
         spectrum; must satisfy epsilon <= radius <= gap_a - epsilon
-    quadrature_nodes : trapezoid nodes for the contour route (>= 16)
     """
 
     gap_a: float
     epsilon: float
     contour_radius: float
-    quadrature_nodes: int = 64
 
     def __post_init__(self):
         if not self.gap_a > 0:
@@ -62,23 +62,25 @@ class ChartConfig:
                 f"{self.contour_radius:.6g} outside [{self.epsilon:.6g}, "
                 f"{self.gap_a - self.epsilon:.6g}]"
             )
-        if self.quadrature_nodes < MIN_NODES:
-            raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
 
 
 def spectral_gap(f: DensityMatrix, tol: float | None = None) -> float:
-    """Smallest positive eigenvalue of f (gray-zone rank protocol)."""
+    """Smallest positive eigenvalue of f (gray-zone rank protocol).
+
+    Raises ValueError when tol declares every eigenvalue zero.
+    """
     if tol is None:
         tol = f.tol
     w = f.eigenvalues()
-    i = max(1, rank_from_eigenvalues(w, tol))
+    i = rank_from_eigenvalues(w, tol)
+    if i == 0:
+        raise ValueError(f"tolerance {tol:.6g} declares every eigenvalue of the center zero")
     return float(w[f.dim - i])
 
 
 def chart_config_for(
     f: DensityMatrix,
     epsilon: float | None = None,
-    nodes: int = 64,
     tol: float | None = None,
 ) -> ChartConfig:
     """Default chart configuration centered at f.
@@ -90,7 +92,7 @@ def chart_config_for(
     if epsilon is None:
         epsilon = a / 4.0
     radius = 0.5 * (epsilon + (a - epsilon))
-    return ChartConfig(gap_a=a, epsilon=epsilon, contour_radius=radius, quadrature_nodes=nodes)
+    return ChartConfig(gap_a=a, epsilon=epsilon, contour_radius=radius)
 
 
 def in_chart_domain(f: DensityMatrix, g: DensityMatrix, cfg: ChartConfig) -> bool:
@@ -249,15 +251,18 @@ def _check_contour_margin(w: np.ndarray, radius: float, guard: float) -> None:
         )
 
 
-def contour_projector(
+def contour_quadrature(
     g: np.ndarray, radius: float, nodes: int = 64, guard: float = 1e-3
-) -> np.ndarray:
-    """Spectral projector onto eigenvalues inside |z| = radius, by trapezoid
-    quadrature of the resolvent around that circle.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral projector and small part of g inside |z| = radius, by
+    trapezoid quadrature of z -> R_g(z) and z -> z R_g(z) around that circle.
 
-    The trapezoid rule on a circle converges exponentially in the node count
-    for this integrand; kept as an oracle against the eigendecomposition
-    route.
+    Both quadratures share one stacked inversion of the node resolvents
+    R_g(z) = (z - g)^-1. The trapezoid rule on a circle converges
+    exponentially in the node count for these integrands; kept as an oracle
+    against the eigendecomposition route. The small part is the part of g
+    carried by the spectrum inside the circle (its trace is the cone weight
+    alpha).
 
     Raises
     ------
@@ -268,30 +273,16 @@ def contour_projector(
     if nodes < 4:
         raise ValueError("need at least 4 quadrature nodes")
     _check_contour_margin(np.linalg.eigvalsh(g), radius, guard)
-    n = g.shape[0]
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    acc = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for t in theta:
-        z = radius * np.exp(1j * t)
-        acc += np.exp(1j * t) * np.linalg.inv(z * eye - g)
-    return linalg.hermitian_part(acc * (radius / nodes))
-
-
-def contour_small_part(
-    g: np.ndarray, radius: float, nodes: int = 64, guard: float = 1e-3
-) -> np.ndarray:
-    """Quadrature of z -> z R_g(z) around |z| = radius: the part of g carried
-    by the spectrum inside the circle (its trace is the cone weight alpha)."""
-    g = linalg.as_hermitian(np.asarray(g, dtype=complex))
-    if nodes < 4:
-        raise ValueError("need at least 4 quadrature nodes")
-    _check_contour_margin(np.linalg.eigvalsh(g), radius, guard)
-    n = g.shape[0]
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    acc = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for t in theta:
-        z = radius * np.exp(1j * t)
-        acc += np.exp(1j * t) * z * np.linalg.inv(z * eye - g)
-    return linalg.hermitian_part(acc * (radius / nodes))
+    e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    z = radius * e
+    # e z from real and imaginary parts rounds as a scalar complex product
+    # does; numpy's vectorised complex multiply differs at some nodes
+    ez = np.empty_like(z)
+    ez.real = e.real * z.real - e.imag * z.imag
+    ez.imag = e.real * z.imag + e.imag * z.real
+    resolvents = np.linalg.inv(z[:, None, None] * np.eye(g.shape[0]) - g)
+    # running sums add the nodes in order, however numpy would block a
+    # plain reduction
+    weighted = np.stack([e, ez])[:, :, None, None] * resolvents
+    projector, small_part = np.cumsum(weighted, axis=1)[:, -1] * (radius / nodes)
+    return linalg.hermitian_part(projector), linalg.hermitian_part(small_part)

@@ -17,7 +17,8 @@ Exit codes
 ----------
 0  success
 1  input/output or schema problem (unreadable file, malformed JSON, bad
-   invocation, an option value out of range or refused by the library)
+   invocation such as an unknown option, an option value out of range or
+   refused by the library)
 2  the matrix failed validation (not Hermitian, wrong trace, not PSD, ...)
 3  the computation refused to answer (ambiguous rank or clustering, point
    outside a chart's domain, eigenvalue on the contour, cone weight too
@@ -25,8 +26,9 @@ Exit codes
    converge)
 4  a verification suite ran to completion and failed
 
-Reports are byte-deterministic for fixed inputs and seeds; timing goes to
-stderr only.
+Every failure, usage errors included, prints one canonical-JSON error to
+stderr. Reports are byte-deterministic for fixed inputs and seeds; timing
+goes to stderr only.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ SUITE_FAIL_EXIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; this CLI reserves 2 for
-    validation failures, so bad invocations are routed to exit code 1."""
+    """argparse prints usage and exits 2 on usage errors; this CLI reserves 2
+    for validation failures, so a bad invocation raises SchemaError and
+    exits 1 with one JSON error."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise SchemaError(f"{self.prog}: {message}")
 
 
 def _resolve(cli_value, option: str, cast, default, valid=None):
@@ -129,8 +131,6 @@ def _build_parser() -> _Parser:
     p.add_argument("point", help="matrix file of the point to chart")
     p.add_argument("--epsilon", type=float, default=None,
                    help="spectral split threshold (default: gap / 4)")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="contour quadrature nodes (default 64, at least 16)")
     common(p)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
@@ -138,15 +138,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=None,
                    help="trials per stratum pair (whitney; default 10)")
     p.add_argument("--samples", type=int, default=None,
-                   help="sample count (frontier/join/orbit-census/projector-equiv)")
+                   help="sample count (frontier/join/orbit-census/projector-equiv; "
+                        "default: the suite's own)")
     p.add_argument("--max-dim", type=int, default=None,
-                   help="largest ambient dimension for whitney (default 3)")
+                   help="largest ambient dimension for whitney (default: the suite's own)")
     p.add_argument("--nodes", type=int, default=None,
                    help="contour quadrature nodes (projector-equiv; default 64, at least 16)")
     common(p)
 
     p = sub.add_parser("demo", help="closed-form scans as CSV")
-    p.add_argument("name", choices=["bloch", "cone", "simplex"])
+    p.add_argument("name", choices=sorted(_DEMOS))
     p.add_argument("--resolution", type=int, default=None,
                    help="grid points per axis (default 25)")
     common(p)
@@ -231,7 +232,7 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
     f = validate_density(center_m, center_alg, tol=cfg.tol_rank)
     g = validate_density(point_m, point_alg, tol=cfg.tol_rank)
     epsilon = _resolve(args.epsilon, "epsilon", float, None, _POSITIVE)
-    chart_cfg = chart_config_for(f, epsilon=epsilon, nodes=cfg.nodes, tol=cfg.tol_rank)
+    chart_cfg = chart_config_for(f, epsilon=epsilon, tol=cfg.tol_rank)
     p = chart_forward(f, g, chart_cfg)
     back = chart_inverse(p)
     report = {
@@ -254,27 +255,28 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
     return 0
 
 
+# verify: the RunConfig fields each suite takes besides the seed, and its own
+# options as (keyword, option, check). An option left unset is not passed,
+# so the suite's own default applies; a suite without a row takes the seed.
+_SAMPLES = ("samples", "samples", _at_least(1))
+_VERIFY_ARGS = {
+    "whitney": (("trials",), (("max_dim", "max-dim", _at_least(2)),)),
+    "frontier": ((), (_SAMPLES,)),
+    "join": ((), (_SAMPLES,)),
+    "orbit-census": (("cluster_tol",), (("draws", "samples", _at_least(1)),)),
+    "projector-equiv": (("nodes",), (_SAMPLES,)),
+}
+
+
 def _cmd_verify(args, cfg: RunConfig) -> int:
     cfg = _fix_format(cfg, "json")
-    suite = args.suite
-    samples = _resolve(args.samples, "samples", int, None, _at_least(1))
-    if suite == "whitney":
-        max_dim = _resolve(args.max_dim, "max-dim", int, 3, _at_least(2))
-        report = SUITES[suite](max_dim=max_dim, trials=cfg.trials, seed=cfg.seed)
-    elif suite == "frontier":
-        report = SUITES[suite](samples=10 if samples is None else samples, seed=cfg.seed)
-    elif suite == "join":
-        report = SUITES[suite](samples=200 if samples is None else samples, seed=cfg.seed)
-    elif suite == "orbit-census":
-        report = SUITES[suite](
-            draws=2000 if samples is None else samples,
-            seed=cfg.seed,
-            cluster_tol=cfg.cluster_tol,
-        )
-    else:
-        report = SUITES[suite](
-            samples=300 if samples is None else samples, seed=cfg.seed, nodes=cfg.nodes
-        )
+    fields, options = _VERIFY_ARGS.get(args.suite, ((), ()))
+    kwargs = {name: getattr(cfg, name) for name in ("seed", *fields)}
+    for keyword, option, valid in options:
+        value = _resolve(getattr(args, option.replace("-", "_")), option, int, None, valid)
+        if value is not None:
+            kwargs[keyword] = value
+    report = SUITES[args.suite](**kwargs)
     payload = {"command": "verify", "config": cfg.as_dict(), "report": report}
     _emit(canonical_json(payload), cfg.out)
     return 0 if report["passed"] else SUITE_FAIL_EXIT
@@ -284,7 +286,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _demo_bloch(resolution: int, tol: float, cluster_tol: float) -> str:
+def _demo_bloch(resolution: int, cfg: RunConfig) -> str:
     axis = np.linspace(-1.0, 1.0, resolution)
     rows = ["x1,x2,x3,eig_low,eig_high,valid,rank,signature"]
     for x1 in axis:
@@ -294,9 +296,9 @@ def _demo_bloch(resolution: int, tol: float, cluster_tol: float) -> str:
                 low, high = (1.0 - norm) / 2.0, (1.0 + norm) / 2.0
                 valid = norm <= 1.0 + 1e-12
                 if valid:
-                    rho = bloch_state((x1, x2, x3), tol=tol)
-                    rank = str(classify(rho, tol=tol).total)
-                    sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
+                    rho = bloch_state((x1, x2, x3), tol=cfg.tol_rank)
+                    rank = str(classify(rho, tol=cfg.tol_rank).total)
+                    sig = _signature_string(orbit_signature(rho, cluster_tol=cfg.cluster_tol))
                 else:
                     rank, sig = "", ""
                 rows.append(
@@ -306,7 +308,7 @@ def _demo_bloch(resolution: int, tol: float, cluster_tol: float) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _demo_cone(resolution: int, tol: float, cluster_tol: float) -> str:
+def _demo_cone(resolution: int, cfg: RunConfig) -> str:
     t_axis = np.linspace(0.0, 1.0, resolution)
     x_axis = np.linspace(-1.0, 1.0, resolution)
     mixed = maximally_mixed(cone_algebra()).matrix
@@ -322,11 +324,11 @@ def _demo_cone(resolution: int, tol: float, cluster_tol: float) -> str:
                 plus, minus = (t + norm) / 2.0, (t - norm) / 2.0
                 valid = norm <= t + 1e-12
                 if valid:
-                    rho = cone_state(t, (x1, 0.0, x3), tol=tol)
-                    label = classify(rho, tol=tol)
+                    rho = cone_state(t, (x1, 0.0, x3), tol=cfg.tol_rank)
+                    label = classify(rho, tol=cfg.tol_rank)
                     r1, r2 = label.per_block
                     total = str(label.total)
-                    sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
+                    sig = _signature_string(orbit_signature(rho, cluster_tol=cfg.cluster_tol))
                     is_mixed = int(linalg.hs_norm(rho.matrix - mixed) <= 1e-12)
                     block_cols = f"{r1},{r2},{total},{sig},{is_mixed}"
                 else:
@@ -338,7 +340,7 @@ def _demo_cone(resolution: int, tol: float, cluster_tol: float) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _demo_simplex(resolution: int, tol: float) -> str:
+def _demo_simplex(resolution: int, cfg: RunConfig) -> str:
     n = resolution - 1
     rows = ["p1,p2,p3,p4,rank_per_block,total_rank,stratum_dim"]
     alg = commutative_algebra(4)
@@ -347,10 +349,10 @@ def _demo_simplex(resolution: int, tol: float) -> str:
             for c in range(n + 1 - a - b):
                 d = n - a - b - c
                 p = (a / n, b / n, c / n, d / n)
-                rho = simplex_state(p, tol=tol)
+                rho = simplex_state(p, tol=cfg.tol_rank)
                 if rho.alg != alg:
                     raise AssertionError("simplex demo built a state on the wrong algebra")
-                label = classify(rho, tol=tol)
+                label = classify(rho, tol=cfg.tol_rank)
                 ranks = ";".join(str(r) for r in label.per_block)
                 rows.append(
                     f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(p[3])},"
@@ -359,32 +361,25 @@ def _demo_simplex(resolution: int, tol: float) -> str:
     return "\n".join(rows) + "\n"
 
 
+_DEMOS = {"bloch": _demo_bloch, "cone": _demo_cone, "simplex": _demo_simplex}
+
+
 def _cmd_demo(args, cfg: RunConfig) -> int:
     cfg = _fix_format(cfg, "csv")
     resolution = _resolve(args.resolution, "resolution", int, 25, _at_least(2))
-    if args.name == "bloch":
-        text = _demo_bloch(resolution, cfg.tol_rank, cfg.cluster_tol)
-    elif args.name == "cone":
-        text = _demo_cone(resolution, cfg.tol_rank, cfg.cluster_tol)
-    else:
-        text = _demo_simplex(resolution, cfg.tol_rank)
-    _emit(text, cfg.out)
+    _emit(_DEMOS[args.name](resolution, cfg), cfg.out)
     return 0
 
 
+_COMMANDS = {"classify": _cmd_classify, "chart": _cmd_chart, "verify": _cmd_verify,
+             "demo": _cmd_demo}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = _run_config(args)
-        if args.command == "classify":
-            code = _cmd_classify(args, cfg)
-        elif args.command == "chart":
-            code = _cmd_chart(args, cfg)
-        elif args.command == "verify":
-            code = _cmd_verify(args, cfg)
-        else:
-            code = _cmd_demo(args, cfg)
+        args = _build_parser().parse_args(argv)
+        code = _COMMANDS[args.command](args, _run_config(args))
     except (SchemaError, OSError) as exc:
         return _fail(exc, 1)
     except ValidationError as exc:

@@ -121,12 +121,4 @@ class RunConfig:
     format: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "tol_rank": self.tol_rank,
-            "cluster_tol": self.cluster_tol,
-            "nodes": self.nodes,
-            "seed": self.seed,
-            "trials": self.trials,
-            "out": self.out,
-            "format": self.format,
-        }
+        return dataclasses.asdict(self)

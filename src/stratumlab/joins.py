@@ -172,27 +172,24 @@ def join_state(p: JoinPoint, tol: float = 1e-9) -> DensityMatrix:
 class JoinPieceLabel:
     """Which piece of the join decomposition a point belongs to.
 
-    kind : "first" / "second" for the endpoint strata of a two-summand join,
-        "product" for the open-interval pieces, "support" for the general
-        k-summand pattern label.
     factor_ranks : total rank of each present factor, in summand order.
     factor_labels : the per-block stratum labels of the present factors.
     support : which summands are present.
     """
 
-    kind: str
     factor_ranks: tuple[int, ...]
     factor_labels: tuple[StratumLabel, ...]
     support: tuple[bool, ...]
 
     @property
     def piece_name(self) -> str:
-        """Short name of the piece: R2, S1, R2xS1xI, or a support pattern."""
-        if self.kind == "first":
+        """Short name of the piece: for two summands R2 (first factor only),
+        S1 (second only) or R2xS1xI (both); otherwise the support pattern."""
+        if self.support == (True, False):
             return f"R{self.factor_ranks[0]}"
-        if self.kind == "second":
+        if self.support == (False, True):
             return f"S{self.factor_ranks[0]}"
-        if self.kind == "product":
+        if self.support == (True, True):
             return f"R{self.factor_ranks[0]}xS{self.factor_ranks[1]}xI"
         present = "+".join(
             f"{j}:r{r}" for j, r in zip(np.nonzero(self.support)[0], self.factor_ranks)
@@ -207,31 +204,13 @@ def join_piece_label(p: JoinPoint, tol: float | None = None) -> JoinPieceLabel:
     the products (first stratum) x (second stratum) x (0, 1); for more
     summands the label records the support pattern plus the factor strata.
     """
-    labels = []
-    ranks = []
-    for comp in p.components:
-        if comp is None:
-            continue
-        lab = classify(comp, tol if tol is not None else comp.tol)
-        labels.append(lab)
-        ranks.append(lab.total)
-    if p.num_summands == 2:
-        w1, w2 = p.weights
-        if w2 == 0.0:
-            kind = "first"
-        elif w1 == 0.0:
-            kind = "second"
-        else:
-            kind = "product"
-        return JoinPieceLabel(
-            kind=kind,
-            factor_ranks=tuple(ranks),
-            factor_labels=tuple(labels),
-            support=p.support,
-        )
+    labels = [
+        classify(comp, tol if tol is not None else comp.tol)
+        for comp in p.components
+        if comp is not None
+    ]
     return JoinPieceLabel(
-        kind="support",
-        factor_ranks=tuple(ranks),
+        factor_ranks=tuple(lab.total for lab in labels),
         factor_labels=tuple(labels),
         support=p.support,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .charts import contour_projector, contour_small_part, small_spectral_projector
+from .charts import contour_quadrature, small_spectral_projector
 from .joins import JOIN_RANK_NOTE, convex_split, join_piece_label, join_state, make_join_point, rank_of_join
 from .orbits import isotropy_dim, orbit_dim_stack, orbit_signature_stack
 from .sampler import _algebra_matrix, _hs_matrix, _rng, sample_algebra, sample_rank, sample_unitary
@@ -65,8 +65,7 @@ def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) ->
         p_eig = small_v @ small_v.conj().T
         part_eig = (small_v * w[:n_small]) @ small_v.conj().T
         for c, node_count in enumerate((halved, nodes)):
-            p_c = contour_projector(g, CONTOUR_RADIUS, node_count)
-            s_c = contour_small_part(g, CONTOUR_RADIUS, node_count)
+            p_c, s_c = contour_quadrature(g, CONTOUR_RADIUS, node_count)
             err_proj[s, c] = linalg.hs_norm(p_c - p_eig)
             err_part[s, c] = linalg.hs_norm(s_c - part_eig)
         # the eigen production route (threshold split) must agree with the

@@ -7,8 +7,7 @@ from stratumlab import (
     chart_config_for,
     chart_forward,
     chart_inverse,
-    contour_projector,
-    contour_small_part,
+    contour_quadrature,
     full_algebra,
     in_chart_domain,
     linalg,
@@ -40,7 +39,6 @@ def test_chart_config_defaults():
     assert cfg.gap_a == pytest.approx(0.5)
     assert cfg.epsilon == pytest.approx(0.125)
     assert cfg.contour_radius == pytest.approx(0.25)
-    assert cfg.quadrature_nodes == 64
 
 
 def test_chart_config_validation():
@@ -50,8 +48,6 @@ def test_chart_config_validation():
         ChartConfig(gap_a=0.5, epsilon=0.1, contour_radius=0.05)
     with pytest.raises(ValueError):
         ChartConfig(gap_a=0.5, epsilon=0.1, contour_radius=0.45)
-    with pytest.raises(ValueError):
-        ChartConfig(gap_a=0.5, epsilon=0.125, contour_radius=0.25, quadrature_nodes=8)
 
 
 def test_chart_worked_example():
@@ -141,9 +137,8 @@ def test_contour_matches_eigen_route():
         u = sample_unitary(n, seed=44, index=n)
         g = (u * w) @ u.conj().T
         p_eig = small_spectral_projector(g, 0.25)
-        p_q = contour_projector(g, 0.25, nodes=64)
+        p_q, s_q = contour_quadrature(g, 0.25, nodes=64)
         assert linalg.hs_norm(p_q - p_eig) <= 1e-10
-        s_q = contour_small_part(g, 0.25, nodes=64)
         small_v = linalg.eigh_fixed(g)[1][:, :1]
         s_eig = (small_v * w[:1]) @ small_v.conj().T
         assert linalg.hs_norm(s_q - s_eig) <= 1e-10
@@ -151,8 +146,9 @@ def test_contour_matches_eigen_route():
 
 def test_contour_projector_worked_example():
     g = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    p = contour_projector(g, 0.25, nodes=64)
+    p, s = contour_quadrature(g, 0.25, nodes=64)
     npt.assert_allclose(p, np.diag([0.0, 0.0, 1.0]), atol=1e-10)
+    npt.assert_allclose(s, np.zeros((3, 3)), atol=1e-10)
 
 
 def test_contour_scalar_error_is_geometric():
@@ -160,11 +156,11 @@ def test_contour_scalar_error_is_geometric():
     # a 1x1 matrix: w^N / (1 - w^N) with w the eigenvalue/radius ratio
     r, nodes = 0.25, 16
     lam_in = 0.1
-    p = contour_projector(np.array([[lam_in]]), r, nodes=nodes)
+    p, _ = contour_quadrature(np.array([[lam_in]]), r, nodes=nodes)
     w = (lam_in / r) ** nodes
     npt.assert_allclose(p[0, 0] - 1.0, w / (1.0 - w), rtol=1e-9)
     lam_out = 0.6
-    p = contour_projector(np.array([[lam_out]]), r, nodes=nodes)
+    p, _ = contour_quadrature(np.array([[lam_out]]), r, nodes=nodes)
     v = (r / lam_out) ** nodes
     npt.assert_allclose(p[0, 0], -v / (1.0 - v), rtol=1e-9)
 
@@ -177,8 +173,8 @@ def test_contour_node_halving_gains_accuracy():
         u = sample_unitary(4, seed=46, index=s)
         g = (u * w) @ u.conj().T
         p_eig = small_spectral_projector(g, 0.25)
-        e32 = linalg.hs_norm(contour_projector(g, 0.25, nodes=32) - p_eig)
-        e64 = linalg.hs_norm(contour_projector(g, 0.25, nodes=64) - p_eig)
+        e32 = linalg.hs_norm(contour_quadrature(g, 0.25, nodes=32)[0] - p_eig)
+        e64 = linalg.hs_norm(contour_quadrature(g, 0.25, nodes=64)[0] - p_eig)
         ratios.append(e32 / max(e64, 1e-16))
     assert np.median(ratios) >= 10.0
 
@@ -186,11 +182,40 @@ def test_contour_node_halving_gains_accuracy():
 def test_contour_guard():
     g = np.diag([0.25, 0.9]).astype(complex)
     with pytest.raises(EigenvalueOnContour):
-        contour_projector(g, 0.25, nodes=32)
+        contour_quadrature(g, 0.25, nodes=32)
     with pytest.raises(EigenvalueOnContour):
         small_spectral_projector(np.diag([0.2501, 0.9]).astype(complex), 0.25)
     with pytest.raises(ValueError):
-        contour_projector(np.diag([0.1, 0.9]).astype(complex), 0.25, nodes=2)
+        contour_quadrature(np.diag([0.1, 0.9]).astype(complex), 0.25, nodes=2)
+
+
+def _loop_quadrature(g, radius, nodes, times_z):
+    # one inverse per node, accumulated in node order: the reference the
+    # stacked quadrature must reproduce bit for bit
+    g = linalg.as_hermitian(np.asarray(g, dtype=complex))
+    n = g.shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for t in 2.0 * np.pi * np.arange(nodes) / nodes:
+        z = radius * np.exp(1j * t)
+        weight = np.exp(1j * t) * z if times_z else np.exp(1j * t)
+        acc += weight * np.linalg.inv(z * eye - g)
+    return linalg.hermitian_part(acc * (radius / nodes))
+
+
+def test_contour_quadrature_matches_node_loops():
+    rng = np.random.default_rng(47)
+    for n in range(1, 7):
+        for nodes in (4, 16, 17, 32, 64):
+            for s in range(10):
+                n_small = 1 + s % n
+                w = np.concatenate([rng.uniform(0, 0.2, size=n_small),
+                                    rng.uniform(0.3, 1.0, size=n - n_small)])
+                u = sample_unitary(n, seed=48, index=s) if n > 1 else np.eye(1)
+                g = (u * w) @ u.conj().T
+                p, part = contour_quadrature(g, 0.25, nodes=nodes)
+                assert np.array_equal(p, _loop_quadrature(g, 0.25, nodes, times_z=False))
+                assert np.array_equal(part, _loop_quadrature(g, 0.25, nodes, times_z=True))
 
 
 def test_chart_respects_block_structure():

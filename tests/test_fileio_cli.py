@@ -164,12 +164,8 @@ def test_cli_exit_1_on_schema_and_io(tmp_path, capsys):
 
 
 def test_cli_exit_1_on_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "no-such-suite"])
-    assert exc.value.code == 1
+    assert cli.main(["no-such-command"]) == 1
+    assert cli.main(["verify", "no-such-suite"]) == 1
     capsys.readouterr()
 
 
@@ -407,6 +403,32 @@ def test_cli_maps_refused_arguments_to_exit_1(chart_files, capsys):
     # epsilon beyond the center's spectral gap
     assert cli.main(["chart", center, point, "--epsilon", "10"]) == 1
     assert _single_error(capsys.readouterr().err, 1)["error"] == "ValueError"
+    # a tolerance that leaves the chart's center without a positive eigenvalue
+    assert cli.main(["chart", center, point, "--tol-rank", "1e300"]) == 1
+    assert _single_error(capsys.readouterr().err, 1)["error"] == "ValueError"
+
+
+def test_cli_usage_errors_print_one_json_error(chart_files, capsys):
+    usage_errors = [
+        ("classify", ["--nodes", "abc"]),  # an option classify does not take
+        ("classify", ["--no-such-option"]),
+        ("classify", ["--samples", "abc"]),
+        ("join", ["--samples", "abc"]),  # a value argparse cannot convert
+        ("classify", ["--format", "xml"]),  # outside the option's choices
+        ("chart", ["--nodes", "64"]),
+        (None, []),  # no subcommand
+    ]
+    for command, tail in usage_errors:
+        argv = [] if command is None else _argv(command, chart_files) + tail
+        code, out, err = _run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert _single_error(err, 1)["error"] == "SchemaError"
+    for argv in (["--help"], ["chart", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: stratumlab" in capsys.readouterr().out
 
 
 def test_suites_refuse_vacuous_sizes():

@@ -110,7 +110,6 @@ def test_piece_label_many_summands():
     point = _diag_state([1.0], one)
     p = make_join_point(three, (0.5, 0.0, 0.5), (point, None, point), split=(1, 1, 1))
     lab = join_piece_label(p)
-    assert lab.kind == "support"
     assert lab.support == (True, False, True)
     assert lab.piece_name == "J[0:r1+2:r1]"
 
