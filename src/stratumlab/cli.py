@@ -258,6 +258,9 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
 # verify: the RunConfig fields each suite takes besides the seed, and its own
 # options as (keyword, option, check). An option left unset is not passed,
 # so the suite's own default applies; a suite without a row takes the seed.
+# A flag of _VERIFY_FLAGS that the suite's row lacks is a usage error (its
+# environment variable is left alone, as it may be meant for another suite).
+_VERIFY_FLAGS = ("trials", "samples", "max-dim", "nodes")
 _SAMPLES = ("samples", "samples", _at_least(1))
 _VERIFY_ARGS = {
     "whitney": (("trials",), (("max_dim", "max-dim", _at_least(2)),)),
@@ -271,6 +274,10 @@ _VERIFY_ARGS = {
 def _cmd_verify(args, cfg: RunConfig) -> int:
     cfg = _fix_format(cfg, "json")
     fields, options = _VERIFY_ARGS.get(args.suite, ((), ()))
+    taken = {*fields, *(option for _, option, _ in options)}
+    for flag in _VERIFY_FLAGS:
+        if flag not in taken and getattr(args, flag.replace("-", "_")) is not None:
+            raise SchemaError(f"verify {args.suite} does not take --{flag}")
     kwargs = {name: getattr(cfg, name) for name in ("seed", *fields)}
     for keyword, option, valid in options:
         value = _resolve(getattr(args, option.replace("-", "_")), option, int, None, valid)

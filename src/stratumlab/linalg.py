@@ -12,6 +12,7 @@ not inside the hot loops.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,16 +23,17 @@ HERMITICITY_TOL = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (a + a^dagger)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Return (a + a^dagger)/2, of each matrix of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def as_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Symmetrize a square matrix, rejecting real asymmetry.
+    """Symmetrize a square matrix, or each matrix of a (..., n, n) stack,
+    rejecting real asymmetry.
 
-    The anti-Hermitian part must have max entry modulus <= tol; within that
-    budget the Hermitian part is returned, so exact algebra downstream can
-    rely on m == m^dagger holding identically.
+    The anti-Hermitian part must have max entry modulus <= tol (over the
+    whole stack); within that budget the Hermitian part is returned, so exact
+    algebra downstream can rely on m == m^dagger holding identically.
 
     Raises
     ------
@@ -42,14 +44,17 @@ def as_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         If the asymmetry exceeds tol.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    adjoint = a.conj().swapaxes(-1, -2)
+    # inf - inf is NaN, which the guard below refuses as NotFinite
+    with np.errstate(invalid="ignore"):
+        asym = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if not asym <= tol:
         if not np.isfinite(a).all():
             raise NotFinite("matrix has a NaN or infinite entry")
         raise NotHermitian("matrix is not Hermitian", magnitude=asym)
-    return hermitian_part(a)
+    return 0.5 * (a + adjoint)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -60,48 +65,62 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
+def hs_norm(a: np.ndarray):
+    """Hilbert-Schmidt (Frobenius) norm over the last two axes: a float for
+    one matrix (or vector), an array of a.shape[:-2] for a stack.
+
+    The squared norm is a dot product of the strided real parts plus one of
+    the strided imaginary parts, as np.linalg.norm forms it; a stack gets
+    the same dot per item from one matmul, so every item's norm is the one
+    np.linalg.norm gives it alone, bit for bit.
+    """
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        x = a.ravel(order="K")
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    x = a.reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def gauge_fix_columns(v: np.ndarray) -> np.ndarray:
-    """Fix the phase of each column: largest-modulus entry made real positive.
+    """Fix the phase of each column of a matrix, or of each matrix of a
+    (..., n, m) stack: largest-modulus entry made real positive.
 
     Deterministic tie-break: the first index attaining the maximal modulus.
     Zero columns are returned unchanged.
     """
-    v = np.array(v, dtype=complex, copy=True)
-    if v.size == 0:
-        return v
-    cols = np.arange(v.shape[1])
-    k = np.argmax(np.abs(v), axis=0)
-    pivot = v[k, cols]
+    # the columns of all matrices side by side, as one n x (B m) matrix
+    cols = np.array(np.asarray(v).swapaxes(0, -2), dtype=complex, order="C")
+    if cols.size == 0:
+        return cols.swapaxes(0, -2)
+    flat = cols.reshape(len(cols), -1)
+    pivot = flat[np.abs(flat).argmax(axis=0), np.arange(flat.shape[1])]
     # hypot rounds like the scalar abs() of one entry; the vectorized
     # complex abs can differ from it in the last bit
     modulus = np.hypot(pivot.real, pivot.imag)
-    phase = np.divide(pivot.conj(), modulus, out=np.ones_like(pivot), where=modulus > 0.0)
-    v *= phase
-    return v
+    flat *= np.divide(pivot.conj(), modulus, out=np.ones_like(pivot), where=modulus > 0.0)
+    return cols.swapaxes(0, -2)
 
 
 def eigh_fixed(a: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    (..., n, n) stack, with a deterministic gauge.
 
     Parameters
     ----------
     a : ndarray
-        Square matrix, Hermitian within tol.
+        Square matrix or stack of them, Hermitian within tol.
     tol : float
         Hermiticity budget passed to as_hermitian.
 
     Returns
     -------
     w : ndarray
-        Eigenvalues in ascending order.
+        Eigenvalues in ascending order, (..., n).
     v : ndarray
-        Orthonormal eigenvector columns, phase-fixed so the largest-modulus
-        entry of each column is real positive.
+        Orthonormal eigenvector columns, (..., n, n), phase-fixed so the
+        largest-modulus entry of each column is real positive.
 
     Raises
     ------

@@ -17,14 +17,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousRank
-from .states import AlgebraDescriptor, DensityMatrix, full_algebra, validate_density
+from .errors import AmbiguousRank, StratumLabError
+from .states import (
+    AlgebraDescriptor,
+    DensityMatrix,
+    _validated_states,
+    full_algebra,
+    validate_density,
+    validate_stack,
+)
 from .strata import (
     StratumLabel,
     classify,
     numerical_rank,
     rank_from_eigenvalues,
-    retract_to_stratum,
+    retract_stack,
     stratum_coords,
     tangent_basis,
 )
@@ -40,8 +47,11 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Gaussians via Box-Muller: z = sqrt(-2 ln(1-u1)) cos(2 pi u2) (and the
     matching sine draw), consuming two uniform arrays per output array."""
-    u1 = rng.random(shape)
-    u2 = rng.random(shape)
+    return _box_muller(rng.random(shape), rng.random(shape))
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Gaussians sqrt(-2 ln(1-u1)) cos(2 pi u2) from two uniform arrays."""
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     return radius * np.cos(2.0 * np.pi * u2)
 
@@ -183,11 +193,55 @@ def _conditioned_mixture(rng: np.random.Generator, r: int) -> np.ndarray:
     return 0.5 * w + 0.5 * np.eye(r) / r
 
 
-def _audit_rank(m: np.ndarray, expect: int, tol: float) -> None:
-    w = np.linalg.eigvalsh(m)
-    got = rank_from_eigenvalues(w, tol)
-    if got != expect:
-        raise RuntimeError(f"constructed point has rank {got}, expected {expect}")
+def _audit_ranks(ms: np.ndarray, expect: int, tol: float) -> None:
+    """Refuse a (B, n, n) stack of constructed points unless every one has
+    rank expect (AmbiguousRank in the gray zone, else RuntimeError)."""
+    got = rank_from_eigenvalues(np.linalg.eigvalsh(ms), tol)
+    wrong = np.flatnonzero(got != expect)
+    if wrong.size:
+        raise RuntimeError(f"constructed point has rank {got[wrong[0]]}, expected {expect}")
+
+
+def _approach_steps(
+    y: DensityMatrix,
+    sigma: np.ndarray,
+    h: np.ndarray,
+    deltas: np.ndarray,
+    label_i: StratumLabel,
+    j: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The validated stacks of the x_k and the y_k of the steps of sizes
+    deltas along the unit tangent directions h, each check run once on all
+    steps.
+
+    Each y_k retracts y + s h_k, halving s from delta_k / 2 until the point
+    lies within delta_k of y, 30 tries per step. A step whose truncation
+    leaves the stratum's domain (an eigenvalue that must stay positive went
+    negative) is shrunk like any overshoot.
+    """
+    tol = y.tol
+    scale = deltas[:, None, None]
+    xs = (1.0 - scale) * y.matrix + scale * sigma
+    _audit_ranks(xs, j, tol)
+    xs = validate_stack(xs, y.alg, tol)
+    ys = np.empty_like(xs)
+    steps = 0.5 * deltas
+    todo = np.arange(len(deltas))
+    for _ in range(30):
+        ms, lead = retract_stack(y.matrix + steps[todo, None, None] * h[todo], label_i, tol)
+        done = lead > 0
+        close = linalg.hs_norm(ms - y.matrix) <= deltas[todo[done]]
+        ys[todo[done][close]] = ms[close]
+        done[done] = close
+        todo = todo[~done]
+        if not todo.size:
+            break
+        steps[todo] *= 0.5
+    else:
+        raise RuntimeError("tangent retraction kept overshooting the step budget")
+    _audit_ranks(ys, label_i.total, tol)
+    ys.flags.writeable = False
+    return xs, ys
 
 
 def sequence_toward(
@@ -210,6 +264,14 @@ def sequence_toward(
 
     Defined for single-block algebras (for per-block targets use
     sequence_toward_label). Every constructed rank is audited.
+
+    The steps are built as (length, n, n) stacks: one draw of every step's
+    Gaussians from the (seed, 5, index) stream, one rank audit, validation
+    and retraction per stack (the retraction retries only the steps that
+    overshoot), so the pairs are those a step-by-step construction gives,
+    bit for bit. When steps fail, the error is the one of the first failing
+    step, in the order of its checks: x_k's audit and validation, the
+    retraction of y_k, y_k's audit.
     """
     if y.alg.num_blocks != 1:
         raise ValueError(
@@ -223,7 +285,6 @@ def sequence_toward(
     if not i < j <= n:
         raise ValueError(f"target rank must satisfy {i} < j <= {n}, got {j}")
     label_i = classify(y)
-    label_j = StratumLabel(alg=y.alg, per_block=(j,))
     coords = stratum_coords(y)
     r = j - i
     rng = _rng(seed, 5, index)
@@ -232,31 +293,24 @@ def sequence_toward(
     tau = _conditioned_mixture(rng, r)
     sigma = support @ tau @ support.conj().T
     basis = tangent_basis(y, label=label_i)
-    out = []
-    for k in range(1, length + 1):
-        delta = rate**k
-        xm = (1.0 - delta) * y.matrix + delta * sigma
-        _audit_rank(xm, j, y.tol)
-        x = validate_density(xm, y.alg, y.tol)
-        h = np.tensordot(standard_normal(rng, len(basis)), basis, axes=1)
-        h = h / linalg.hs_norm(h)
-        step = 0.5 * delta
-        for _ in range(30):
-            try:
-                yk = retract_to_stratum(y.matrix + step * h, label_i, y.tol)
-            except ValueError:
-                # the step left the truncation's domain (an eigenvalue that
-                # must stay positive went negative); shrink like any overshoot
-                step *= 0.5
-                continue
-            if linalg.hs_norm(yk.matrix - y.matrix) <= delta:
-                break
-            step *= 0.5
-        else:
-            raise RuntimeError("tangent retraction kept overshooting the step budget")
-        _audit_rank(yk.matrix, i, y.tol)
-        out.append((x, yk))
-    return out
+    deltas = np.array([rate**k for k in range(1, length + 1)])
+    # each step's two uniform arrays, in the order standard_normal would
+    # draw them step by step, and handed over contiguous as it hands them
+    u = rng.random((length, 2, len(basis)))
+    coeffs = _box_muller(np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(u[:, 1]))
+    # one vector-matrix product per step, as tensordot forms a single step
+    # (a (length, d) @ (d, n n) product rounds differently)
+    h = (coeffs[:, None, :] @ basis.reshape(len(basis), n * n)).reshape(length, n, n)
+    h = h / linalg.hs_norm(h)[:, None, None]
+    try:
+        xs, ys = _approach_steps(y, sigma, h, deltas, label_i, j)
+    except (StratumLabError, RuntimeError, ValueError):
+        # a step failed: raise the error of the first failing step, the
+        # first error a step-by-step construction would meet
+        for k in range(length):
+            _approach_steps(y, sigma, h[k : k + 1], deltas[k : k + 1], label_i, j)
+        raise
+    return list(zip(_validated_states(xs, y.alg, y.tol), _validated_states(ys, y.alg, y.tol)))
 
 
 def approach_state(

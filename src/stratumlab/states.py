@@ -159,7 +159,9 @@ def validate_stack(
     # the stacks are small: one count_nonzero per check is cheaper than a
     # reduction, and magnitudes are only worked out for the failing matrix
     adjoint = ms.conj().swapaxes(1, 2)
-    asym = np.abs(ms - adjoint)
+    # inf - inf is NaN, which the guard below refuses as NotFinite
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(ms - adjoint)
     ok = asym <= linalg.HERMITICITY_TOL
     if np.count_nonzero(ok) != ok.size:
         b = int(np.argmin(ok.reshape(len(ms), n * n).all(axis=1)))
@@ -207,7 +209,13 @@ def validate_density(
         Naming the violated invariant, with the violation magnitude.
     """
     h = validate_stack(np.asarray(m, dtype=complex)[None], alg, tol)
-    return DensityMatrix(alg=alg, matrix=h[0], tol=tol, _validated=True)
+    return _validated_states(h, alg, tol)[0]
+
+
+def _validated_states(hs: np.ndarray, alg: AlgebraDescriptor, tol: float) -> list[DensityMatrix]:
+    """DensityMatrix views of the rows of a stack that validate_stack
+    returned for alg at tol."""
+    return [DensityMatrix(alg=alg, matrix=h, tol=tol, _validated=True) for h in hs]
 
 
 def is_psd_eigen(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

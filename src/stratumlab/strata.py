@@ -20,7 +20,14 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousRank, NotOrthonormal
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
+from .states import (
+    DEFAULT_TOL,
+    AlgebraDescriptor,
+    DensityMatrix,
+    _validated_states,
+    validate_density,
+    validate_stack,
+)
 
 
 def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
@@ -283,10 +290,32 @@ def _tangent_template(block_sizes: tuple[int, ...], per_block: tuple[int, ...]) 
     return template
 
 
+def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces of one stratum at each matrix
+    of a validated (B, n, n) stack of its points (as validate_stack returns
+    it), as a (B, d, n, n) array, d = stratum_dim_label(label).
+
+    Item b is W_b T W_b^dagger, T the fixed template of the stratum and W_b
+    the block-diagonal gauge-fixed eigenframe of hs[b]; the frames of all
+    items come from one stacked eigh_fixed per block.
+    """
+    hs = np.asarray(hs, dtype=complex)
+    n = label.alg.dim
+    if hs.ndim != 3 or hs.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n} x {n} matrices, got shape {hs.shape}")
+    frame = np.zeros_like(hs)
+    for sl, nb, ib in zip(label.alg.block_slices(), label.alg.block_sizes, label.per_block):
+        # an unoccupied block has no tangent directions; any frame will do
+        frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
+    template = _tangent_template(label.alg.block_sizes, label.per_block)
+    return frame[:, None] @ template @ frame.conj().swapaxes(1, 2)[:, None]
+
+
 def tangent_basis(
     rho: DensityMatrix, tol: float | None = None, label: StratumLabel | None = None
 ) -> np.ndarray:
-    """Orthonormal basis of the tangent space of rho's stratum at rho.
+    """Orthonormal basis of the tangent space of rho's stratum at rho:
+    tangent_basis_stack on the stack of one matrix.
 
     The tangent space is the set of block-diagonal Hermitian H with total
     trace zero whose compression to the kernel of rho vanishes
@@ -308,38 +337,64 @@ def tangent_basis(
         label = classify(rho, tol)
     elif label.alg != rho.alg:
         raise ValueError("label belongs to a different algebra")
-    frame = np.eye(rho.dim, dtype=complex)
-    for sl, ib in zip(rho.alg.block_slices(), label.per_block):
-        if ib >= 1:
-            frame[sl, sl] = linalg.eigh_fixed(rho.matrix[sl, sl])[1]
-    template = _tangent_template(rho.alg.block_sizes, label.per_block)
-    return frame @ template @ frame.conj().T
+    return tangent_basis_stack(rho.matrix[None], label)[0]
+
+
+def retract_stack(
+    hs: np.ndarray, label: StratumLabel, tol: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """Retract each matrix of a (B, n, n) stack of Hermitian matrices to the
+    labeled stratum, as retract_to_stratum does one.
+
+    Per block, one stacked eigh_fixed; each item keeps its top i_b
+    eigenpairs, and is renormalized to trace one and validated. An item
+    whose kept eigenvalues are not all positive has no retraction; it is
+    masked out rather than refused.
+
+    Returns
+    -------
+    ms : ndarray
+        The validated (P, n, n) stack (validate_stack) of the retractions
+        of the P items with lead > 0, in stack order.
+    lead : ndarray
+        Per item, the smallest kept eigenvalue of its first block where it
+        is not positive (else of its last occupied block): the item is
+        retracted exactly when lead > 0.
+    """
+    hs = np.asarray(hs, dtype=complex)
+    n = label.alg.dim
+    if hs.ndim != 3 or hs.shape[1:] != (n, n):
+        raise ValueError(f"expected a stack of {n} x {n} matrices, got shape {hs.shape}")
+    m = np.zeros_like(hs)
+    lead = np.full(len(hs), np.inf)
+    for sl, nb, ib in zip(label.alg.block_slices(), label.alg.block_sizes, label.per_block):
+        if ib == 0:
+            continue
+        w, v = linalg.eigh_fixed(hs[:, sl, sl])
+        top_w = w[:, nb - ib :]
+        top_v = v[:, :, nb - ib :]
+        lead = np.where(lead > 0, top_w[:, 0], lead)
+        m[:, sl, sl] = (top_v * top_w[:, None, :]) @ top_v.conj().swapaxes(1, 2)
+    m = m[lead > 0]
+    m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return validate_stack(linalg.hermitian_part(m), label.alg, tol), lead
 
 
 def retract_to_stratum(
     h: np.ndarray, label: StratumLabel, tol: float = 1e-9
 ) -> DensityMatrix:
-    """Nearest-by-truncation point of the labeled stratum to a Hermitian h.
+    """Nearest-by-truncation point of the labeled stratum to a Hermitian h:
+    retract_stack on the stack of one matrix.
 
     Per block, keeps the top i_b eigenvalues (which must be positive), then
     renormalizes the total trace to one. Used to turn tangent steps into
     curves that stay inside a stratum.
+
+    Raises ValueError when a kept eigenvalue is not positive.
     """
-    h = np.asarray(h, dtype=complex)
-    blocks = linalg.block_extract(h, label.alg.block_sizes)
-    rebuilt = []
-    for block, ib in zip(blocks, label.per_block):
-        if ib == 0:
-            rebuilt.append(np.zeros_like(block))
-            continue
-        w, v = linalg.eigh_fixed(block)
-        top_w = w[block.shape[0] - ib :]
-        top_v = v[:, block.shape[0] - ib :]
-        if top_w[0] <= 0:
-            raise ValueError(
-                f"cannot retract: leading block eigenvalue {top_w[0]:.3e} is not positive"
-            )
-        rebuilt.append((top_v * top_w) @ top_v.conj().T)
-    m = linalg.block_embed(rebuilt)
-    m = m / float(np.trace(m).real)
-    return validate_density(linalg.hermitian_part(m), label.alg, tol)
+    ms, lead = retract_stack(np.asarray(h, dtype=complex)[None], label, tol)
+    if not lead[0] > 0:
+        raise ValueError(
+            f"cannot retract: leading block eigenvalue {lead[0]:.3e} is not positive"
+        )
+    return _validated_states(ms, label.alg, tol)[0]

@@ -31,8 +31,8 @@ import numpy as np
 from . import linalg
 from .errors import CoincidentPoints
 from .sampler import approach_state, sample_algebra, sequence_toward, _rng, standard_normal
-from .states import AlgebraDescriptor, DensityMatrix
-from .strata import StratumLabel, classify, frontier_leq, tangent_basis
+from .states import AlgebraDescriptor, DensityMatrix, _validated_states
+from .strata import StratumLabel, classify, frontier_leq, tangent_basis_stack
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -41,34 +41,65 @@ FRONTIER_DELTA = 4e-7
 FRONTIER_DISTANCE = 1e-6
 
 
+def secant_direction_stack(xs: np.ndarray, ys: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+    """Unit (HS) directions from ys to xs, matrix by matrix, over stacks of
+    any (broadcast) leading shape.
+
+    Raises
+    ------
+    CoincidentPoints
+        For the first pair, in row-major order, closer than tol.
+    """
+    d = np.asarray(xs, dtype=complex) - np.asarray(ys, dtype=complex)
+    norms = linalg.hs_norm(d)
+    close = np.flatnonzero(norms <= tol)
+    if close.size:
+        raise CoincidentPoints(f"points coincide within {norms.flat[close[0]]:.3e}")
+    return d / norms[..., None, None]
+
+
 def secant_direction(x: np.ndarray, y: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Unit (HS) direction from y to x.
+    """Unit (HS) direction from y to x: secant_direction_stack on stacks of
+    one matrix.
 
     Raises
     ------
     CoincidentPoints
         If the two matrices are closer than tol.
     """
-    d = np.asarray(x, dtype=complex) - np.asarray(y, dtype=complex)
-    norm = linalg.hs_norm(d)
-    if norm <= tol:
-        raise CoincidentPoints(f"points coincide within {norm:.3e}")
-    return d / norm
+    return secant_direction_stack(np.asarray(x)[None], np.asarray(y)[None], tol)[0]
+
+
+def gap_line_space_stack(vs: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """gap_line_space of each matrix of a stack against its own basis.
+
+    vs is a (..., n, n) stack and bases a (..., d, n, n) stack of
+    orthonormal bases, the leading shapes broadcast against each other.
+    Returns the gaps, an array of the broadcast leading shape. Coefficients
+    and residuals are one matrix-vector product per item, so each gap is
+    the one gap_line_space computes for that item alone, bit for bit.
+    """
+    vs = np.asarray(vs, dtype=complex)
+    k = vs.shape[-2] * vs.shape[-1]
+    flat = vs.reshape(vs.shape[:-2] + (1, k))
+    stacked = np.asarray(bases, dtype=complex)
+    stacked = stacked.reshape(stacked.shape[:-3] + (-1, k))
+    coeffs = (stacked.conj() @ flat.swapaxes(-1, -2)).real
+    return linalg.hs_norm(flat - coeffs.swapaxes(-1, -2) @ stacked)
 
 
 def gap_line_space(v: np.ndarray, basis) -> float:
     """HS norm of the component of v orthogonal to the span of an orthonormal
-    basis of Hermitian matrices.
+    basis of Hermitian matrices: gap_line_space_stack on the stack of one.
 
     basis is a (d, n, n) array, as tangent_basis returns, or a sequence of
     n x n matrices (possibly empty). The residual v - sum_a c_a e_a with
     c_a = Re Tr(e_a^dagger v) is formed explicitly in one projection; the
     shortcut sqrt(|v|^2 - |c|^2) would lose gaps near 1e-10 to cancellation.
     """
-    flat = np.asarray(v, dtype=complex).ravel()
-    stacked = np.asarray(basis, dtype=complex).reshape(-1, flat.size)
-    coeffs = (stacked.conj() @ flat).real
-    return linalg.hs_norm(flat - coeffs @ stacked)
+    v = np.asarray(v, dtype=complex)
+    basis = np.asarray(basis, dtype=complex).reshape((-1,) + v.shape)
+    return float(gap_line_space_stack(v[None], basis[None])[0])
 
 
 @dataclass(frozen=True)
@@ -137,12 +168,17 @@ def whitney_b_estimate(
     terminal_pairs = []
     for t in range(trials):
         seq = sequence_toward(y, j, rate=rate, length=length, seed=seed, index=t)
-        terminal_pairs.append(seq[-1])
-        for k, (x, yk) in enumerate(seq):
-            basis = tangent_basis(x, label=label_j)
-            gaps_b[t, k] = gap_line_space(secant_direction(x.matrix, yk.matrix), basis)
-            gaps_a[t, k] = gap_line_space(secant_direction(x.matrix, y.matrix), basis)
-            dists[t, k] = linalg.hs_norm(x.matrix - y.matrix)
+        # the last pair alone, not views that keep the sequence's stacks alive
+        last = np.array([seq[-1][0].matrix, seq[-1][1].matrix])
+        terminal_pairs.append(tuple(_validated_states(last, y.alg, y.tol)))
+        xs = np.array([x.matrix for x, _ in seq])
+        # per step, the moving base y_k then the fixed base y: the order in
+        # which a step-by-step loop would meet CoincidentPoints
+        ends = np.array([[yk.matrix, y.matrix] for _, yk in seq])
+        secants = secant_direction_stack(xs[:, None], ends)
+        gaps = gap_line_space_stack(secants, tangent_basis_stack(xs, label_j)[:, None])
+        gaps_b[t], gaps_a[t] = gaps[:, 0], gaps[:, 1]
+        dists[t] = linalg.hs_norm(xs - y.matrix)
     max_d = dists.max(axis=0)
     max_b = gaps_b.max(axis=0)
     max_a = gaps_a.max(axis=0)

@@ -3,7 +3,9 @@
 validate_stack, classify_stack, orbit_signature_stack and orbit_dim_stack
 must give, matrix by matrix, exactly what the per-state functions give, and
 those must agree with the loop implementations they replaced (kept below as
-references).
+references). The same holds for the stacked primitives of the Whitney
+suite: eigh_fixed and hs_norm on stacks, tangent_basis_stack,
+retract_stack, secant_direction_stack and gap_line_space_stack.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from stratumlab import (
     AlgebraDescriptor,
+    StratumLabel,
     classify,
     classify_stack,
     enumerate_labels,
@@ -24,11 +27,30 @@ from stratumlab import (
     orbit_signature_stack,
     sample_algebra,
     sample_block_unitary,
+    stratum_dim_label,
+    tangent_basis,
     validate_density,
     validate_stack,
 )
-from stratumlab.errors import AmbiguousClustering, AmbiguousRank, ValidationError
-from stratumlab.strata import rank_from_eigenvalues
+from stratumlab.errors import (
+    AmbiguousClustering,
+    AmbiguousRank,
+    CoincidentPoints,
+    ValidationError,
+)
+from stratumlab.strata import (
+    _tangent_template,
+    rank_from_eigenvalues,
+    retract_stack,
+    retract_to_stratum,
+    tangent_basis_stack,
+)
+from stratumlab.whitney import (
+    gap_line_space,
+    gap_line_space_stack,
+    secant_direction,
+    secant_direction_stack,
+)
 
 ALGEBRAS = ((2,), (3,), (1, 2), (2, 2), (1, 1, 1, 1))
 
@@ -261,3 +283,173 @@ def test_frontier_shared_sources_match_per_pair_draws(sizes):
         "equal": not mismatches,
         "mismatches": mismatches,
     }
+
+
+@pytest.mark.parametrize("sizes", ALGEBRAS)
+def test_eigh_fixed_stack_matches_per_matrix(sizes):
+    ms = _matrices(AlgebraDescriptor(sizes))  # clustered spectra included
+    w, v = linalg.eigh_fixed(ms)
+    assert w.shape == ms.shape[:2] and v.shape == ms.shape
+    for b, m in enumerate(ms):
+        wb, vb = linalg.eigh_fixed(m)
+        assert np.array_equal(w[b], wb)
+        assert np.array_equal(v[b], vb)
+    # a (2, B/2, n, n) stack is the same matrices again
+    half = len(ms) // 2
+    w4, v4 = linalg.eigh_fixed(ms[: 2 * half].reshape((2, half) + ms.shape[1:]))
+    assert np.array_equal(w4.reshape(w[: 2 * half].shape), w[: 2 * half])
+    assert np.array_equal(v4.reshape(v[: 2 * half].shape), v[: 2 * half])
+
+
+def test_hs_norm_stack_matches_per_matrix():
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        a = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        norms = linalg.hs_norm(a)
+        assert norms.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert norms[idx] == linalg.hs_norm(a[idx]) == np.linalg.norm(a[idx])
+        real = np.ascontiguousarray(a.real)
+        real_norms = linalg.hs_norm(real)
+        for idx in np.ndindex(3, 4):
+            assert real_norms[idx] == linalg.hs_norm(real[idx]) == np.linalg.norm(real[idx])
+        # a transposed view is normed in memory order, as np.linalg.norm does
+        assert linalg.hs_norm(a[0, 0].T) == np.linalg.norm(a[0, 0].T)
+    assert linalg.hs_norm(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+
+
+def _reference_tangent_basis(rho, label):
+    """The per-state frame tangent_basis used to build: the identity with
+    each occupied block's eigenframe in place."""
+    frame = np.eye(rho.dim, dtype=complex)
+    for sl, ib in zip(rho.alg.block_slices(), label.per_block):
+        if ib >= 1:
+            frame[sl, sl] = linalg.eigh_fixed(rho.matrix[sl, sl])[1]
+    template = _tangent_template(rho.alg.block_sizes, label.per_block)
+    return frame @ template @ frame.conj().T
+
+
+STRATA = (
+    ((1, 2), (1, 1)),
+    ((1, 2), (0, 2)),
+    ((1, 2), (1, 2)),
+    ((2, 2), (1, 2)),
+    ((2, 2), (2, 1)),
+    ((2, 2), (1, 0)),
+)
+
+
+@pytest.mark.parametrize("sizes,ranks", STRATA)
+def test_tangent_basis_stack_matches_per_state(sizes, ranks):
+    alg = AlgebraDescriptor(sizes)
+    label = StratumLabel(alg, ranks)
+    states = [sample_algebra(alg, 23, ranks=ranks, index=s) for s in range(6)]
+    bases = tangent_basis_stack(np.array([rho.matrix for rho in states]), label)
+    assert bases.shape == (6, stratum_dim_label(label), alg.dim, alg.dim)
+    for b, rho in enumerate(states):
+        assert np.array_equal(bases[b], tangent_basis(rho, label=label))
+        assert np.array_equal(bases[b], _reference_tangent_basis(rho, label))
+
+
+def _reference_retract(h, label, tol=1e-9):
+    """The per-block loop retract_to_stratum used to run."""
+    blocks = linalg.block_extract(np.asarray(h, dtype=complex), label.alg.block_sizes)
+    rebuilt = []
+    for block, ib in zip(blocks, label.per_block):
+        if ib == 0:
+            rebuilt.append(np.zeros_like(block))
+            continue
+        w, v = linalg.eigh_fixed(block)
+        top_w = w[block.shape[0] - ib :]
+        top_v = v[:, block.shape[0] - ib :]
+        if top_w[0] <= 0:
+            raise ValueError(
+                f"cannot retract: leading block eigenvalue {top_w[0]:.3e} is not positive"
+            )
+        rebuilt.append((top_v * top_w) @ top_v.conj().T)
+    m = linalg.block_embed(rebuilt)
+    m = m / float(np.trace(m).real)
+    return validate_density(linalg.hermitian_part(m), label.alg, tol)
+
+
+@pytest.mark.parametrize(
+    "sizes,ranks", (((3,), (1,)), ((3,), (2,)), ((4,), (2,))) + STRATA
+)
+def test_retract_stack_matches_per_matrix(sizes, ranks):
+    # steps from y along random Hermitian directions, from 1/64 up to 2:
+    # the long ones drive kept eigenvalues negative, the items a sequence
+    # would retry at half the step
+    alg = AlgebraDescriptor(sizes)
+    label = StratumLabel(alg, ranks)
+    y = sample_algebra(alg, 21, ranks=ranks)
+    rng = np.random.default_rng(21)
+    hs = []
+    for s in range(32):
+        g = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+        h = linalg.hermitian_part(g)
+        hs.append(y.matrix + 2.0 ** (s % 8 - 6) * h / np.linalg.norm(h))
+    hs.append(-y.matrix - 0.1 * np.eye(alg.dim))  # every block negative definite
+    ms, lead = retract_stack(np.array(hs), label)
+    assert not ms.flags.writeable
+    assert lead.shape == (len(hs),)
+    kept = 0
+    for b, h in enumerate(hs):
+        if lead[b] > 0:
+            assert np.array_equal(ms[kept], retract_to_stratum(h, label).matrix)
+            assert np.array_equal(ms[kept], _reference_retract(h, label).matrix)
+            kept += 1
+        else:
+            with pytest.raises(ValueError) as got:
+                retract_to_stratum(h, label)
+            with pytest.raises(ValueError) as want:
+                _reference_retract(h, label)
+            assert str(got.value) == str(want.value)
+            assert f"{lead[b]:.3e}" in str(got.value)
+    assert kept == len(ms)
+    assert 0 < kept < len(hs)
+
+
+def _reference_gap(v, basis):
+    """The one-item projection gap_line_space used to compute."""
+    flat = np.asarray(v, dtype=complex).ravel()
+    stacked = np.asarray(basis, dtype=complex).reshape(-1, flat.size)
+    coeffs = (stacked.conj() @ flat).real
+    return float(np.linalg.norm(flat - coeffs @ stacked))
+
+
+@pytest.mark.parametrize("sizes,ranks", (((3,), (2,)), ((4,), (3,))) + STRATA)
+def test_secant_and_gap_stacks_match_per_item(sizes, ranks):
+    alg = AlgebraDescriptor(sizes)
+    label = StratumLabel(alg, ranks)
+    xs = np.array([sample_algebra(alg, 25, ranks=ranks, index=s).matrix for s in range(5)])
+    ys = np.array([sample_algebra(alg, 26, index=s).matrix for s in range(5)])
+    y = ys[0]
+    # per item, the moving base then the fixed base, as the Whitney estimate
+    # pairs them
+    bases = np.stack([ys, np.broadcast_to(y, ys.shape)], axis=1)
+    secants = secant_direction_stack(xs[:, None], bases)
+    tangent = tangent_basis_stack(xs, label)
+    gaps = gap_line_space_stack(secants, tangent[:, None])
+    assert gaps.shape == (5, 2)
+    for b in range(5):
+        for c, base in enumerate((ys[b], y)):
+            secant = secant_direction(xs[b], base)
+            assert np.array_equal(secants[b, c], secant)
+            gap = gap_line_space(secant, tangent[b])
+            assert gaps[b, c] == gap == _reference_gap(secant, tangent[b])
+            assert gap_line_space(secant, list(tangent[b])) == gap
+    # the empty basis leaves the whole secant
+    assert gap_line_space(secants[0, 0], []) == linalg.hs_norm(secants[0, 0])
+
+
+def test_secant_stack_names_the_first_coincident_pair():
+    xs = np.array([np.diag([0.5, 0.5]), np.diag([0.6, 0.4]), np.diag([0.7, 0.3])]).astype(complex)
+    ys = xs.copy()
+    ys[0] = np.diag([0.4, 0.6])
+    ys[1] += 2e-15  # coincides within the default 1e-14
+    with pytest.raises(CoincidentPoints) as exc:
+        secant_direction_stack(xs, ys)
+    with pytest.raises(CoincidentPoints) as first:
+        secant_direction(xs[1], ys[1])
+    assert str(exc.value) == str(first.value)
+    assert str(exc.value) != "points coincide within 0.000e+00"

@@ -417,6 +417,9 @@ def test_cli_usage_errors_print_one_json_error(chart_files, capsys):
         ("classify", ["--format", "xml"]),  # outside the option's choices
         ("chart", ["--nodes", "64"]),
         (None, []),  # no subcommand
+        # a verify flag the chosen suite does not take
+        ("join", ["--samples", "3", "--max-dim", "1"]),
+        ("whitney", ["--samples", "3"]),
     ]
     for command, tail in usage_errors:
         argv = [] if command is None else _argv(command, chart_files) + tail
@@ -424,6 +427,10 @@ def test_cli_usage_errors_print_one_json_error(chart_files, capsys):
         assert code == 1, argv
         assert out == ""
         assert _single_error(err, 1)["error"] == "SchemaError"
+    for suite, flag in (("join", "--max-dim"), ("whitney", "--samples")):
+        code, out, err = _run_cli(["verify", suite, flag, "3"])
+        assert code == 1
+        assert flag in _single_error(err, 1)["message"]
     for argv in (["--help"], ["chart", "--help"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

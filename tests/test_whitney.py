@@ -1,12 +1,31 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from stratumlab import linalg
-from stratumlab.errors import CoincidentPoints
-from stratumlab.sampler import sample_rank, sequence_toward
-from stratumlab.states import AlgebraDescriptor
-from stratumlab.strata import StratumLabel, frontier_leq
+from stratumlab import linalg, sampler, strata
+from stratumlab.errors import AmbiguousRank, CoincidentPoints
+from stratumlab.fileio import canonical_json
+from stratumlab.sampler import (
+    _conditioned_mixture,
+    _rng,
+    sample_rank,
+    sample_unitary,
+    sequence_toward,
+    standard_normal,
+)
+from stratumlab.states import AlgebraDescriptor, validate_density
+from stratumlab.strata import (
+    StratumLabel,
+    classify,
+    frontier_leq,
+    numerical_rank,
+    retract_to_stratum,
+    stratum_coords,
+    tangent_basis,
+)
+from stratumlab.verify import suite_whitney
 from stratumlab.whitney import (
     FrontierReport,
     WhitneyReport,
@@ -18,6 +37,18 @@ from stratumlab.whitney import (
     whitney_b_estimate,
     whitney_negative_control,
 )
+
+# frozen fingerprints of the Whitney suite and of one approach sequence per
+# ambient dimension, as the step-by-step construction produced them
+GOLDEN_WHITNEY_MAXDIM4_TRIALS5_SEED0 = (
+    "c9f16b22545917a2af3bf7d92ec961801505c0dc267dc8948ebea8a1ca8c998b"
+)
+GOLDEN_SEQUENCES = {
+    # (n, i, j): sequence_toward(sample_rank(n, i, seed=11), j, seed=11, index=3)
+    (2, 1, 2): "a4d70a26fbbe1ccb27c1e506cb76eea7563a0159aeaf0754c119ea491a894429",
+    (3, 1, 2): "60471b6b5195ad558d92938a077f4bdd30edc13d71cd8c7d3929b38d89f1d0b2",
+    (4, 2, 3): "e38039f289ceb6032846b9f4c28325a45ac97d4082e050e0adc5ab938ee0e3df",
+}
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -193,3 +224,117 @@ def test_frontier_matrix_matches_order():
         for b, val in zip(labels, row):
             assert val == frontier_leq(StratumLabel(alg, a), StratumLabel(alg, b))
     assert out["reachable"] == out["expected"]
+
+
+def _sequence_sha(seq):
+    h = hashlib.sha256()
+    for x, yk in seq:
+        h.update(np.ascontiguousarray(x.matrix).tobytes())
+        h.update(np.ascontiguousarray(yk.matrix).tobytes())
+    return h.hexdigest()
+
+
+def test_whitney_suite_golden():
+    report = suite_whitney(max_dim=4, trials=5, seed=0)
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == GOLDEN_WHITNEY_MAXDIM4_TRIALS5_SEED0
+
+
+@pytest.mark.parametrize("nij", sorted(GOLDEN_SEQUENCES))
+def test_sequence_toward_golden(nij):
+    n, i, j = nij
+    seq = sequence_toward(sample_rank(n, i, seed=11), j, seed=11, index=3)
+    assert _sequence_sha(seq) == GOLDEN_SEQUENCES[nij]
+
+
+def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
+    """The step-by-step construction sequence_toward used to run: per step,
+    a rank audit and validation of x_k, one Gaussian draw, the halving
+    retraction of y_k and its rank audit."""
+
+    def audit(m, expect):
+        got = strata.rank_from_eigenvalues(np.linalg.eigvalsh(m), y.tol)
+        if got != expect:
+            raise RuntimeError(f"constructed point has rank {got}, expected {expect}")
+
+    n = y.dim
+    i = numerical_rank(y)
+    label_i = classify(y)
+    coords = stratum_coords(y)
+    r = j - i
+    rng = _rng(seed, 5, index)
+    rot = sample_unitary(n - i, seed, 1000 + index)
+    support = coords.kernel @ rot[:, :r]
+    tau = _conditioned_mixture(rng, r)
+    sigma = support @ tau @ support.conj().T
+    basis = tangent_basis(y, label=label_i)
+    out = []
+    for k in range(1, length + 1):
+        delta = rate**k
+        xm = (1.0 - delta) * y.matrix + delta * sigma
+        audit(xm, j)
+        x = validate_density(xm, y.alg, y.tol)
+        h = np.tensordot(standard_normal(rng, len(basis)), basis, axes=1)
+        h = h / np.linalg.norm(h)
+        step = 0.5 * delta
+        for _ in range(30):
+            try:
+                yk = retract_to_stratum(y.matrix + step * h, label_i, y.tol)
+            except ValueError:
+                step *= 0.5
+                continue
+            if np.linalg.norm(yk.matrix - y.matrix) <= delta:
+                break
+            step *= 0.5
+        else:
+            raise RuntimeError("tangent retraction kept overshooting the step budget")
+        audit(yk.matrix, i)
+        out.append((x, yk))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,i,j,rate", [(2, 1, 2, 0.5), (3, 1, 3, 0.5), (3, 2, 3, 0.7), (4, 1, 2, 0.5), (4, 2, 4, 0.6)]
+)
+def test_sequence_toward_matches_step_loop(n, i, j, rate):
+    y = sample_rank(n, i, seed=40 + n)
+    for t in range(3):
+        got = sequence_toward(y, j, rate=rate, seed=40, index=t)
+        want = _reference_sequence(y, j, rate=rate, seed=40, index=t)
+        assert len(got) == len(want) == 22
+        for (x, yk), (x_ref, yk_ref) in zip(got, want):
+            assert np.array_equal(x.matrix, x_ref.matrix)
+            assert np.array_equal(yk.matrix, yk_ref.matrix)
+            assert not x.matrix.flags.writeable and not yk.matrix.flags.writeable
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_sequence_toward_raises_the_first_failing_steps_error(monkeypatch):
+    y = sample_rank(3, 1, seed=39)
+    stacked = lambda: sequence_toward(y, 2, length=40, seed=39, index=1)
+    stepwise = lambda: _reference_sequence(y, 2, length=40, seed=39, index=1)
+    # from step ~27 on, x_k's smallest eigenvalue enters the gray zone
+    assert _raised(stacked) == _raised(stepwise)
+    assert _raised(stacked)[0] is AmbiguousRank
+
+    # now every retraction of a step shorter than 1e-4 leaves the stratum,
+    # so step 13 runs out of halvings long before the gray zone: the
+    # step-by-step loop raises the overshoot, not the later audit
+    retract = strata.retract_stack
+
+    def refuse_short_steps(hs, label, tol=1e-9):
+        ms, lead = retract(hs, label, tol)
+        short = linalg.hs_norm(hs - y.matrix) < 1e-4
+        return ms[~short[lead > 0]], np.where(short, -1.0, lead)
+
+    monkeypatch.setattr(strata, "retract_stack", refuse_short_steps)
+    monkeypatch.setattr(sampler, "retract_stack", refuse_short_steps)
+    assert _raised(stacked) == _raised(stepwise)
+    assert _raised(stacked) == (
+        RuntimeError, "tangent retraction kept overshooting the step budget"
+    )
