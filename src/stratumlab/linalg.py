@@ -153,37 +153,6 @@ def check_frame(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return columns
 
 
-def orth_projector(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal projector onto the span of the (validated) frame columns."""
-    columns = check_frame(columns, tol)
-    p = columns @ columns.conj().T
-    return hermitian_part(p)
-
-
-def frame_complement(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal frame spanning the orthogonal complement of the given frame.
-
-    Computed from the full QR factorization of the frame; the result is
-    gauge-fixed, so it is deterministic for a given input.
-    """
-    columns = check_frame(columns, tol)
-    n, d = columns.shape
-    if d == n:
-        return np.zeros((n, 0), dtype=complex)
-    if d == 0:
-        return gauge_fix_columns(np.eye(n, dtype=complex))
-    q, _ = np.linalg.qr(columns, mode="complete")
-    comp = q[:, d:]
-    # projector residual guards against a rank-deficient input frame
-    resid = comp - (np.eye(n) - columns @ columns.conj().T) @ comp
-    if float(np.max(np.abs(resid))) > 1e2 * tol:
-        raise NotOrthonormal(
-            "complement construction failed; input frame may be degenerate",
-            magnitude=float(np.max(np.abs(resid))),
-        )
-    return gauge_fix_columns(comp)
-
-
 def block_embed(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Assemble square blocks into one block-diagonal matrix."""
     sizes = []

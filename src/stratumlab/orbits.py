@@ -178,42 +178,20 @@ def orbit_dim(rho: DensityMatrix, tol: float = 1e-9) -> int:
 
 def _merges_to(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
     """Whether the parts of `fine` can be grouped to sum to the parts of
-    `coarse` (i.e. fine refines coarse as a partition)."""
-    if sum(fine) != sum(coarse):
-        return False
-    coarse = tuple(sorted(coarse, reverse=True))
-    fine = tuple(sorted(fine, reverse=True))
-    if len(fine) < len(coarse):
-        return False
+    `coarse` (i.e. fine refines coarse as a partition): an exhaustive search
+    that puts each part of fine, largest first, into some part of coarse with
+    room left, trying parts with equal room left once."""
 
-    def fill(remaining: list[int], targets: tuple[int, ...]) -> bool:
-        if not targets:
-            return not remaining
-        target = targets[0]
-        # choose a subset of remaining parts summing to target; parts are
-        # sorted descending, always take a candidate set containing the
-        # largest remaining part to kill symmetric duplicates
-        first = remaining[0]
-        if first > target:
-            return False
+    def place(parts: tuple[int, ...], room: tuple[int, ...]) -> bool:
+        if not parts:
+            return True
+        fits = {left: k for k, left in enumerate(room) if left >= parts[0]}
+        return any(
+            place(parts[1:], room[:k] + (room[k] - parts[0],) + room[k + 1 :])
+            for k in fits.values()
+        )
 
-        def choose(idx: int, need: int, picked: list[int]) -> bool:
-            if need == 0:
-                rest = list(remaining)
-                for p in picked:
-                    rest.remove(p)
-                return fill(rest, targets[1:])
-            for j in range(idx, len(remaining)):
-                if j > idx and remaining[j] == remaining[j - 1]:
-                    continue
-                if remaining[j] <= need:
-                    if choose(j + 1, need - remaining[j], picked + [remaining[j]]):
-                        return True
-            return False
-
-        return choose(1, target - first, [first])
-
-    return fill(list(fine), coarse)
+    return sum(fine) == sum(coarse) and place(tuple(sorted(fine, reverse=True)), tuple(coarse))
 
 
 def orbit_type_leq(a: OrbitSignature, b: OrbitSignature) -> bool:

@@ -32,7 +32,6 @@ from .strata import (
     numerical_rank,
     rank_from_eigenvalues,
     retract_stack,
-    stratum_coords,
     tangent_basis,
 )
 
@@ -193,6 +192,20 @@ def _conditioned_mixture(rng: np.random.Generator, r: int) -> np.ndarray:
     return 0.5 * w + 0.5 * np.eye(r) / r
 
 
+def _kernel_summand(
+    block: np.ndarray, i: int, r: int, rng: np.random.Generator, seed: int, rot_index: int
+) -> np.ndarray:
+    """A trace-one rank-r state supported on the kernel of a rank-i block:
+    support tau support^dagger, with support the first r columns of the
+    kernel frame (the identity if i = 0) rotated by the Haar unitary
+    sample_unitary(n - i, seed, rot_index), and tau drawn from rng."""
+    n = block.shape[0]
+    kernel = np.eye(n, dtype=complex) if i == 0 else linalg.eigh_fixed(block)[1][:, : n - i]
+    support = kernel @ sample_unitary(n - i, seed, rot_index)[:, :r]
+    tau = _conditioned_mixture(rng, r)
+    return support @ tau @ support.conj().T
+
+
 def _audit_ranks(ms: np.ndarray, expect: int, tol: float) -> None:
     """Refuse a (B, n, n) stack of constructed points unless every one has
     rank expect (AmbiguousRank in the gray zone, else RuntimeError)."""
@@ -263,7 +276,7 @@ def sequence_toward(
             y's stratum, so y_k has rank i and ||y_k - y|| <= delta_k.
 
     Defined for single-block algebras (for per-block targets use
-    sequence_toward_label). Every constructed rank is audited.
+    approach_state). Every constructed rank is audited.
 
     The steps are built as (length, n, n) stacks: one draw of every step's
     Gaussians from the (seed, 5, index) stream, one rank audit, validation
@@ -276,22 +289,17 @@ def sequence_toward(
     if y.alg.num_blocks != 1:
         raise ValueError(
             "integer-rank sequences are defined for single-block algebras; "
-            "use sequence_toward_label for direct sums"
+            "use approach_state for direct sums"
         )
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
     n = y.dim
-    i = numerical_rank(y)
+    label_i = classify(y)
+    i = label_i.total
     if not i < j <= n:
         raise ValueError(f"target rank must satisfy {i} < j <= {n}, got {j}")
-    label_i = classify(y)
-    coords = stratum_coords(y)
-    r = j - i
     rng = _rng(seed, 5, index)
-    rot = sample_unitary(n - i, seed, 1000 + index)
-    support = coords.kernel @ rot[:, :r]
-    tau = _conditioned_mixture(rng, r)
-    sigma = support @ tau @ support.conj().T
+    sigma = _kernel_summand(y.matrix, i, j - i, rng, seed, 1000 + index)
     basis = tangent_basis(y, label=label_i)
     deltas = np.array([rate**k for k in range(1, length + 1)])
     # each step's two uniform arrays, in the order standard_normal would
@@ -348,18 +356,10 @@ def approach_state(
     slices = y.alg.block_slices()
     blocks = y.blocks()
     for b, add in raises:
-        nb = y.alg.block_sizes[b]
-        ib = label_y.per_block[b]
-        if ib == 0:
-            kernel = np.eye(nb, dtype=complex)
-        else:
-            _, v = linalg.eigh_fixed(blocks[b])
-            kernel = v[:, : nb - ib]
-        rot = sample_unitary(nb - ib, seed, 2000 + index * 16 + b)
-        support = kernel @ rot[:, :add]
-        tau = _conditioned_mixture(rng, add)
-        sl = slices[b]
-        sigma[sl, sl] = (support @ tau @ support.conj().T) / len(raises)
+        summand = _kernel_summand(
+            blocks[b], label_y.per_block[b], add, rng, seed, 2000 + index * 16 + b
+        )
+        sigma[slices[b], slices[b]] = summand / len(raises)
     xm = (1.0 - delta) * y.matrix + delta * sigma
     x = validate_density(xm, y.alg, y.tol)
     got = classify(x)
@@ -368,20 +368,3 @@ def approach_state(
             f"constructed approximant classifies as {got.per_block}, wanted {target.per_block}"
         )
     return x
-
-
-def sequence_toward_label(
-    y: DensityMatrix,
-    target: StratumLabel,
-    rate: float = 0.5,
-    length: int = 20,
-    seed: int = 0,
-    index: int = 0,
-) -> list[DensityMatrix]:
-    """Geometric sequence of target-stratum states converging to y."""
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
-    return [
-        approach_state(y, target, delta=rate**k, seed=seed, index=index * 1000 + k)
-        for k in range(1, length + 1)
-    ]

@@ -23,7 +23,6 @@ from .errors import (
     NotBlockDiagonal,
     NotFinite,
     NotHermitian,
-    NotInAlgebra,
     NotPositive,
     TraceNotOne,
 )
@@ -270,26 +269,6 @@ def maximally_mixed(alg: AlgebraDescriptor) -> DensityMatrix:
     """The normalized identity of the algebra."""
     n = alg.dim
     return validate_density(np.eye(n, dtype=complex) / n, alg)
-
-
-def state_functional(rho: DensityMatrix, x: np.ndarray, tol: float = 1e-10) -> complex:
-    """Value of the dual state functional of rho on an algebra element x.
-
-    The pairing is x -> Tr(rho x); it identifies density matrices with the
-    normalized positive functionals of the algebra.
-
-    Raises
-    ------
-    NotInAlgebra
-        If x is not block diagonal for rho's algebra (within tol).
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (rho.dim, rho.dim):
-        raise ValueError(f"expected shape {(rho.dim, rho.dim)}, got {x.shape}")
-    off = linalg.off_block_magnitude(x, rho.alg.block_sizes)
-    if off > tol:
-        raise NotInAlgebra("element is not block diagonal for this algebra", magnitude=off)
-    return complex(np.trace(rho.matrix @ x))
 
 
 def bloch_matrix(t: float, x) -> np.ndarray:

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousRank, NotOrthonormal
+from .errors import AmbiguousRank
 from .states import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     DensityMatrix,
     _validated_states,
-    validate_density,
     validate_stack,
 )
 
@@ -144,80 +143,6 @@ def frontier_leq(a: StratumLabel, b: StratumLabel) -> bool:
     if a.alg != b.alg:
         raise ValueError("labels belong to different algebras")
     return all(ia <= ib for ia, ib in zip(a.per_block, b.per_block))
-
-
-@dataclass(frozen=True)
-class StratumCoords:
-    """Manifold coordinates of a rank-i density matrix.
-
-    kernel : n x (n - i) orthonormal frame spanning Ker(rho)
-    coframe : n x i orthonormal frame spanning the range
-    reduced : i x i positive-definite compression of rho to its range,
-        trace one within 1e-10
-
-    The point is recovered as coframe @ reduced @ coframe^dagger (the
-    operator composed with the projection along the kernel).
-    """
-
-    alg: AlgebraDescriptor
-    kernel: np.ndarray
-    coframe: np.ndarray
-    reduced: np.ndarray
-
-    def __post_init__(self):
-        n = self.alg.dim
-        linalg.check_frame(self.kernel)
-        linalg.check_frame(self.coframe)
-        if self.kernel.shape[0] != n or self.coframe.shape[0] != n:
-            raise ValueError("frames do not live in the algebra's ambient space")
-        i = self.coframe.shape[1]
-        if self.kernel.shape[1] != n - i:
-            raise ValueError(
-                f"kernel columns ({self.kernel.shape[1]}) plus rank ({i}) must equal {n}"
-            )
-        cross = float(np.max(np.abs(self.coframe.conj().T @ self.kernel))) if n - i else 0.0
-        if cross > 1e-10:
-            raise NotOrthonormal("kernel and coframe are not orthogonal", magnitude=cross)
-        red = linalg.as_hermitian(self.reduced, 1e-10)
-        w = np.linalg.eigvalsh(red)
-        if w[0] <= 0:
-            raise ValueError(f"reduced part must be positive definite, min eig {w[0]:.3e}")
-        tr_dev = abs(float(np.trace(red).real) - 1.0)
-        if tr_dev > 1e-10:
-            raise ValueError(f"reduced part trace differs from 1 by {tr_dev:.3e}")
-
-    @property
-    def rank(self) -> int:
-        return self.coframe.shape[1]
-
-
-def stratum_coords(
-    rho: DensityMatrix, tol: float | None = None, rank: int | None = None
-) -> StratumCoords:
-    """Split a density matrix into (kernel frame, range frame, reduced part).
-
-    Frames come from the gauge-fixed eigendecomposition (ascending
-    eigenvalues, largest-modulus entry of each column real positive), so the
-    result is deterministic. If rank is not supplied it is decided by the
-    gray-zone protocol at tol.
-    """
-    if tol is None:
-        tol = rho.tol
-    w, v = linalg.eigh_fixed(rho.matrix)
-    n = rho.dim
-    i = max(1, rank_from_eigenvalues(w, tol)) if rank is None else int(rank)
-    if not 1 <= i <= n:
-        raise ValueError(f"rank must satisfy 1 <= rank <= {n}, got {i}")
-    kernel = v[:, : n - i]
-    coframe = v[:, n - i :]
-    reduced = linalg.hermitian_part(coframe.conj().T @ rho.matrix @ coframe)
-    return StratumCoords(alg=rho.alg, kernel=kernel, coframe=coframe, reduced=reduced)
-
-
-def stratum_from_coords(coords: StratumCoords, tol: float = 1e-9) -> DensityMatrix:
-    """Rebuild the density matrix coframe @ reduced @ coframe^dagger."""
-    m = coords.coframe @ coords.reduced @ coords.coframe.conj().T
-    return validate_density(linalg.hermitian_part(m), coords.alg, tol)
 
 
 def _contrast_coefficients(weights: np.ndarray) -> np.ndarray:

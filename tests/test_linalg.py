@@ -127,25 +127,6 @@ def test_check_frame_rejects_skew():
         linalg.check_frame(q * 1.001)
 
 
-def test_frame_complement_completes_to_unitary():
-    rng = np.random.default_rng(7)
-    for n, k in ((3, 1), (5, 2), (4, 4)):
-        q = np.linalg.qr(_rand_complex(rng, n, k))[0]
-        c = linalg.frame_complement(q)
-        assert c.shape == (n, n - k)
-        u = np.hstack([q, c])
-        npt.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
-
-
-def test_orth_projector_idempotent():
-    rng = np.random.default_rng(8)
-    q = np.linalg.qr(_rand_complex(rng, 5, 2))[0]
-    p = linalg.orth_projector(q)
-    npt.assert_allclose(p @ p, p, atol=1e-13)
-    npt.assert_allclose(p, p.conj().T, atol=1e-14)
-    npt.assert_allclose(np.trace(p).real, 2.0, atol=1e-13)
-
-
 def test_block_embed_extract_roundtrip():
     rng = np.random.default_rng(9)
     blocks = [_rand_hermitian(rng, n) for n in (1, 3, 2)]

@@ -165,6 +165,38 @@ def test_orbit_type_order():
         orbit_type_leq(a, OrbitSignature(m4, ((4,),)))
 
 
+def _merged_sums(parts):
+    """The block sums, sorted descending, of every grouping of the parts
+    into blocks: every set partition of the list, by brute force."""
+    if not parts:
+        return {()}
+    first, out = parts[0], set()
+    for sums in _merged_sums(parts[1:]):
+        out.add(tuple(sorted(sums + (first,), reverse=True)))
+        for k in range(len(sums)):
+            out.add(tuple(sorted(sums[:k] + (sums[k] + first,) + sums[k + 1 :], reverse=True)))
+    return out
+
+
+def test_orbit_type_order_matches_brute_force():
+    # a <= b iff some grouping of b's parts sums to a's parts
+    checked = 0
+    for n in range(1, 9):
+        m = full_algebra(n)
+        for pa, pb in itertools.product(_partitions(n), _partitions(n)):
+            a, b = OrbitSignature(m, (pa,)), OrbitSignature(m, (pb,))
+            assert orbit_type_leq(a, b) == (pa in _merged_sums(pb)), (pa, pb)
+            checked += 1
+    assert checked == 918  # the sum of p(n)^2 over n <= 8
+
+
+def test_orbit_type_order_m7_needs_a_non_greedy_grouping():
+    # 2 + 2 = 4 and 3 = 3, although the largest part 3 cannot go into the 4
+    m7 = full_algebra(7)
+    assert orbit_type_leq(OrbitSignature(m7, ((4, 3),)), OrbitSignature(m7, ((3, 2, 2),)))
+    assert not orbit_type_leq(OrbitSignature(m7, ((3, 2, 2),)), OrbitSignature(m7, ((4, 3),)))
+
+
 def test_orbit_type_order_is_isotropy_monotone():
     # smaller orbit type means larger stabilizer
     m4 = full_algebra(4)

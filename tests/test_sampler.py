@@ -8,6 +8,7 @@ from stratumlab import (
     AlgebraDescriptor,
     approach_state,
     classify,
+    frontier_leq,
     full_algebra,
     linalg,
     sample_algebra,
@@ -17,16 +18,23 @@ from stratumlab import (
     sample_rank,
     sample_unitary,
     sequence_toward,
-    sequence_toward_label,
     validate_density,
 )
 from stratumlab.sampler import _rng, complex_normal, ginibre, standard_normal
 from stratumlab.strata import StratumLabel
+from stratumlab.whitney import enumerate_labels
 
 # frozen fingerprints: any change to the generator wiring or the
 # uniform-to-normal transform must show up here as a deliberate break
 GOLDEN_HS3_SEED42 = "c4a583ee44d019105eee94877fef324d36df9383ac58019a5383dfa0b5b90f1d"
 GOLDEN_U4_SEED7 = "636271597de3f7f371bef8fa8fb00cc4c353747b30920e688c05b826b35b513c"
+# approach_state from a sample_algebra draw of every label to every label
+# strictly above it, at three deltas (seed 0)
+GOLDEN_APPROACH = {
+    (1, 2): "cb93befcca02c9bc99c6dff9d322fd3af7aa89c82fbbf140827f00e7281f8e02",
+    (2, 2): "31b5e767c62cbed34a471f4a632d8e9a570262e1cfcf284dcfe32d76ab7e89e8",
+    (1, 1, 2): "11d606154040f134aaacfecb8c28e57d2c0f169af287eca56f72c727adbef3f1",
+}
 
 
 def _sha(m):
@@ -166,6 +174,14 @@ def test_approach_state():
     assert classify(x).per_block == (1, 2)
     # x = (1-d) y + d sigma, so ||x - y|| = d ||sigma - y|| <= 2 d
     assert linalg.hs_norm(x.matrix - y.matrix) <= 2 * 4e-7
+    # a geometric sequence of deltas reaches the target stratum every time,
+    # and its distances to y fall strictly
+    dists = []
+    for k in range(1, 9):
+        xk = approach_state(y, target, delta=0.5**k, seed=17, index=k)
+        assert classify(xk).per_block == (1, 2)
+        dists.append(linalg.hs_norm(xk.matrix - y.matrix))
+    assert all(b < a for a, b in zip(dists[:-1], dists[1:]))
     # no raise needed: the same label returns y itself
     same = approach_state(y, StratumLabel(alg, (1, 1)), seed=16)
     npt.assert_array_equal(same.matrix, y.matrix)
@@ -173,17 +189,20 @@ def test_approach_state():
         approach_state(y, StratumLabel(alg, (0, 1)), seed=16)
 
 
-def test_sequence_toward_label():
-    alg = AlgebraDescriptor((1, 2))
-    y = sample_algebra(alg, seed=17, ranks=(1, 1))
-    target = StratumLabel(alg, (1, 2))
-    seq = sequence_toward_label(y, target, rate=0.5, length=8, seed=17)
-    assert len(seq) == 8
-    dists = []
-    for x in seq:
-        assert classify(x).per_block == (1, 2)
-        dists.append(linalg.hs_norm(x.matrix - y.matrix))
-    assert all(b < a for a, b in zip(dists[:-1], dists[1:]))
+@pytest.mark.parametrize("sizes", list(GOLDEN_APPROACH))
+def test_approach_state_golden(sizes):
+    alg = AlgebraDescriptor(sizes)
+    labels = enumerate_labels(alg)
+    digest = hashlib.sha256()
+    for s, source in enumerate(labels):
+        y = sample_algebra(alg, seed=0, ranks=source.per_block, index=s)
+        for t, target in enumerate(labels):
+            if target == source or not frontier_leq(source, target):
+                continue
+            for k, delta in enumerate((0.25, 1e-3, 4e-7)):
+                x = approach_state(y, target, delta=delta, seed=0, index=t * 3 + k)
+                digest.update(x.matrix.tobytes())
+    assert digest.hexdigest() == GOLDEN_APPROACH[sizes]
 
 
 def test_validation_of_returned_samples():

@@ -17,7 +17,6 @@ from stratumlab import (
     is_pure,
     maximally_mixed,
     simplex_state,
-    state_functional,
     validate_density,
 )
 from stratumlab.errors import (
@@ -25,7 +24,6 @@ from stratumlab.errors import (
     NotBlockDiagonal,
     NotFinite,
     NotHermitian,
-    NotInAlgebra,
     NotPositive,
     TraceNotOne,
 )
@@ -135,20 +133,6 @@ def test_is_pure():
 def test_maximally_mixed():
     rho = maximally_mixed(AlgebraDescriptor((1, 2)))
     npt.assert_allclose(rho.matrix, np.eye(3) / 3)
-
-
-def test_state_functional_is_trace_pairing():
-    rng = np.random.default_rng(21)
-    alg = AlgebraDescriptor((1, 2))
-    rho = validate_density(np.diag([0.5, 0.25, 0.25]).astype(complex), alg)
-    x = np.zeros((3, 3), dtype=complex)
-    x[0, 0] = rng.standard_normal()
-    x[1:, 1:] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    val = state_functional(rho, x)
-    npt.assert_allclose(val, np.trace(rho.matrix @ x), rtol=1e-13)
-    bad = np.ones((3, 3))
-    with pytest.raises(NotInAlgebra):
-        state_functional(rho, bad)
 
 
 def test_bloch_closed_form():

@@ -22,7 +22,6 @@ from stratumlab.strata import (
     frontier_leq,
     numerical_rank,
     retract_to_stratum,
-    stratum_coords,
     tangent_basis,
 )
 from stratumlab.verify import suite_whitney
@@ -260,11 +259,11 @@ def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
     n = y.dim
     i = numerical_rank(y)
     label_i = classify(y)
-    coords = stratum_coords(y)
+    kernel = linalg.eigh_fixed(y.matrix)[1][:, : n - i]
     r = j - i
     rng = _rng(seed, 5, index)
     rot = sample_unitary(n - i, seed, 1000 + index)
-    support = coords.kernel @ rot[:, :r]
+    support = kernel @ rot[:, :r]
     tau = _conditioned_mixture(rng, r)
     sigma = support @ tau @ support.conj().T
     basis = tangent_basis(y, label=label_i)
