@@ -174,19 +174,25 @@ def test_approach_state():
     assert classify(x).per_block == (1, 2)
     # x = (1-d) y + d sigma, so ||x - y|| = d ||sigma - y|| <= 2 d
     assert linalg.hs_norm(x.matrix - y.matrix) <= 2 * 4e-7
-    # a geometric sequence of deltas reaches the target stratum every time,
-    # and its distances to y fall strictly
+    # no raise needed: the same label returns y itself
+    same = approach_state(y, StratumLabel(alg, (1, 1)), seed=16)
+    npt.assert_array_equal(same.matrix, y.matrix)
+    with pytest.raises(ValueError):
+        approach_state(y, StratumLabel(alg, (0, 1)), seed=16)
+
+
+def test_sequence_toward_label():
+    # a geometric sequence of deltas toward a multi-block label reaches the
+    # target stratum every time, and its distances to y fall strictly
+    alg = AlgebraDescriptor((1, 2))
+    y = sample_algebra(alg, seed=17, ranks=(1, 1))
+    target = StratumLabel(alg, (1, 2))
     dists = []
     for k in range(1, 9):
         xk = approach_state(y, target, delta=0.5**k, seed=17, index=k)
         assert classify(xk).per_block == (1, 2)
         dists.append(linalg.hs_norm(xk.matrix - y.matrix))
     assert all(b < a for a, b in zip(dists[:-1], dists[1:]))
-    # no raise needed: the same label returns y itself
-    same = approach_state(y, StratumLabel(alg, (1, 1)), seed=16)
-    npt.assert_array_equal(same.matrix, y.matrix)
-    with pytest.raises(ValueError):
-        approach_state(y, StratumLabel(alg, (0, 1)), seed=16)
 
 
 @pytest.mark.parametrize("sizes", list(GOLDEN_APPROACH))
