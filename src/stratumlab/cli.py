@@ -9,9 +9,11 @@ chart CENTER POINT      conic chart of POINT around CENTER, with the
 verify SUITE            run one randomized verification suite
 demo NAME               write one of the small closed-form scans as CSV
 
-Every option can also be set through an environment variable named
-STRATUMLAB_<OPTION> (dashes become underscores, upper case); explicit flags
-win over the environment, the environment wins over defaults.
+Each command takes the options of its row in _TAKES, and --out. An option's
+value is its flag, else STRATUMLAB_<OPTION> (dashes become underscores, upper
+case), else its default, and is range-checked before any file is read. A flag
+the command does not take is a usage error, and its environment variable is
+never read. A report's "config" echoes exactly the options its command takes.
 
 Exit codes
 ----------
@@ -34,7 +36,7 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -45,14 +47,13 @@ import numpy as np
 from . import linalg
 from .charts import MIN_NODES, chart_config_for, chart_forward, chart_inverse
 from .errors import SchemaError, StratumLabError, ValidationError
-from .fileio import RunConfig, canonical_json, read_matrix
-from .orbits import isotropy_dim, orbit_dim, orbit_signature
+from .fileio import canonical_json, read_matrix
+from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim, orbit_signature
 from .states import (
+    DEFAULT_TOL,
     bloch_state,
     cone_algebra,
     cone_state,
-    commutative_algebra,
-    full_algebra,
     is_pure,
     maximally_mixed,
     simplex_state,
@@ -76,30 +77,6 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(f"{self.prog}: {message}")
 
 
-def _resolve(cli_value, option: str, cast, default, valid=None):
-    """The option's value: flag, else environment, else default.
-
-    valid is an optional (predicate, description) pair; a flag or
-    environment value failing the predicate raises SchemaError.
-    """
-    env = ENV_PREFIX + option.upper().replace("-", "_")
-    if cli_value is not None:
-        value, source = cli_value, f"--{option}"
-    else:
-        raw = os.environ.get(env)
-        if raw is None:
-            return default
-        try:
-            value, source = cast(raw), env
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"environment variable {env}={raw!r} is not a valid {cast.__name__}"
-            ) from exc
-    if valid is not None and not valid[0](value):
-        raise SchemaError(f"{source} must be {valid[1]}, got {value!r}")
-    return value
-
-
 _POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
 
@@ -107,80 +84,96 @@ def _at_least(least: int):
     return (lambda x: x >= least, f"at least {least}")
 
 
+# option: (type, range check, default, help); a suite's keyword default wins
+_OPTIONS = {
+    "tol-rank": (float, _POSITIVE, DEFAULT_TOL, "eigenvalue threshold for rank decisions"),
+    "cluster-tol": (float, _POSITIVE, DEFAULT_CLUSTER_TOL, "eigenvalue clustering tolerance"),
+    "epsilon": (float, _POSITIVE, None, "spectral split threshold (unset: gap / 4)"),
+    "resolution": (int, _at_least(2), 25, "grid points per axis"),
+    "seed": (int, _at_least(0), None, "master seed"),
+    "trials": (int, _at_least(1), None, "trials per stratum pair"),
+    "samples": (int, _at_least(1), None, "sample count"),
+    "max-dim": (int, _at_least(2), None, "largest ambient dimension"),
+    "nodes": (int, _at_least(MIN_NODES), None, "contour quadrature nodes"),
+    "out": (str, None, None, "write the report here instead of stdout"),
+}
+
+# the options each command takes besides --out; a suite without a row: seed
+_TAKES = {
+    "classify": ("tol-rank", "cluster-tol"),
+    "chart": ("tol-rank", "epsilon"),
+    "verify whitney": ("seed", "trials", "max-dim"),
+    "verify frontier": ("seed", "samples"),
+    "verify join": ("seed", "samples"),
+    "verify orbit-census": ("seed", "samples", "cluster-tol"),
+    "verify projector-equiv": ("seed", "samples", "nodes"),
+    "demo bloch": ("tol-rank", "cluster-tol", "resolution"),
+    "demo cone": ("tol-rank", "cluster-tol", "resolution"),
+    "demo simplex": ("tol-rank", "resolution"),
+}
+# a suite's keyword for an option, where it is not the option's own name
+_KEYWORDS = {"verify orbit-census": {"samples": "draws"}}
+
+
+def _keyword(command: str, option: str) -> str:
+    return _KEYWORDS.get(command, {}).get(option, option.replace("-", "_"))
+
+
+def _defaults(command: str) -> dict:
+    """{option: default} of every option the command takes, --out included."""
+    defaults = {o: _OPTIONS[o][2] for o in _TAKES.get(command, ("seed",))}
+    if command.startswith("verify "):
+        params = inspect.signature(SUITES[command.removeprefix("verify ")]).parameters
+        defaults = {o: getattr(params.get(_keyword(command, o)), "default", None) for o in defaults}
+    return {**defaults, "out": None}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stratumlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help="eigenvalue threshold for rank decisions (default 1e-9)")
-        p.add_argument("--cluster-tol", type=float, default=None,
-                       help="eigenvalue clustering tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--out", type=str, default=None,
-                       help="write the report here instead of stdout")
-        p.add_argument("--format", type=str, default=None, choices=["json", "csv"],
-                       help="output format (json everywhere, csv for demos)")
-
-    p = sub.add_parser("classify", help="rank stratum and orbit type of a state")
+    leaves = {}
+    p = leaves["classify"] = sub.add_parser("classify", help="rank stratum and orbit type")
     p.add_argument("input", help="matrix file (JSON)")
-    common(p)
-
-    p = sub.add_parser("chart", help="conic chart around a center state")
+    p = leaves["chart"] = sub.add_parser("chart", help="conic chart around a center state")
     p.add_argument("center", help="matrix file of the chart center")
     p.add_argument("point", help="matrix file of the point to chart")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="spectral split threshold (default: gap / 4)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=None,
-                   help="trials per stratum pair (whitney; default 10)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample count (frontier/join/orbit-census/projector-equiv; "
-                        "default: the suite's own)")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="largest ambient dimension for whitney (default: the suite's own)")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="contour quadrature nodes (projector-equiv; default 64, at least 16)")
-    common(p)
-
-    p = sub.add_parser("demo", help="closed-form scans as CSV")
-    p.add_argument("name", choices=sorted(_DEMOS))
-    p.add_argument("--resolution", type=int, default=None,
-                   help="grid points per axis (default 25)")
-    common(p)
-
+    for command, dest, names, text in (
+        ("verify", "suite", SUITES, "run a randomized verification suite"),
+        ("demo", "name", _DEMOS, "closed-form scans as CSV"),
+    ):
+        group = sub.add_parser(command, help=text).add_subparsers(dest=dest, required=True)
+        for name in sorted(names):
+            leaves[f"{command} {name}"] = group.add_parser(name)
+    for command, p in leaves.items():
+        defaults = _defaults(command)
+        for option, default in defaults.items():
+            cast, _, _, text = _OPTIONS[option]
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument(f"--{option}", type=cast, help=text)
+        p.set_defaults(options=defaults)
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        tol_rank=_resolve(getattr(args, "tol_rank", None), "tol-rank", float, 1e-9, _POSITIVE),
-        cluster_tol=_resolve(
-            getattr(args, "cluster_tol", None), "cluster-tol", float, 1e-8, _POSITIVE
-        ),
-        nodes=_resolve(getattr(args, "nodes", None), "nodes", int, 64, _at_least(MIN_NODES)),
-        seed=_resolve(getattr(args, "seed", None), "seed", int, 0, _at_least(0)),
-        trials=_resolve(getattr(args, "trials", None), "trials", int, 10, _at_least(1)),
-        out=_resolve(getattr(args, "out", None), "out", str, None),
-        format=_resolve(getattr(args, "format", None), "format", str, None),
-    )
-
-
-def _fix_format(cfg: RunConfig, wanted: str) -> RunConfig:
-    if cfg.format not in (None, wanted):
-        raise SchemaError(f"this command only writes {wanted}, not {cfg.format}")
-    return dataclasses.replace(cfg, format=wanted)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _given(args) -> dict:
+    """{option: value} of the options set by flag or environment, range-checked."""
+    given = {}
+    for option in args.options:
+        cast, valid, _, _ = _OPTIONS[option]
+        value, source = getattr(args, option.replace("-", "_")), f"--{option}"
+        env = ENV_PREFIX + option.upper().replace("-", "_")
+        if value is None and env in os.environ:
+            source, raw = env, os.environ[env]
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise SchemaError(f"{env}={raw!r} is not a valid {cast.__name__}") from exc
+        if value is None:
+            continue
+        if valid is not None and not valid[0](value):
+            raise SchemaError(f"{source} must be {valid[1]}, got {value!r}")
+        given[option] = value
+    return given
 
 
 def _grid_payload(m: np.ndarray) -> dict:
@@ -195,15 +188,14 @@ def _signature_string(sig) -> str:
     return ";".join("+".join(str(m) for m in block) for block in sig.per_block)
 
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
-    cfg = _fix_format(cfg, "json")
+def _cmd_classify(args, config: dict, given: dict) -> tuple[str, int]:
     matrix, alg = read_matrix(args.input)
-    rho = validate_density(matrix, alg, tol=cfg.tol_rank)
-    label = classify(rho, tol=cfg.tol_rank)
-    sig = orbit_signature(rho, cluster_tol=cfg.cluster_tol)
+    rho = validate_density(matrix, alg, tol=config["tol_rank"])
+    label = classify(rho, tol=config["tol_rank"])
+    sig = orbit_signature(rho, cluster_tol=config["cluster_tol"])
     report = {
         "command": "classify",
-        "config": cfg.as_dict(),
+        "config": config,
         "input": args.input,
         "alg": list(alg.block_sizes),
         "eigenvalues": [float(w) for w in rho.eigenvalues()],
@@ -213,15 +205,13 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         "is_pure": is_pure(rho),
         "orbit_signature": [list(b) for b in sig.per_block],
         "isotropy_dim": isotropy_dim(sig),
-        "orbit_dim": orbit_dim(rho, tol=cfg.tol_rank),
+        "orbit_dim": orbit_dim(rho, tol=config["tol_rank"]),
         "unitary_group_dim": alg.unitary_group_dim,
     }
-    _emit(canonical_json(report), cfg.out)
-    return 0
+    return canonical_json(report), 0
 
 
-def _cmd_chart(args, cfg: RunConfig) -> int:
-    cfg = _fix_format(cfg, "json")
+def _cmd_chart(args, config: dict, given: dict) -> tuple[str, int]:
     center_m, center_alg = read_matrix(args.center)
     point_m, point_alg = read_matrix(args.point)
     if center_alg != point_alg:
@@ -229,15 +219,14 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
             f"center algebra {list(center_alg.block_sizes)} differs from "
             f"point algebra {list(point_alg.block_sizes)}"
         )
-    f = validate_density(center_m, center_alg, tol=cfg.tol_rank)
-    g = validate_density(point_m, point_alg, tol=cfg.tol_rank)
-    epsilon = _resolve(args.epsilon, "epsilon", float, None, _POSITIVE)
-    chart_cfg = chart_config_for(f, epsilon=epsilon, tol=cfg.tol_rank)
+    f = validate_density(center_m, center_alg, tol=config["tol_rank"])
+    g = validate_density(point_m, point_alg, tol=config["tol_rank"])
+    chart_cfg = chart_config_for(f, epsilon=config["epsilon"], tol=config["tol_rank"])
     p = chart_forward(f, g, chart_cfg)
     back = chart_inverse(p)
     report = {
         "command": "chart",
-        "config": cfg.as_dict(),
+        "config": config,
         "center": args.center,
         "point": args.point,
         "alg": list(center_alg.block_sizes),
@@ -251,49 +240,21 @@ def _cmd_chart(args, cfg: RunConfig) -> int:
         "base_part": _grid_payload(p.base_part),
         "round_trip_error": linalg.hs_norm(back.matrix - g.matrix),
     }
-    _emit(canonical_json(report), cfg.out)
-    return 0
+    return canonical_json(report), 0
 
 
-# verify: the RunConfig fields each suite takes besides the seed, and its own
-# options as (keyword, option, check). An option left unset is not passed,
-# so the suite's own default applies; a suite without a row takes the seed.
-# A flag of _VERIFY_FLAGS that the suite's row lacks is a usage error (its
-# environment variable is left alone, as it may be meant for another suite).
-_VERIFY_FLAGS = ("trials", "samples", "max-dim", "nodes")
-_SAMPLES = ("samples", "samples", _at_least(1))
-_VERIFY_ARGS = {
-    "whitney": (("trials",), (("max_dim", "max-dim", _at_least(2)),)),
-    "frontier": ((), (_SAMPLES,)),
-    "join": ((), (_SAMPLES,)),
-    "orbit-census": (("cluster_tol",), (("draws", "samples", _at_least(1)),)),
-    "projector-equiv": (("nodes",), (_SAMPLES,)),
-}
-
-
-def _cmd_verify(args, cfg: RunConfig) -> int:
-    cfg = _fix_format(cfg, "json")
-    fields, options = _VERIFY_ARGS.get(args.suite, ((), ()))
-    taken = {*fields, *(option for _, option, _ in options)}
-    for flag in _VERIFY_FLAGS:
-        if flag not in taken and getattr(args, flag.replace("-", "_")) is not None:
-            raise SchemaError(f"verify {args.suite} does not take --{flag}")
-    kwargs = {name: getattr(cfg, name) for name in ("seed", *fields)}
-    for keyword, option, valid in options:
-        value = _resolve(getattr(args, option.replace("-", "_")), option, int, None, valid)
-        if value is not None:
-            kwargs[keyword] = value
-    report = SUITES[args.suite](**kwargs)
-    payload = {"command": "verify", "config": cfg.as_dict(), "report": report}
-    _emit(canonical_json(payload), cfg.out)
-    return 0 if report["passed"] else SUITE_FAIL_EXIT
+def _cmd_verify(args, config: dict, given: dict) -> tuple[str, int]:
+    command = f"verify {args.suite}"
+    report = SUITES[args.suite](**{_keyword(command, o): v for o, v in given.items() if o != "out"})
+    payload = {"command": "verify", "config": config, "report": report}
+    return canonical_json(payload), 0 if report["passed"] else SUITE_FAIL_EXIT
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _demo_bloch(resolution: int, cfg: RunConfig) -> str:
+def _demo_bloch(resolution: int, tol_rank: float, cluster_tol: float) -> str:
     axis = np.linspace(-1.0, 1.0, resolution)
     rows = ["x1,x2,x3,eig_low,eig_high,valid,rank,signature"]
     for x1 in axis:
@@ -303,9 +264,9 @@ def _demo_bloch(resolution: int, cfg: RunConfig) -> str:
                 low, high = (1.0 - norm) / 2.0, (1.0 + norm) / 2.0
                 valid = norm <= 1.0 + 1e-12
                 if valid:
-                    rho = bloch_state((x1, x2, x3), tol=cfg.tol_rank)
-                    rank = str(classify(rho, tol=cfg.tol_rank).total)
-                    sig = _signature_string(orbit_signature(rho, cluster_tol=cfg.cluster_tol))
+                    rho = bloch_state((x1, x2, x3), tol=tol_rank)
+                    rank = str(classify(rho, tol=tol_rank).total)
+                    sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
                 else:
                     rank, sig = "", ""
                 rows.append(
@@ -315,7 +276,7 @@ def _demo_bloch(resolution: int, cfg: RunConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _demo_cone(resolution: int, cfg: RunConfig) -> str:
+def _demo_cone(resolution: int, tol_rank: float, cluster_tol: float) -> str:
     t_axis = np.linspace(0.0, 1.0, resolution)
     x_axis = np.linspace(-1.0, 1.0, resolution)
     mixed = maximally_mixed(cone_algebra()).matrix
@@ -331,11 +292,11 @@ def _demo_cone(resolution: int, cfg: RunConfig) -> str:
                 plus, minus = (t + norm) / 2.0, (t - norm) / 2.0
                 valid = norm <= t + 1e-12
                 if valid:
-                    rho = cone_state(t, (x1, 0.0, x3), tol=cfg.tol_rank)
-                    label = classify(rho, tol=cfg.tol_rank)
+                    rho = cone_state(t, (x1, 0.0, x3), tol=tol_rank)
+                    label = classify(rho, tol=tol_rank)
                     r1, r2 = label.per_block
                     total = str(label.total)
-                    sig = _signature_string(orbit_signature(rho, cluster_tol=cfg.cluster_tol))
+                    sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
                     is_mixed = int(linalg.hs_norm(rho.matrix - mixed) <= 1e-12)
                     block_cols = f"{r1},{r2},{total},{sig},{is_mixed}"
                 else:
@@ -347,19 +308,16 @@ def _demo_cone(resolution: int, cfg: RunConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _demo_simplex(resolution: int, cfg: RunConfig) -> str:
+def _demo_simplex(resolution: int, tol_rank: float) -> str:
     n = resolution - 1
     rows = ["p1,p2,p3,p4,rank_per_block,total_rank,stratum_dim"]
-    alg = commutative_algebra(4)
     for a in range(n + 1):
         for b in range(n + 1 - a):
             for c in range(n + 1 - a - b):
                 d = n - a - b - c
                 p = (a / n, b / n, c / n, d / n)
-                rho = simplex_state(p, tol=cfg.tol_rank)
-                if rho.alg != alg:
-                    raise AssertionError("simplex demo built a state on the wrong algebra")
-                label = classify(rho, tol=cfg.tol_rank)
+                rho = simplex_state(p, tol=tol_rank)
+                label = classify(rho, tol=tol_rank)
                 ranks = ";".join(str(r) for r in label.per_block)
                 rows.append(
                     f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(p[3])},"
@@ -371,11 +329,8 @@ def _demo_simplex(resolution: int, cfg: RunConfig) -> str:
 _DEMOS = {"bloch": _demo_bloch, "cone": _demo_cone, "simplex": _demo_simplex}
 
 
-def _cmd_demo(args, cfg: RunConfig) -> int:
-    cfg = _fix_format(cfg, "csv")
-    resolution = _resolve(args.resolution, "resolution", int, 25, _at_least(2))
-    _emit(_DEMOS[args.name](resolution, cfg), cfg.out)
-    return 0
+def _cmd_demo(args, config: dict, given: dict) -> tuple[str, int]:
+    return _DEMOS[args.name](**{k: v for k, v in config.items() if k != "out"}), 0
 
 
 _COMMANDS = {"classify": _cmd_classify, "chart": _cmd_chart, "verify": _cmd_verify,
@@ -386,7 +341,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args, _run_config(args))
+        given = _given(args)
+        config = {o.replace("-", "_"): given.get(o, d) for o, d in args.options.items()}
+        text, code = _COMMANDS[args.command](args, config, given)
+        if config["out"] is None:
+            sys.stdout.write(text)
+        else:
+            with open(config["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (SchemaError, OSError) as exc:
         return _fail(exc, 1)
     except ValidationError as exc:

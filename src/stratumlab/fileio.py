@@ -18,7 +18,6 @@ payloads produce identical bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -107,18 +106,3 @@ def write_matrix(path: str, matrix: np.ndarray, alg: AlgebraDescriptor) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(matrix_payload(matrix, alg)))
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared across subcommands, echoed into every report."""
-
-    tol_rank: float = 1e-9
-    cluster_tol: float = 1e-8
-    nodes: int = 64
-    seed: int = 0
-    trials: int = 10
-    out: str | None = None
-    format: str | None = None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)

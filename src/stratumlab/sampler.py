@@ -192,16 +192,20 @@ def _conditioned_mixture(rng: np.random.Generator, r: int) -> np.ndarray:
     return 0.5 * w + 0.5 * np.eye(r) / r
 
 
-def _kernel_summand(
-    block: np.ndarray, i: int, r: int, rng: np.random.Generator, seed: int, rot_index: int
-) -> np.ndarray:
-    """A trace-one rank-r state supported on the kernel of a rank-i block:
-    support tau support^dagger, with support the first r columns of the
-    kernel frame (the identity if i = 0) rotated by the Haar unitary
-    sample_unitary(n - i, seed, rot_index), and tau drawn from rng."""
+def _kernel_frame(block: np.ndarray, i: int) -> np.ndarray:
+    """Kernel frame of a rank-i block: its first n - i gauge-fixed eigenvectors."""
     n = block.shape[0]
-    kernel = np.eye(n, dtype=complex) if i == 0 else linalg.eigh_fixed(block)[1][:, : n - i]
-    support = kernel @ sample_unitary(n - i, seed, rot_index)[:, :r]
+    return np.eye(n, dtype=complex) if i == 0 else linalg.eigh_fixed(block)[1][:, : n - i]
+
+
+def _kernel_summand(
+    kernel: np.ndarray, r: int, rng: np.random.Generator, seed: int, rot_index: int
+) -> np.ndarray:
+    """A trace-one rank-r state supported on a kernel frame: support tau
+    support^dagger, with support the first r columns of the frame rotated by
+    the Haar unitary sample_unitary(frame columns, seed, rot_index), and tau
+    drawn from rng."""
+    support = kernel @ sample_unitary(kernel.shape[1], seed, rot_index)[:, :r]
     tau = _conditioned_mixture(rng, r)
     return support @ tau @ support.conj().T
 
@@ -257,6 +261,52 @@ def _approach_steps(
     return xs, ys
 
 
+def _sequence_base(y: DensityMatrix, j: int, rate: float):
+    """Check sequence_toward's arguments; return y's label, kernel frame and
+    tangent basis, which every sequence toward y shares."""
+    if y.alg.num_blocks != 1:
+        raise ValueError(
+            "integer-rank sequences are defined for single-block algebras; "
+            "use approach_state for direct sums"
+        )
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"rate must be in (0, 1), got {rate}")
+    n = y.dim
+    label_i = classify(y)
+    i = label_i.total
+    if not i < j <= n:
+        raise ValueError(f"target rank must satisfy {i} < j <= {n}, got {j}")
+    return label_i, _kernel_frame(y.matrix, i), tangent_basis(y, label=label_i)
+
+
+def _sequence_stacks(
+    y: DensityMatrix, j: int, base, rate: float, length: int, seed: int, index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The validated (length, n, n) stacks of the x_k and the y_k of
+    sequence_toward, from y's _sequence_base."""
+    label_i, kernel, basis = base
+    n = y.dim
+    rng = _rng(seed, 5, index)
+    sigma = _kernel_summand(kernel, j - label_i.total, rng, seed, 1000 + index)
+    deltas = np.array([rate**k for k in range(1, length + 1)])
+    # each step's two uniform arrays, in the order standard_normal would
+    # draw them step by step, and handed over contiguous as it hands them
+    u = rng.random((length, 2, len(basis)))
+    coeffs = _box_muller(np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(u[:, 1]))
+    # one vector-matrix product per step, as tensordot forms a single step
+    # (a (length, d) @ (d, n n) product rounds differently)
+    h = (coeffs[:, None, :] @ basis.reshape(len(basis), n * n)).reshape(length, n, n)
+    h = h / linalg.hs_norm(h)[:, None, None]
+    try:
+        return _approach_steps(y, sigma, h, deltas, label_i, j)
+    except (StratumLabError, RuntimeError, ValueError):
+        # a step failed: raise the error of the first failing step, the
+        # first error a step-by-step construction would meet
+        for k in range(length):
+            _approach_steps(y, sigma, h[k : k + 1], deltas[k : k + 1], label_i, j)
+        raise
+
+
 def sequence_toward(
     y: DensityMatrix,
     j: int,
@@ -286,38 +336,7 @@ def sequence_toward(
     step, in the order of its checks: x_k's audit and validation, the
     retraction of y_k, y_k's audit.
     """
-    if y.alg.num_blocks != 1:
-        raise ValueError(
-            "integer-rank sequences are defined for single-block algebras; "
-            "use approach_state for direct sums"
-        )
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
-    n = y.dim
-    label_i = classify(y)
-    i = label_i.total
-    if not i < j <= n:
-        raise ValueError(f"target rank must satisfy {i} < j <= {n}, got {j}")
-    rng = _rng(seed, 5, index)
-    sigma = _kernel_summand(y.matrix, i, j - i, rng, seed, 1000 + index)
-    basis = tangent_basis(y, label=label_i)
-    deltas = np.array([rate**k for k in range(1, length + 1)])
-    # each step's two uniform arrays, in the order standard_normal would
-    # draw them step by step, and handed over contiguous as it hands them
-    u = rng.random((length, 2, len(basis)))
-    coeffs = _box_muller(np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(u[:, 1]))
-    # one vector-matrix product per step, as tensordot forms a single step
-    # (a (length, d) @ (d, n n) product rounds differently)
-    h = (coeffs[:, None, :] @ basis.reshape(len(basis), n * n)).reshape(length, n, n)
-    h = h / linalg.hs_norm(h)[:, None, None]
-    try:
-        xs, ys = _approach_steps(y, sigma, h, deltas, label_i, j)
-    except (StratumLabError, RuntimeError, ValueError):
-        # a step failed: raise the error of the first failing step, the
-        # first error a step-by-step construction would meet
-        for k in range(length):
-            _approach_steps(y, sigma, h[k : k + 1], deltas[k : k + 1], label_i, j)
-        raise
+    xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, index)
     return list(zip(_validated_states(xs, y.alg, y.tol), _validated_states(ys, y.alg, y.tol)))
 
 
@@ -356,9 +375,8 @@ def approach_state(
     slices = y.alg.block_slices()
     blocks = y.blocks()
     for b, add in raises:
-        summand = _kernel_summand(
-            blocks[b], label_y.per_block[b], add, rng, seed, 2000 + index * 16 + b
-        )
+        kernel = _kernel_frame(blocks[b], label_y.per_block[b])
+        summand = _kernel_summand(kernel, add, rng, seed, 2000 + index * 16 + b)
         sigma[slices[b], slices[b]] = summand / len(raises)
     xm = (1.0 - delta) * y.matrix + delta * sigma
     x = validate_density(xm, y.alg, y.tol)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CoincidentPoints
-from .sampler import approach_state, sample_algebra, sequence_toward, _rng, standard_normal
+from .sampler import _rng, _sequence_base, _sequence_stacks, approach_state, sample_algebra, standard_normal
 from .states import AlgebraDescriptor, DensityMatrix, _validated_states
 from .strata import StratumLabel, classify, frontier_leq, tangent_basis_stack
 
@@ -166,15 +166,14 @@ def whitney_b_estimate(
     gaps_a = np.zeros((trials, length))
     dists = np.zeros((trials, length))
     terminal_pairs = []
+    base = _sequence_base(y, j, rate)
     for t in range(trials):
-        seq = sequence_toward(y, j, rate=rate, length=length, seed=seed, index=t)
-        # the last pair alone, not views that keep the sequence's stacks alive
-        last = np.array([seq[-1][0].matrix, seq[-1][1].matrix])
-        terminal_pairs.append(tuple(_validated_states(last, y.alg, y.tol)))
-        xs = np.array([x.matrix for x, _ in seq])
+        xs, ys = _sequence_stacks(y, j, base, rate, length, seed, t)
+        # the last pair alone, not views that keep the stacks alive
+        terminal_pairs.append(tuple(_validated_states(np.array([xs[-1], ys[-1]]), y.alg, y.tol)))
         # per step, the moving base y_k then the fixed base y: the order in
         # which a step-by-step loop would meet CoincidentPoints
-        ends = np.array([[yk.matrix, y.matrix] for _, yk in seq])
+        ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=1)
         secants = secant_direction_stack(xs[:, None], ends)
         gaps = gap_line_space_stack(secants, tangent_basis_stack(xs, label_j)[:, None])
         gaps_b[t], gaps_a[t] = gaps[:, 0], gaps[:, 1]
@@ -202,7 +201,7 @@ def whitney_b_estimate(
     )
     return WhitneyReport(
         n=y.dim,
-        base_rank=classify(y).total,
+        base_rank=base[0].total,
         target_rank=j,
         rate=rate,
         length=length,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from stratumlab import cli
 from stratumlab.errors import SchemaError
 from stratumlab.fileio import (
-    RunConfig,
     canonical_json,
     matrix_payload,
     parse_matrix_payload,
@@ -102,16 +102,6 @@ def test_matrix_payload_structure():
     assert p["im"] == [[0.0, 1.0], [-1.0, 0.0]]
 
 
-def test_run_config_defaults():
-    cfg = RunConfig()
-    d = cfg.as_dict()
-    assert d["tol_rank"] == 1e-9
-    assert d["cluster_tol"] == 1e-8
-    assert d["nodes"] == 64
-    assert d["seed"] == 0
-    assert d["out"] is None
-
-
 @pytest.fixture()
 def mm3_file(tmp_path):
     alg = full_algebra(3)
@@ -125,6 +115,8 @@ def test_cli_classify(mm3_file, capsys):
     out = capsys.readouterr()
     report = json.loads(out.out)
     assert report["command"] == "classify"
+    # the echo holds exactly the options classify takes, at their defaults
+    assert report["config"] == {"tol_rank": 1e-9, "cluster_tol": 1e-8, "out": None}
     assert report["alg"] == [3]
     assert report["rank_per_block"] == [3]
     assert report["total_rank"] == 3
@@ -213,16 +205,16 @@ def test_cli_exit_3_on_solver_failure(mm3_file, capsys, monkeypatch):
 
 
 def test_cli_env_overrides(mm3_file, capsys, monkeypatch):
-    monkeypatch.setenv("STRATUMLAB_SEED", "7")
+    monkeypatch.setenv("STRATUMLAB_TOL_RANK", "1e-6")
     assert cli.main(["classify", mm3_file]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7
+    assert json.loads(capsys.readouterr().out)["config"]["tol_rank"] == 1e-6
     # an explicit flag wins over the environment
-    assert cli.main(["classify", mm3_file, "--seed", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+    assert cli.main(["classify", mm3_file, "--tol-rank", "1e-7"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol_rank"] == 1e-7
 
 
 def test_cli_env_bad_cast(mm3_file, capsys, monkeypatch):
-    monkeypatch.setenv("STRATUMLAB_SEED", "not-an-int")
+    monkeypatch.setenv("STRATUMLAB_TOL_RANK", "not-a-float")
     assert cli.main(["classify", mm3_file]) == 1
     err = json.loads(capsys.readouterr().err.split("# elapsed")[0])
     assert err["error"] == "SchemaError"
@@ -274,6 +266,8 @@ def test_cli_verify_exit_4_on_failed_suite(capsys, monkeypatch):
     assert cli.main(["verify", "always-fail"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"] == {"passed": False}
+    # a suite without a row takes the seed; its signature gives no default
+    assert payload["config"] == {"seed": None, "out": None}
 
 
 def test_cli_verify_join_small(capsys):
@@ -281,6 +275,15 @@ def test_cli_verify_join_small(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["passed"] is True
     assert payload["report"]["samples"] == 20
+    assert payload["config"] == {"seed": 0, "samples": 20, "out": None}
+
+
+def test_cli_verify_echoes_the_suites_own_defaults(capsys):
+    # an option left unset is not passed; the echo shows the suite's default
+    assert cli.main(["verify", "whitney"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == {"seed": 0, "trials": 10, "max_dim": 3, "out": None}
+    assert (payload["report"]["trials"], payload["report"]["max_dim"]) == (10, 3)
 
 
 def test_cli_demo_simplex_rows(capsys):
@@ -363,7 +366,6 @@ BAD_OPTIONS = [
     ("classify", "cluster-tol", v) for v in ("nan", "inf", "-1", "0")
 ] + [
     ("chart", "epsilon", "nan"),
-    ("chart", "nodes", "0"),
     ("projector-equiv", "nodes", "0"),
     ("whitney", "max-dim", "1"),
     ("join", "samples", "-3"),
@@ -420,6 +422,10 @@ def test_cli_usage_errors_print_one_json_error(chart_files, capsys):
         # a verify flag the chosen suite does not take
         ("join", ["--samples", "3", "--max-dim", "1"]),
         ("whitney", ["--samples", "3"]),
+        # an option of another command
+        ("join", ["--tol-rank", "5"]),
+        ("chart", ["--cluster-tol", "1e-8"]),
+        ("classify", ["--seed", "3"]),
     ]
     for command, tail in usage_errors:
         argv = [] if command is None else _argv(command, chart_files) + tail
@@ -436,6 +442,58 @@ def test_cli_usage_errors_print_one_json_error(chart_files, capsys):
             cli.main(argv)
         assert exc.value.code == 0
         assert "usage: stratumlab" in capsys.readouterr().out
+
+
+def test_cli_ignores_the_environment_of_options_it_does_not_take(chart_files, monkeypatch):
+    center, point, state = chart_files
+    runs = (["classify", state], ["chart", center, point], ["demo", "bloch", "--resolution", "5"])
+    plain = [_run_cli(argv) for argv in runs]
+    monkeypatch.setenv("STRATUMLAB_NODES", "8")
+    monkeypatch.setenv("STRATUMLAB_TRIALS", "0")
+    for argv, (code, out, _) in zip(runs, plain):
+        assert code == 0, argv
+        got_code, got_out, _ = _run_cli(argv)
+        assert (got_code, got_out) == (0, out), argv
+
+
+def test_cli_checks_options_before_reading_files(chart_files, tmp_path, monkeypatch):
+    # the center fails validation (exit 2) once read; the bad option must
+    # stop the run first
+    center = tmp_path / "trace.json"
+    write_matrix(str(center), np.diag([0.7, 0.0]).astype(complex), full_algebra(2))
+    argv = ["chart", str(center), chart_files[1]]
+    code, out, err = _run_cli(argv + ["--epsilon", "nan"])
+    assert (code, out) == (1, "")
+    payload = _single_error(err, 1)
+    assert payload["error"] == "SchemaError"
+    assert "--epsilon" in payload["message"]
+    monkeypatch.setenv("STRATUMLAB_EPSILON", "nan")
+    code, _, err = _run_cli(argv)
+    assert code == 1
+    assert "STRATUMLAB_EPSILON" in _single_error(err, 1)["message"]
+
+
+COMMAND_FLAGS = {
+    ("classify",): {"tol-rank", "cluster-tol"},
+    ("chart",): {"tol-rank", "epsilon"},
+    ("verify", "whitney"): {"seed", "trials", "max-dim"},
+    ("verify", "frontier"): {"seed", "samples"},
+    ("verify", "join"): {"seed", "samples"},
+    ("verify", "orbit-census"): {"seed", "samples", "cluster-tol"},
+    ("verify", "projector-equiv"): {"seed", "samples", "nodes"},
+    ("demo", "bloch"): {"tol-rank", "cluster-tol", "resolution"},
+    ("demo", "cone"): {"tol-rank", "cluster-tol", "resolution"},
+    ("demo", "simplex"): {"tol-rank", "resolution"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS), ids="-".join)
+def test_cli_help_lists_exactly_the_commands_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert listed == COMMAND_FLAGS[command] | {"help", "out"}
 
 
 def test_suites_refuse_vacuous_sizes():
@@ -536,12 +594,12 @@ NUMERIC_OPTIONS = {
     "cluster-tol": (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
                     ["classify", "demo"]),
     "epsilon": (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]), ["chart"]),
-    "nodes": (st.integers(max_value=15), ["chart", "projector-equiv"]),
+    "nodes": (st.integers(max_value=15), ["projector-equiv"]),
     "samples": (st.integers(max_value=0), ["join", "frontier", "orbit-census"]),
     "trials": (st.integers(max_value=0), ["whitney"]),
     "max-dim": (st.integers(max_value=1), ["whitney"]),
     "resolution": (st.integers(max_value=1), ["demo"]),
-    "seed": (st.integers(max_value=-1), ["join", "classify"]),
+    "seed": (st.integers(max_value=-1), ["join", "frontier"]),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from stratumlab import linalg, sampler, strata
+from stratumlab import linalg, sampler, strata, whitney
 from stratumlab.errors import AmbiguousRank, CoincidentPoints
 from stratumlab.fileio import canonical_json
 from stratumlab.sampler import (
@@ -168,6 +168,31 @@ def test_negative_control_reuse_is_exact():
     assert reused == fresh
     with pytest.raises(ValueError):
         whitney_negative_control((), seed=38)
+
+
+def test_whitney_estimate_derives_y_data_once(monkeypatch):
+    # every trial's sequence shares y's label, kernel frame and tangent basis,
+    # so each is computed once per estimate, not once per trial
+    y = sample_rank(3, 1, seed=38)
+    seen = []
+
+    def count(module, name, on_y):
+        real = getattr(module, name)
+
+        def counted(first, *args, **kwargs):
+            if on_y(first):
+                seen.append(name)
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(sampler, "classify", lambda rho: rho is y)
+    count(whitney, "classify", lambda rho: rho is y)
+    count(sampler, "tangent_basis", lambda rho: rho is y)
+    count(linalg, "eigh_fixed", lambda m: m.shape == y.matrix.shape and np.array_equal(m, y.matrix))
+    rep = whitney_b_estimate(y, 2, trials=5, seed=38)
+    assert rep.base_rank == 1
+    assert sorted(seen) == ["classify", "eigh_fixed", "tangent_basis"]
 
 
 def test_enumerate_labels_counts():
