@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import AlgebraDescriptor, DensityMatrix, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states, validate_stack
 from .strata import StratumLabel, classify
 
 WEIGHT_DROP_TOL = 1e-12
@@ -68,8 +68,8 @@ class JoinPoint:
                              f"{len(self.weights)} and {len(self.components)}")
         total = 0.0
         for w, comp, sub in zip(self.weights, self.components, algs):
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
+            if not w >= 0:
+                raise ValueError(f"weight {w} is not a non-negative number")
             total += w
             if (w == 0.0) != (comp is None):
                 raise ValueError("a component must be present exactly when its weight is positive")
@@ -78,7 +78,7 @@ class JoinPoint:
                     f"component algebra {comp.alg.block_sizes} does not match summand "
                     f"{sub.block_sizes}"
                 )
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights sum to {total}, not 1")
 
     @property
@@ -120,6 +120,38 @@ def make_join_point(
     )
 
 
+def _split_stack(
+    hs: np.ndarray, alg: AlgebraDescriptor, split, tol=DEFAULT_TOL, drop_tol=WEIGHT_DROP_TOL
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """convex_split of each state of a validated (B, n, n) stack of alg at tol.
+
+    Returns the (B, k) weights (0.0 where a summand's weight is at or below
+    drop_tol), the k validated component stacks (zero where the weight is
+    0.0) and the (B, k) tolerances the components were validated with.
+    Errors are raised summand by summand, each for its first failing row.
+    """
+    weights = np.zeros((len(hs), len(split)))
+    tols = np.full(weights.shape, tol)
+    comps = []
+    at = 0
+    for j, sub in enumerate(summand_algebras(alg, split)):
+        comp = np.array(hs[:, at : at + sub.dim, at : at + sub.dim])
+        at += sub.dim
+        comp[:, linalg.off_block_mask(sub.block_sizes)] = 0.0
+        w = 0.0
+        for sl in sub.block_slices():
+            w = w + np.maximum(np.trace(comp[:, sl, sl], axis1=1, axis2=2).real, 0.0)
+        keep = w > drop_tol
+        w = weights[keep, j] = w[keep]
+        # positivity of the compression is only as sharp as tol / w
+        tols[keep, j] = np.maximum(tol, 2.0 * tol / w)
+        comp[keep] = validate_stack(comp[keep] / w[:, None, None], sub, tols[keep, j])
+        comp[~keep] = 0.0
+        comp.flags.writeable = False
+        comps.append(comp)
+    return weights, comps, tols
+
+
 def convex_split(
     rho: DensityMatrix,
     split: tuple[int, ...] | None = None,
@@ -133,39 +165,38 @@ def convex_split(
     """
     if split is None:
         split = (1,) * rho.alg.num_blocks
-    algs = summand_algebras(rho.alg, split)
-    blocks = rho.blocks()
-    weights, components = [], []
+    weights, comps, tols = _split_stack(rho.matrix[None], rho.alg, split, rho.tol, drop_tol)
+    weights, algs = weights[0].tolist(), summand_algebras(rho.alg, split)
+    components = [
+        None if w == 0.0 else _validated_states(comp, sub, t)[0]
+        for w, comp, sub, t in zip(weights, comps, algs, tols[0].tolist())
+    ]
+    return JoinPoint(rho.alg, tuple(split), tuple(weights), tuple(components))
+
+
+def _join_stack(
+    weights: np.ndarray, comps: list[np.ndarray], alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """join_state of each row of (B, k) weights and k component stacks (zero
+    where the weight is zero): the validated (B, n, n) stack of
+    sum_j w_j phi_j, assembled from the diagonal blocks of the phi_j."""
+    m = np.zeros((len(weights), alg.dim, alg.dim), dtype=complex)
     at = 0
-    for sub in algs:
-        nblocks = sub.num_blocks
-        sub_blocks = blocks[at : at + nblocks]
-        at += nblocks
-        w = sum(max(float(np.trace(b).real), 0.0) for b in sub_blocks)
-        if w <= drop_tol:
-            weights.append(0.0)
-            components.append(None)
-            continue
-        m = linalg.block_embed(sub_blocks) / w
-        # positivity of the compression is only as sharp as rho.tol / w
-        comp_tol = max(rho.tol, 2.0 * rho.tol / w)
-        components.append(validate_density(m, sub, comp_tol))
-        weights.append(w)
-    return JoinPoint(
-        alg=rho.alg, split=tuple(split), weights=tuple(weights), components=tuple(components)
-    )
+    for j, comp in enumerate(comps):
+        d = comp.shape[1]
+        m[:, at : at + d, at : at + d] = weights[:, j, None, None] * comp
+        at += d
+    m[:, linalg.off_block_mask(alg.block_sizes)] = 0.0
+    return validate_stack(m, alg, tol)
 
 
 def join_state(p: JoinPoint, tol: float = 1e-9) -> DensityMatrix:
     """Assemble the density matrix sum_j w_j phi_j of a join point."""
-    algs = summand_algebras(p.alg, p.split)
-    blocks = []
-    for w, comp, sub in zip(p.weights, p.components, algs):
-        if comp is None:
-            blocks.extend(np.zeros((n, n), dtype=complex) for n in sub.block_sizes)
-        else:
-            blocks.extend(w * b for b in comp.blocks())
-    return validate_density(linalg.block_embed(blocks), p.alg, tol)
+    comps = [
+        np.zeros((1, sub.dim, sub.dim), dtype=complex) if comp is None else comp.matrix[None]
+        for comp, sub in zip(p.components, summand_algebras(p.alg, p.split))
+    ]
+    return _validated_states(_join_stack(np.array([p.weights]), comps, p.alg, tol), p.alg, tol)[0]
 
 
 @dataclass(frozen=True)

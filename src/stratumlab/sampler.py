@@ -6,6 +6,11 @@ an explicit Box-Muller transform of uniform doubles. The transform is spelled
 out here (rather than delegating to the generator's normal method) so the
 byte content of golden outputs depends only on the uniform stream.
 
+Draws of one ensemble are built as (B, n, n) stacks: each draw still takes
+its uniforms from its own generator, the transform and products run once on
+the stack, and every row is bit for bit the matrix a lone draw gives
+(sample_hs and sample_algebra are one-draw stacks).
+
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
 Haar unitaries come from the QR factorization of a Ginibre matrix with the
@@ -58,8 +63,11 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex Gaussians with independent N(0,1) real and imaginary parts,
     drawn in polar form from two uniforms per entry."""
-    u1 = rng.random(shape)
-    u2 = rng.random(shape)
+    return _polar_normal(rng.random(shape), rng.random(shape))
+
+
+def _polar_normal(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Complex Gaussians sqrt(-ln(1-u1)) exp(2 pi i u2) from two uniform arrays."""
     radius = np.sqrt(-np.log1p(-u1))
     return radius * np.exp(2j * np.pi * u2)
 
@@ -69,16 +77,43 @@ def ginibre(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return complex_normal(rng, (n, m))
 
 
-def _hs_matrix(n: int, seed: int, index: int) -> np.ndarray:
-    """The unvalidated matrix of sample_hs(n, seed, index)."""
-    g = ginibre(_rng(seed, 0, index), n, n)
-    m = g @ g.conj().T
-    return m / float(np.trace(m).real)
+def _gram_stack(shapes, rngs) -> np.ndarray:
+    """The (B, n, n) stack of trace-one block-diagonal matrices
+    sum_b g_b g_b^dagger / trace, one per generator that rngs yields.
+
+    Block b's factor g_b of shape shapes[b] = (n_b, r_b) takes the next
+    2 n_b r_b uniforms of its generator as ginibre does (moduli, then
+    phases); r_b = 0 leaves the block zero. The transform gets contiguous
+    uniform stacks and each trace sums the complex diagonal (a sum of its
+    real parts rounds differently), so every row is the per-draw matrix.
+    """
+    length = 2 * sum(nb * r for nb, r in shapes)
+    # one generator alive at a time: a stack of them costs kilobytes per draw
+    u = np.fromiter((rng.random(length) for rng in rngs), dtype=(float, length))
+    n = sum(nb for nb, _ in shapes)
+    m = np.zeros((len(u), n, n), dtype=complex)
+    at = col = 0
+    for nb, r in shapes:
+        size = nb * r
+        g = _polar_normal(
+            np.ascontiguousarray(u[:, col : col + size]).reshape(len(u), nb, r),
+            np.ascontiguousarray(u[:, col + size : col + 2 * size]).reshape(len(u), nb, r),
+        )
+        m[:, at : at + nb, at : at + nb] = g @ g.conj().swapaxes(1, 2)
+        at += nb
+        col += 2 * size
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def _hs_stack(n: int, seed: int, indices) -> np.ndarray:
+    """The unvalidated (B, n, n) stack of the matrices of
+    sample_hs(n, seed, index), one per index."""
+    return _gram_stack([(n, n)], (_rng(seed, 0, index) for index in indices))
 
 
 def sample_hs(n: int, seed: int, index: int = 0, tol: float = 1e-9) -> DensityMatrix:
     """Hilbert-Schmidt ensemble draw on the states of M_n(C)."""
-    return validate_density(_hs_matrix(n, seed, index), full_algebra(n), tol)
+    return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n), tol)
 
 
 def sample_rank(
@@ -92,9 +127,7 @@ def sample_rank(
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
     for attempt in range(MAX_RESAMPLE):
-        g = ginibre(_rng(seed, 1, index, attempt), n, r)
-        m = g @ g.conj().T
-        m = m / float(np.trace(m).real)
+        m = _gram_stack([(n, r)], [_rng(seed, 1, index, attempt)])[0]
         rho = validate_density(m, full_algebra(n), tol)
         try:
             if numerical_rank(rho) == r:
@@ -130,22 +163,14 @@ def sample_hermitian(n: int, seed: int, index: int = 0) -> np.ndarray:
     return h / linalg.hs_norm(h)
 
 
-def _algebra_matrix(
-    alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None, index: int, attempt: int
+def _algebra_stack(
+    alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None, indices, attempt: int
 ) -> np.ndarray:
-    """The unvalidated matrix of sample_algebra's draw number attempt; with
-    ranks=None the first attempt is the draw."""
-    rng = _rng(seed, 4, index, attempt)
-    blocks = []
-    for b, nb in enumerate(alg.block_sizes):
-        r = nb if ranks is None else ranks[b]
-        if r == 0:
-            blocks.append(np.zeros((nb, nb), dtype=complex))
-            continue
-        g = ginibre(rng, nb, r)
-        blocks.append(g @ g.conj().T)
-    m = linalg.block_embed(blocks)
-    return m / float(np.trace(m).real)
+    """The unvalidated (B, n, n) stack of the matrices of sample_algebra's
+    draw number attempt, one per index; with ranks=None the first attempt
+    is the draw."""
+    shapes = list(zip(alg.block_sizes, alg.block_sizes if ranks is None else ranks))
+    return _gram_stack(shapes, (_rng(seed, 4, index, attempt) for index in indices))
 
 
 def sample_algebra(
@@ -172,7 +197,7 @@ def sample_algebra(
         if sum(ranks) == 0:
             raise ValueError("at least one block must have positive rank")
     for attempt in range(MAX_RESAMPLE):
-        rho = validate_density(_algebra_matrix(alg, seed, ranks, index, attempt), alg, tol)
+        rho = validate_density(_algebra_stack(alg, seed, ranks, [index], attempt)[0], alg, tol)
         if ranks is None:
             return rho
         try:
@@ -186,10 +211,7 @@ def sample_algebra(
 def _conditioned_mixture(rng: np.random.Generator, r: int) -> np.ndarray:
     """Trace-one positive matrix with smallest eigenvalue >= 1/(2r): half a
     normalized Wishart plus half the normalized identity."""
-    g = ginibre(rng, r, r)
-    w = g @ g.conj().T
-    w = w / float(np.trace(w).real)
-    return 0.5 * w + 0.5 * np.eye(r) / r
+    return 0.5 * _gram_stack([(r, r)], [rng])[0] + 0.5 * np.eye(r) / r
 
 
 def _kernel_frame(block: np.ndarray, i: int) -> np.ndarray:

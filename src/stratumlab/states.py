@@ -126,7 +126,7 @@ class DensityMatrix:
 
 
 def validate_stack(
-    ms: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
+    ms: np.ndarray, alg: AlgebraDescriptor, tol: float | np.ndarray = DEFAULT_TOL
 ) -> np.ndarray:
     """Validate a (B, n, n) stack of matrices as density matrices of alg.
 
@@ -136,6 +136,9 @@ def validate_stack(
     is written to fail closed: a NaN comparison rejects. Each check runs on
     the whole stack at once; a later check only sees matrices that passed
     the earlier ones, so no solver is handed a non-finite matrix.
+
+    tol is one float for the whole stack, or a (B,) array of one tolerance
+    per matrix.
 
     Returns
     -------
@@ -164,7 +167,7 @@ def validate_stack(
     ok = asym <= linalg.HERMITICITY_TOL
     if np.count_nonzero(ok) != ok.size:
         b = int(np.argmin(ok.reshape(len(ms), n * n).all(axis=1)))
-        validate_stack(ms[:b], alg, tol)  # raises if an earlier matrix fails
+        validate_stack(ms[:b], alg, np.broadcast_to(tol, len(ms))[:b])  # an earlier failure raises
         if not np.isfinite(ms[b]).all():
             raise NotFinite("matrix has a NaN or infinite entry")
         raise NotHermitian("matrix is not Hermitian", magnitude=float(np.max(asym[b])))
@@ -175,9 +178,10 @@ def validate_stack(
         ok &= np.abs(h[:, linalg.off_block_mask(alg.block_sizes)]).max(axis=1) <= tol
     if np.count_nonzero(ok) != len(ok):
         b = int(np.argmin(ok))
-        validate_stack(ms[:b], alg, tol)
+        tols = np.broadcast_to(tol, len(ms))
+        validate_stack(ms[:b], alg, tols[:b])
         off = linalg.off_block_magnitude(h[b], alg.block_sizes)
-        if not off <= tol:
+        if not off <= tols[b]:
             raise NotBlockDiagonal(
                 f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
             )

@@ -11,11 +11,14 @@ import numpy as np
 
 from . import linalg
 from .charts import contour_quadrature
-from .joins import JOIN_RANK_NOTE, convex_split, join_piece_label, join_state, make_join_point, rank_of_join
+from .joins import JOIN_RANK_NOTE, _join_stack, _split_stack, convex_split, join_piece_label
+from .joins import join_state, make_join_point, rank_of_join
 from .orbits import isotropy_dim, orbit_dim_stack, orbit_signature_stack
-from .sampler import _algebra_matrix, _hs_matrix, _rng, sample_algebra, sample_rank, sample_unitary
+from .sampler import _algebra_stack, _hs_stack, _rng, sample_rank, sample_unitary
 from .states import (
+    DEFAULT_TOL,
     AlgebraDescriptor,
+    _validated_states,
     cone_state,
     full_algebra,
     maximally_mixed,
@@ -189,14 +192,9 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
     two = AlgebraDescriptor((1, 1))
 
     def point(p1, p2):
-        m = np.diag(np.asarray([0.0, 0.0], dtype=complex))
-        m[0, 0], m[1, 1] = p1, p2
-        return validate_density(m, two)
+        return validate_density(np.diag([p1, p2]).astype(complex), two)
 
-    factor_states = {
-        1: point(1.0, 0.0),
-        2: point(0.7, 0.3),
-    }
+    factor_states = {1: point(1.0, 0.0), 2: point(0.7, 0.3)}
     seen: dict[str, int] = {}
 
     def visit(weights, comps):
@@ -213,8 +211,8 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
         for s in (1, 2):
             visit((0.6, 0.4), (factor_states[r], factor_states[s]))
     # random interior samples all land in a known piece
-    for s in range(samples):
-        rho = sample_algebra(alg, seed, index=5000 + s)
+    hs = validate_stack(_algebra_stack(alg, seed, None, range(5000, 5000 + samples), 0), alg)
+    for rho in _validated_states(hs, alg, DEFAULT_TOL):
         lab = join_piece_label(convex_split(rho, split=split))
         if lab.piece_name not in EXPECTED_TETRAHEDRON_PIECES:
             raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
@@ -232,10 +230,10 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
     max_err = 0.0
     for sizes, split in cases:
         alg = AlgebraDescriptor(sizes)
-        for s in range(samples):
-            rho = sample_algebra(alg, seed, index=s)
-            back = join_state(convex_split(rho, split=split))
-            max_err = max(max_err, linalg.hs_norm(back.matrix - rho.matrix))
+        rhos = validate_stack(_algebra_stack(alg, seed, None, range(samples), 0), alg)
+        weights, comps, _ = _split_stack(rhos, alg, split)
+        back = _join_stack(weights, comps, alg)
+        max_err = max(max_err, linalg.hs_norm(back - rhos).max())
     # endpoint collapse: at weight zero the second component is dropped, so
     # two different fillers give byte-identical assembled states
     alg = AlgebraDescriptor((1, 1, 1, 1))
@@ -275,13 +273,9 @@ def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e
     all_ok = True
 
     def census(alg, draw, constructed, generic_signature):
-        # the draws, then the constructed states (which validate unchanged)
-        ms = np.empty((draws + len(constructed), alg.dim, alg.dim), dtype=complex)
-        for s in range(draws):
-            ms[s] = draw(s)
-        ms[draws:] = [c.matrix for c in constructed]
-        hs = validate_stack(ms, alg)
-        del ms  # the raw stack is not needed past validation
+        # the draws, then the constructed states (which validate unchanged);
+        # the raw stacks are not kept past validation
+        hs = validate_stack(np.concatenate([draw(), [c.matrix for c in constructed]]), alg)
         sigs = orbit_signature_stack(hs, alg, cluster_tol)
         dims = orbit_dim_stack(hs, alg).tolist()
         dim_u = alg.unitary_group_dim
@@ -294,7 +288,7 @@ def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e
 
     m2 = full_algebra(2)
     counts, consistent, generic_fraction, dims = census(
-        m2, lambda s: _hs_matrix(2, seed, s), [maximally_mixed(m2)], ((1, 1),)
+        m2, lambda: _hs_stack(2, seed, range(draws)), [maximally_mixed(m2)], ((1, 1),)
     )
     generic_orbit_dims = set(dims[: min(draws, 50)])
     m2_ok = bool(
@@ -319,7 +313,8 @@ def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e
     cm2 = AlgebraDescriptor((1, 2))
     cm2_constructed = [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))]
     counts, consistent, generic_fraction, _ = census(
-        cm2, lambda s: _algebra_matrix(cm2, seed, None, s, 0), cm2_constructed, ((1,), (1, 1))
+        cm2, lambda: _algebra_stack(cm2, seed, None, range(draws), 0), cm2_constructed,
+        ((1,), (1, 1)),
     )
     cm2_ok = bool(
         set(counts) == {((1,), (1, 1)), ((1,), (2,))}

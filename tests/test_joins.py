@@ -71,6 +71,15 @@ def test_join_point_validation():
         JoinPoint(alg=CONE, split=(1, 1), weights=(0.5, 0.5), components=(sigma, phi))
 
 
+@pytest.mark.parametrize("weights", ((float("nan"), 0.5), (0.5, float("nan")), (float("nan"),) * 2))
+def test_join_point_refuses_a_nan_weight(weights):
+    phi = _diag_state([0.5, 0.5], TWO_LINES)
+    with pytest.raises(ValueError):
+        make_join_point(TETRA, weights, (phi, phi), split=(2, 2))
+    with pytest.raises(ValueError):
+        JoinPoint(alg=TETRA, split=(2, 2), weights=weights, components=(phi, phi))
+
+
 def test_endpoint_collapse_is_exact():
     two = AlgebraDescriptor((1, 1))
     phi = _diag_state([0.4, 0.6], two)

@@ -20,7 +20,14 @@ from stratumlab import (
     sequence_toward,
     validate_density,
 )
-from stratumlab.sampler import _rng, complex_normal, ginibre, standard_normal
+from stratumlab.sampler import (
+    _algebra_stack,
+    _hs_stack,
+    _rng,
+    complex_normal,
+    ginibre,
+    standard_normal,
+)
 from stratumlab.strata import StratumLabel
 from stratumlab.whitney import enumerate_labels
 
@@ -85,6 +92,46 @@ def test_ginibre_shape():
     g = ginibre(rng, 3, 5)
     assert g.shape == (3, 5)
     assert np.iscomplexobj(g)
+
+
+def _reference_hs_matrix(n, seed, index):
+    """The per-draw construction of sample_hs's matrix that _hs_stack replaced."""
+    g = ginibre(_rng(seed, 0, index), n, n)
+    m = g @ g.conj().T
+    return m / float(np.trace(m).real)
+
+
+def _reference_algebra_matrix(alg, seed, ranks, index, attempt):
+    """The per-draw construction of sample_algebra's matrix that
+    _algebra_stack replaced."""
+    rng = _rng(seed, 4, index, attempt)
+    blocks = []
+    for b, nb in enumerate(alg.block_sizes):
+        r = nb if ranks is None else ranks[b]
+        if r == 0:
+            blocks.append(np.zeros((nb, nb), dtype=complex))
+            continue
+        g = ginibre(rng, nb, r)
+        blocks.append(g @ g.conj().T)
+    m = linalg.block_embed(blocks)
+    return m / float(np.trace(m).real)
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_stacked_draws_match_per_draw_loops(seed):
+    indices = range(7, 107)
+    for n in range(1, 7):
+        hs = _hs_stack(n, seed, indices)
+        for m, index in zip(hs, indices):
+            assert np.array_equal(m, _reference_hs_matrix(n, seed, index))
+    cases = [(sizes, None) for sizes in ((1,), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1), (2, 3))]
+    cases += [((1, 2), (0, 2)), ((1, 1, 2), (1, 0, 1)), ((2, 3), (1, 2)), ((1, 1, 1, 1), (0, 1, 1, 0))]
+    for sizes, ranks in cases:
+        alg = AlgebraDescriptor(sizes)
+        for attempt in (0, 3):
+            ms = _algebra_stack(alg, seed, ranks, indices, attempt)
+            for m, index in zip(ms, indices):
+                assert np.array_equal(m, _reference_algebra_matrix(alg, seed, ranks, index, attempt))
 
 
 def test_sample_hs_is_valid_full_rank():
