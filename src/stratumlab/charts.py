@@ -33,6 +33,9 @@ from .states import AlgebraDescriptor, DensityMatrix, validate_density
 from .strata import numerical_rank, rank_from_eigenvalues
 
 MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
+# an eigenvalue within CONTOUR_GUARD times the split threshold or contour
+# radius of it makes the split unstable, and is refused
+CONTOUR_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -221,21 +224,19 @@ def chart_inverse(p: ChartPoint, tol: float | None = None) -> DensityMatrix:
     return validate_density(linalg.hermitian_part(m), p.alg, tol)
 
 
-def small_spectral_projector(
-    g: np.ndarray, threshold: float, guard: float = 1e-3
-) -> np.ndarray:
+def small_spectral_projector(g: np.ndarray, threshold: float) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
     below threshold (eigendecomposition route).
 
     Raises
     ------
     EigenvalueOnContour
-        If some eigenvalue is within guard * threshold of the threshold, so
-        the split is not stable.
+        If some eigenvalue is within CONTOUR_GUARD * threshold of the
+        threshold, so the split is not stable.
     """
     w, v = linalg.eigh_fixed(np.asarray(g, dtype=complex))
     margin = float(np.min(np.abs(w - threshold)))
-    if margin < guard * threshold:
+    if margin < CONTOUR_GUARD * threshold:
         raise EigenvalueOnContour(
             f"eigenvalue within {margin:.3e} of split threshold {threshold:.6g}"
         )
@@ -243,16 +244,8 @@ def small_spectral_projector(
     return linalg.hermitian_part(small @ small.conj().T)
 
 
-def _check_contour_margin(w: np.ndarray, radius: float, guard: float) -> None:
-    margin = float(np.min(np.abs(np.abs(w) - radius)))
-    if margin < guard * radius:
-        raise EigenvalueOnContour(
-            f"eigenvalue within {margin:.3e} of the contour radius {radius:.6g}"
-        )
-
-
 def contour_quadrature(
-    g: np.ndarray, radius: float, nodes: int = 64, guard: float = 1e-3
+    g: np.ndarray, radius: float, nodes: int = 64
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projector and small part of g inside |z| = radius, by
     trapezoid quadrature of z -> R_g(z) and z -> z R_g(z) around that circle.
@@ -267,12 +260,16 @@ def contour_quadrature(
     Raises
     ------
     EigenvalueOnContour
-        If some eigenvalue is within guard * radius of the circle.
+        If some eigenvalue is within CONTOUR_GUARD * radius of the circle.
     """
     g = linalg.as_hermitian(np.asarray(g, dtype=complex))
     if nodes < 4:
         raise ValueError("need at least 4 quadrature nodes")
-    _check_contour_margin(np.linalg.eigvalsh(g), radius, guard)
+    margin = float(np.min(np.abs(np.abs(np.linalg.eigvalsh(g)) - radius)))
+    if margin < CONTOUR_GUARD * radius:
+        raise EigenvalueOnContour(
+            f"eigenvalue within {margin:.3e} of the contour radius {radius:.6g}"
+        )
     e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
     z = radius * e
     # e z from real and imaginary parts rounds as a scalar complex product

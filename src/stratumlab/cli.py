@@ -60,7 +60,6 @@ from .states import (
     validate_density,
 )
 from .strata import classify, stratum_dim_label
-from .verify import SUITES
 
 ENV_PREFIX = "STRATUMLAB_"
 
@@ -119,16 +118,25 @@ def _keyword(command: str, option: str) -> str:
     return _KEYWORDS.get(command, {}).get(option, option.replace("-", "_"))
 
 
+def _suites() -> dict:
+    """verify.SUITES, imported only by a verify command: classify, chart and
+    demo never load the suites, nor whitney, sampler or joins through them."""
+    from .verify import SUITES
+
+    return SUITES
+
+
 def _defaults(command: str) -> dict:
     """{option: default} of every option the command takes, --out included."""
     defaults = {o: _OPTIONS[o][2] for o in _TAKES.get(command, ("seed",))}
     if command.startswith("verify "):
-        params = inspect.signature(SUITES[command.removeprefix("verify ")]).parameters
+        params = inspect.signature(_suites()[command.removeprefix("verify ")]).parameters
         defaults = {o: getattr(params.get(_keyword(command, o)), "default", None) for o in defaults}
     return {**defaults, "out": None}
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list) -> _Parser:
+    """The parser of argv; the suite leaves are built only for a verify argv."""
     parser = _Parser(prog="stratumlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     leaves = {}
@@ -138,7 +146,8 @@ def _build_parser() -> _Parser:
     p.add_argument("center", help="matrix file of the chart center")
     p.add_argument("point", help="matrix file of the point to chart")
     for command, dest, names, text in (
-        ("verify", "suite", SUITES, "run a randomized verification suite"),
+        ("verify", "suite", _suites() if argv[:1] == ["verify"] else (),
+         "run a randomized verification suite"),
         ("demo", "name", _DEMOS, "closed-form scans as CSV"),
     ):
         group = sub.add_parser(command, help=text).add_subparsers(dest=dest, required=True)
@@ -245,7 +254,8 @@ def _cmd_chart(args, config: dict, given: dict) -> tuple[str, int]:
 
 def _cmd_verify(args, config: dict, given: dict) -> tuple[str, int]:
     command = f"verify {args.suite}"
-    report = SUITES[args.suite](**{_keyword(command, o): v for o, v in given.items() if o != "out"})
+    kwargs = {_keyword(command, o): v for o, v in given.items() if o != "out"}
+    report = _suites()[args.suite](**kwargs)
     payload = {"command": "verify", "config": config, "report": report}
     return canonical_json(payload), 0 if report["passed"] else SUITE_FAIL_EXIT
 
@@ -340,7 +350,8 @@ _COMMANDS = {"classify": _cmd_classify, "chart": _cmd_chart, "verify": _cmd_veri
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         given = _given(args)
         config = {o.replace("-", "_"): given.get(o, d) for o, d in args.options.items()}
         text, code = _COMMANDS[args.command](args, config, given)

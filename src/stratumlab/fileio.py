@@ -87,7 +87,7 @@ def read_matrix(path: str) -> tuple[np.ndarray, AlgebraDescriptor]:
         text = fh.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return parse_matrix_payload(payload)
 

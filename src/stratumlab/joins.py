@@ -9,12 +9,8 @@ the join's quotient identification literal rather than up-to-equivalence.
 
 The induced decomposition of the join has three kinds of pieces for two
 summands: strata of the first factor (weight t = 0), strata of the second
-(t = 1), and products stratum x stratum x (0, 1). Ranks add across summands:
-a product piece built from rank-r and rank-s factors consists of rank r + s
-density matrices. In particular, for C^2 (+) C^2, the interior piece
-R2xS2xI has rank 4 (a value sometimes misstated as 3: the four side EDGES of
-that tetrahedron are the R1xS1xI pieces of rank 2, while R1xS2xI and R2xS1xI
-are open 2-cells of rank 3).
+(t = 1), and products stratum x stratum x (0, 1). Ranks add across summands;
+JOIN_RANK_NOTE states the rule and works the C^2 (+) C^2 tetrahedron.
 """
 
 from __future__ import annotations
@@ -95,13 +91,13 @@ def make_join_point(
     weights,
     components,
     split: tuple[int, ...] | None = None,
-    drop_tol: float = WEIGHT_DROP_TOL,
 ) -> JoinPoint:
     """Canonicalize and validate a join point.
 
-    Weights at or below drop_tol are set to exactly zero and their components
-    dropped, so two inputs differing only in a zero-weight component construct
-    identical join points (the endpoint collapse of the join).
+    Weights at or below WEIGHT_DROP_TOL are set to exactly zero and their
+    components dropped, so two inputs differing only in a zero-weight
+    component construct identical join points (the endpoint collapse of the
+    join).
     """
     if split is None:
         split = (1,) * alg.num_blocks
@@ -109,7 +105,7 @@ def make_join_point(
     components = list(components)
     canon_w, canon_c = [], []
     for w, comp in zip(weights, components):
-        if w <= drop_tol:
+        if w <= WEIGHT_DROP_TOL:
             canon_w.append(0.0)
             canon_c.append(None)
         else:
@@ -152,20 +148,16 @@ def _split_stack(
     return weights, comps, tols
 
 
-def convex_split(
-    rho: DensityMatrix,
-    split: tuple[int, ...] | None = None,
-    drop_tol: float = WEIGHT_DROP_TOL,
-) -> JoinPoint:
+def convex_split(rho: DensityMatrix, split: tuple[int, ...] | None = None) -> JoinPoint:
     """Decompose a state of a direct sum into weights and summand states.
 
     The weight of a summand is the trace its blocks carry; each present
     summand state is the corresponding compression renormalized to trace one.
-    Inverse of join_state up to weights below drop_tol.
+    Inverse of join_state up to weights at or below WEIGHT_DROP_TOL.
     """
     if split is None:
         split = (1,) * rho.alg.num_blocks
-    weights, comps, tols = _split_stack(rho.matrix[None], rho.alg, split, rho.tol, drop_tol)
+    weights, comps, tols = _split_stack(rho.matrix[None], rho.alg, split, rho.tol)
     weights, algs = weights[0].tolist(), summand_algebras(rho.alg, split)
     components = [
         None if w == 0.0 else _validated_states(comp, sub, t)[0]

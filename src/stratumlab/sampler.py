@@ -42,6 +42,10 @@ from .strata import (
 
 MAX_RESAMPLE = 100
 
+# step ratio and step count of an approach sequence
+SEQUENCE_RATE = 0.5
+SEQUENCE_LENGTH = 22
+
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one draw: PCG64 seeded by (seed, *path)."""
@@ -332,8 +336,8 @@ def _sequence_stacks(
 def sequence_toward(
     y: DensityMatrix,
     j: int,
-    rate: float = 0.5,
-    length: int = 22,
+    rate: float = SEQUENCE_RATE,
+    length: int = SEQUENCE_LENGTH,
     seed: int = 0,
     index: int = 0,
 ) -> list[tuple[DensityMatrix, DensityMatrix]]:

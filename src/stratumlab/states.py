@@ -287,12 +287,12 @@ def bloch_matrix(t: float, x) -> np.ndarray:
     )
 
 
-def bloch_state(x, t: float = 1.0, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """State of M_2(C) with Bloch vector x (needs |x| <= t, trace t = 1).
+def bloch_state(x, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    """State of M_2(C) with Bloch vector x, |x| <= 1: bloch_matrix(1, x).
 
     Pure exactly when |x| = 1.
     """
-    return validate_density(bloch_matrix(t, x), full_algebra(2), tol)
+    return validate_density(bloch_matrix(1.0, x), full_algebra(2), tol)
 
 
 def cone_matrix(t: float, x) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Each suite returns a JSON-serializable dict: the parameters it ran with, the
 per-check details, and a single "passed" verdict. The acceptance tests run
-the same code at their mandated sample counts; the CLI exposes the knobs.
+the same code at their mandated sample counts. The CLI passes a suite only
+the options its row of cli._TAKES lists; every other threshold is a module
+constant.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from .charts import contour_quadrature
 from .joins import JOIN_RANK_NOTE, _join_stack, _split_stack, convex_split, join_piece_label
 from .joins import join_state, make_join_point, rank_of_join
 from .orbits import isotropy_dim, orbit_dim_stack, orbit_signature_stack
-from .sampler import _algebra_stack, _hs_stack, _rng, sample_rank, sample_unitary
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _hs_stack, _rng
+from .sampler import sample_rank, sample_unitary
 from .states import (
     DEFAULT_TOL,
     AlgebraDescriptor,
@@ -26,11 +29,14 @@ from .states import (
     validate_stack,
 )
 from .strata import classify
-from .whitney import frontier_matrix, whitney_b_estimate, whitney_negative_control
+from .whitney import GAP_THRESHOLD, frontier_matrix, whitney_b_estimate
+from .whitney import whitney_negative_control
 
 CONTOUR_RADIUS = 0.25
 SMALL_BAND = 0.15
 LARGE_BAND = (0.4, 1.0)
+# least fitted log-log decay rate of a passing Whitney row
+MIN_SLOPE = 0.4
 
 
 def _require_at_least(least: int, **sizes: int) -> None:
@@ -92,15 +98,7 @@ def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) ->
     }
 
 
-def suite_whitney(
-    max_dim: int = 3,
-    trials: int = 10,
-    seed: int = 0,
-    rate: float = 0.5,
-    length: int = 22,
-    gap_threshold: float = 1e-3,
-    min_slope: float = 0.4,
-) -> dict:
+def suite_whitney(max_dim: int = 3, trials: int = 10, seed: int = 0) -> dict:
     """Whitney (B) gap decay for every stratum pair i < j up to max_dim,
     with the random-plane negative control."""
     _require_at_least(2, max_dim=max_dim)
@@ -111,14 +109,9 @@ def suite_whitney(
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 y = sample_rank(n, i, seed, index=n * 100 + i * 10 + j)
-                rep = whitney_b_estimate(
-                    y, j, rate=rate, length=length, trials=trials, seed=seed,
-                    gap_threshold=gap_threshold,
-                )
-                control = whitney_negative_control(
-                    rep.terminal_pairs, seed=seed, gap_threshold=gap_threshold
-                )
-                slope_ok = rep.slope >= min_slope
+                rep = whitney_b_estimate(y, j, trials=trials, seed=seed)
+                control = whitney_negative_control(rep.terminal_pairs, seed=seed)
+                slope_ok = rep.slope >= MIN_SLOPE
                 row_ok = bool(rep.passed and slope_ok and control["fraction_failed"] >= 0.95)
                 all_ok = all_ok and row_ok
                 rows.append(
@@ -141,10 +134,10 @@ def suite_whitney(
         "max_dim": max_dim,
         "trials": trials,
         "seed": seed,
-        "rate": rate,
-        "length": length,
-        "gap_threshold": gap_threshold,
-        "min_slope": min_slope,
+        "rate": SEQUENCE_RATE,
+        "length": SEQUENCE_LENGTH,
+        "gap_threshold": GAP_THRESHOLD,
+        "min_slope": MIN_SLOPE,
         "pairs": rows,
         "passed": all_ok,
     }

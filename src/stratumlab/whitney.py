@@ -30,11 +30,19 @@ import numpy as np
 
 from . import linalg
 from .errors import CoincidentPoints
-from .sampler import _rng, _sequence_base, _sequence_stacks, approach_state, sample_algebra, standard_normal
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _rng, _sequence_base, _sequence_stacks
+from .sampler import approach_state, sample_algebra, standard_normal
 from .states import AlgebraDescriptor, DensityMatrix, _validated_states
 from .strata import StratumLabel, classify, frontier_leq, tangent_basis_stack
 
 SLOPE_FIT_FLOOR = 1e-13
+
+# a Whitney estimate passes when its terminal gaps are at most GAP_THRESHOLD
+# at a terminal distance of at most WHITNEY_DISTANCE
+GAP_THRESHOLD = 1e-3
+WHITNEY_DISTANCE = 1e-6
+# dimension of the negative control's random plane
+CONTROL_PLANE_DIM = 2
 
 # approximant step and witness distance of the frontier checks
 FRONTIER_DELTA = 4e-7
@@ -143,32 +151,24 @@ class WhitneyReport:
             raise ValueError("gaps cannot be negative")
 
 
-def whitney_b_estimate(
-    y: DensityMatrix,
-    j: int,
-    rate: float = 0.5,
-    length: int = 22,
-    trials: int = 50,
-    seed: int = 0,
-    gap_threshold: float = 1e-3,
-    distance_target: float = 1e-6,
-) -> WhitneyReport:
+def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0) -> WhitneyReport:
     """Estimate the Whitney (B) secant-tangent gaps at y against stratum j.
 
-    Runs `trials` independent approach sequences, measures the gap of the
-    moving-base secant (x_k to y_k) and the fixed-base secant (x_k to y)
-    against the tangent space of the rank-j stratum at x_k, and aggregates
-    per-step maxima. Passes when the terminal distance reaches
-    distance_target and both terminal gaps are below gap_threshold.
+    Runs `trials` independent approach sequences (sequence_toward at its
+    default rate and length), measures the gap of the moving-base secant
+    (x_k to y_k) and the fixed-base secant (x_k to y) against the tangent
+    space of the rank-j stratum at x_k, and aggregates per-step maxima.
+    Passes when the terminal distance reaches WHITNEY_DISTANCE and both
+    terminal gaps are at most GAP_THRESHOLD.
     """
     label_j = StratumLabel(alg=y.alg, per_block=(j,))
-    gaps_b = np.zeros((trials, length))
-    gaps_a = np.zeros((trials, length))
-    dists = np.zeros((trials, length))
+    gaps_b = np.zeros((trials, SEQUENCE_LENGTH))
+    gaps_a = np.zeros((trials, SEQUENCE_LENGTH))
+    dists = np.zeros((trials, SEQUENCE_LENGTH))
     terminal_pairs = []
-    base = _sequence_base(y, j, rate)
+    base = _sequence_base(y, j, SEQUENCE_RATE)
     for t in range(trials):
-        xs, ys = _sequence_stacks(y, j, base, rate, length, seed, t)
+        xs, ys = _sequence_stacks(y, j, base, SEQUENCE_RATE, SEQUENCE_LENGTH, seed, t)
         # the last pair alone, not views that keep the stacks alive
         terminal_pairs.append(tuple(_validated_states(np.array([xs[-1], ys[-1]]), y.alg, y.tol)))
         # per step, the moving base y_k then the fixed base y: the order in
@@ -195,24 +195,26 @@ def whitney_b_estimate(
         # fast as measurable
         slope = float("inf")
     passed = bool(
-        max_d[-1] <= distance_target
-        and max_b[-1] <= gap_threshold
-        and max_a[-1] <= gap_threshold
+        max_d[-1] <= WHITNEY_DISTANCE
+        and max_b[-1] <= GAP_THRESHOLD
+        and max_a[-1] <= GAP_THRESHOLD
     )
     return WhitneyReport(
         n=y.dim,
         base_rank=base[0].total,
         target_rank=j,
-        rate=rate,
-        length=length,
+        rate=SEQUENCE_RATE,
+        length=SEQUENCE_LENGTH,
         trials=trials,
         seed=seed,
-        gap_threshold=gap_threshold,
-        distance_target=distance_target,
+        gap_threshold=GAP_THRESHOLD,
+        distance_target=WHITNEY_DISTANCE,
         slope_fit_floor=SLOPE_FIT_FLOOR,
-        pairs=tuple((k + 1, float(max_d[k]), float(max_b[k])) for k in range(length)),
+        pairs=tuple(
+            (k + 1, float(max_d[k]), float(max_b[k])) for k in range(SEQUENCE_LENGTH)
+        ),
         pairs_fixed_base=tuple(
-            (k + 1, float(max_d[k]), float(max_a[k])) for k in range(length)
+            (k + 1, float(max_d[k]), float(max_a[k])) for k in range(SEQUENCE_LENGTH)
         ),
         slope=slope,
         terminal_distance=float(max_d[-1]),
@@ -223,12 +225,7 @@ def whitney_b_estimate(
     )
 
 
-def whitney_negative_control(
-    terminal_pairs,
-    seed: int = 0,
-    gap_threshold: float = 1e-3,
-    subspace_dim: int = 2,
-) -> dict:
+def whitney_negative_control(terminal_pairs, seed: int = 0) -> dict:
     """Detector sensitivity check: replace the tangent space by a fixed random
     plane of traceless Hermitians and count the trials whose terminal gap
     still passes. A healthy detector fails nearly all of them.
@@ -238,8 +235,8 @@ def whitney_negative_control(
     Trial t draws its plane from the (seed, 7, t) stream and measures the
     moving-base secant of its pair against it.
 
-    Returns a dict with the per-trial terminal gaps and the fraction failing
-    the gap criterion.
+    Returns a dict with the per-trial terminal gaps and the fraction whose
+    gap exceeds GAP_THRESHOLD.
     """
     trials = len(terminal_pairs)
     if trials == 0:
@@ -250,7 +247,7 @@ def whitney_negative_control(
         n = x.dim
         rng = _rng(seed, 7, t)
         plane = []
-        for _ in range(subspace_dim):
+        for _ in range(CONTROL_PLANE_DIM):
             g = standard_normal(rng, (n, n)) + 1j * standard_normal(rng, (n, n))
             h = linalg.hermitian_part(g)
             h -= np.trace(h).real * np.eye(n) / n
@@ -259,7 +256,7 @@ def whitney_negative_control(
             plane.append(h / linalg.hs_norm(h))
         gap = gap_line_space(secant_direction(x.matrix, yk.matrix), plane)
         terminal_gaps.append(float(gap))
-        if gap > gap_threshold:
+        if gap > GAP_THRESHOLD:
             fails += 1
     return {
         "trials": trials,
@@ -292,14 +289,7 @@ class FrontierReport:
     min_floor: float
 
 
-def _frontier_report(
-    i: StratumLabel,
-    j: StratumLabel,
-    ys,
-    seed: int,
-    delta: float,
-    distance_target: float,
-) -> FrontierReport:
+def _frontier_report(i: StratumLabel, j: StratumLabel, ys, seed: int) -> FrontierReport:
     """Reachability of stratum i from stratum j, witnessed at the sampled
     rank-i points ys (ys[s] drawn with index s)."""
     expected = frontier_leq(i, j)
@@ -309,10 +299,10 @@ def _frontier_report(
     reachable = True
     for s, y in enumerate(ys):
         if comparable:
-            x = approach_state(y, j, delta=delta, seed=seed, index=s)
+            x = approach_state(y, j, delta=FRONTIER_DELTA, seed=seed, index=s)
             d = linalg.hs_norm(x.matrix - y.matrix)
             max_distance = max(max_distance, d)
-            if d > distance_target or classify(x).per_block != j.per_block:
+            if d > FRONTIER_DISTANCE or classify(x).per_block != j.per_block:
                 reachable = False
         else:
             floor_sq = 0.0
@@ -323,10 +313,9 @@ def _frontier_report(
                     floor_sq += float(np.sum(positive[: ib - jb] ** 2))
             floor = float(np.sqrt(floor_sq))
             min_floor = min(min_floor, floor)
-            if floor <= distance_target:
-                # cannot certify impossibility at this resolution
-                reachable = True
-    if not comparable and min_floor > distance_target:
+    # a floor at or below FRONTIER_DISTANCE cannot certify impossibility at
+    # this resolution, and leaves the pair reachable
+    if not comparable and min_floor > FRONTIER_DISTANCE:
         reachable = False
     return FrontierReport(
         source=i.per_block,
@@ -352,18 +341,17 @@ def frontier_check(
     j: StratumLabel,
     samples: int = 15,
     seed: int = 0,
-    delta: float = FRONTIER_DELTA,
-    distance_target: float = FRONTIER_DISTANCE,
 ) -> FrontierReport:
     """Decide empirically whether stratum i lies in the closure of stratum j.
 
     For componentwise-comparable pairs, constructs a rank-j approximant
-    within distance_target of every sampled rank-i point. For incomparable pairs,
-    evaluates the Eckart-Young floor: the distance from the sampled point to
-    anything with the lower block rank, which must exceed distance_target.
+    within FRONTIER_DISTANCE of every sampled rank-i point, FRONTIER_DELTA
+    away. For incomparable pairs, evaluates the Eckart-Young floor: the
+    distance from the sampled point to anything with the lower block rank,
+    which must exceed FRONTIER_DISTANCE.
     """
     ys = _frontier_sources(i, samples, seed)
-    return _frontier_report(i, j, ys, seed, delta, distance_target)
+    return _frontier_report(i, j, ys, seed)
 
 
 def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) -> dict:
@@ -380,7 +368,7 @@ def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) ->
         ys = _frontier_sources(a, samples, seed)
         e_row, r_row = [], []
         for b in labels:
-            rep = _frontier_report(a, b, ys, seed, FRONTIER_DELTA, FRONTIER_DISTANCE)
+            rep = _frontier_report(a, b, ys, seed)
             e_row.append(rep.expected)
             r_row.append(rep.reachable)
             if not rep.matches:

@@ -193,6 +193,15 @@ def test_cli_nan_payload_fails_closed(tmp_path):
     assert "\n" not in elapsed.rstrip("\n")
 
 
+def test_cli_deeply_nested_matrix_file_is_a_schema_error(tmp_path):
+    # json.loads recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = _run_cli(["classify", str(path)])
+    assert (code, out) == (1, "")
+    assert _single_error(err, 1)["error"] == "SchemaError"
+
+
 def test_cli_exit_3_on_solver_failure(mm3_file, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -262,7 +271,9 @@ def test_cli_chart_exit_codes(tmp_path, capsys):
 
 
 def test_cli_verify_exit_4_on_failed_suite(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "always-fail", lambda **kw: {"passed": False})
+    from stratumlab import verify
+
+    monkeypatch.setitem(verify.SUITES, "always-fail", lambda **kw: {"passed": False})
     assert cli.main(["verify", "always-fail"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"] == {"passed": False}
@@ -284,6 +295,14 @@ def test_cli_verify_echoes_the_suites_own_defaults(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"] == {"seed": 0, "trials": 10, "max_dim": 3, "out": None}
     assert (payload["report"]["trials"], payload["report"]["max_dim"]) == (10, 3)
+
+
+def test_cli_verify_help_shows_the_suites_own_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "whitney", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for option, default in (("trials", 10), ("max-dim", 3), ("seed", 0)):
+        assert re.search(rf"--{option} \S+ [^-]*\(default {default}\)", text), option
 
 
 def test_cli_demo_simplex_rows(capsys):
@@ -312,6 +331,30 @@ def test_cli_subprocess_end_to_end(mm3_file):
     assert run.returncode == 0
     assert json.loads(run.stdout)["total_rank"] == 3
     assert "# elapsed" in run.stderr
+
+
+# runs `python -m stratumlab` on its arguments, then lists sys.modules on stderr
+LOADED_MODULES = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+sys.argv[0] = "stratumlab"
+runpy.run_module("stratumlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_per_state_commands_never_load_the_suites(chart_files):
+    center, point, state = chart_files
+    suites = {"stratumlab.verify", "stratumlab.whitney", "stratumlab.sampler", "stratumlab.joins"}
+    for argv in (["classify", state], ["chart", center, point]):
+        run = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        loaded = set(run.stderr.splitlines()[-1].split())
+        assert "stratumlab.strata" in loaded
+        assert not loaded & suites, argv
+    # a bare import loads the package stub alone; a submodule loads on use
+    bare = "import sys, stratumlab; assert 'numpy' not in sys.modules; stratumlab.linalg.hs_norm"
+    assert subprocess.run([sys.executable, "-c", bare]).returncode == 0
 
 
 def test_cli_subprocess_demo_deterministic():
