@@ -117,13 +117,14 @@ def make_join_point(
 
 
 def _split_stack(
-    hs: np.ndarray, alg: AlgebraDescriptor, split, tol=DEFAULT_TOL, drop_tol=WEIGHT_DROP_TOL
+    hs: np.ndarray, alg: AlgebraDescriptor, split, tol=DEFAULT_TOL
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """convex_split of each state of a validated (B, n, n) stack of alg at tol.
 
     Returns the (B, k) weights (0.0 where a summand's weight is at or below
-    drop_tol), the k validated component stacks (zero where the weight is
-    0.0) and the (B, k) tolerances the components were validated with.
+    WEIGHT_DROP_TOL), the k validated component stacks (zero where the
+    weight is 0.0) and the (B, k) tolerances the components were validated
+    with.
     Errors are raised summand by summand, each for its first failing row.
     """
     weights = np.zeros((len(hs), len(split)))
@@ -137,7 +138,7 @@ def _split_stack(
         w = 0.0
         for sl in sub.block_slices():
             w = w + np.maximum(np.trace(comp[:, sl, sl], axis1=1, axis2=2).real, 0.0)
-        keep = w > drop_tol
+        keep = w > WEIGHT_DROP_TOL
         w = weights[keep, j] = w[keep]
         # positivity of the compression is only as sharp as tol / w
         tols[keep, j] = np.maximum(tol, 2.0 * tol / w)

@@ -9,7 +9,8 @@ byte content of golden outputs depends only on the uniform stream.
 Draws of one ensemble are built as (B, n, n) stacks: each draw still takes
 its uniforms from its own generator, the transform and products run once on
 the stack, and every row is bit for bit the matrix a lone draw gives
-(sample_hs and sample_algebra are one-draw stacks).
+(sample_hs and sample_algebra are one-draw stacks). Approximants of a stack
+of points are built the same way (approach_state is the one-point stack).
 
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
@@ -34,6 +35,7 @@ from .states import (
 from .strata import (
     StratumLabel,
     classify,
+    classify_stack,
     numerical_rank,
     rank_from_eigenvalues,
     retract_stack,
@@ -45,6 +47,8 @@ MAX_RESAMPLE = 100
 # step ratio and step count of an approach sequence
 SEQUENCE_RATE = 0.5
 SEQUENCE_LENGTH = 22
+# step of an approximant: approach_state's default, and the frontier checks'
+FRONTIER_DELTA = 4e-7
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -81,19 +85,21 @@ def ginibre(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return complex_normal(rng, (n, m))
 
 
-def _gram_stack(shapes, rngs) -> np.ndarray:
+def _gram_stack(shapes, u) -> np.ndarray:
     """The (B, n, n) stack of trace-one block-diagonal matrices
-    sum_b g_b g_b^dagger / trace, one per generator that rngs yields.
+    sum_b g_b g_b^dagger / trace, one per row of a (B, length) uniform
+    array u, or per generator that u yields (each gives one row).
 
     Block b's factor g_b of shape shapes[b] = (n_b, r_b) takes the next
-    2 n_b r_b uniforms of its generator as ginibre does (moduli, then
-    phases); r_b = 0 leaves the block zero. The transform gets contiguous
-    uniform stacks and each trace sums the complex diagonal (a sum of its
-    real parts rounds differently), so every row is the per-draw matrix.
+    2 n_b r_b uniforms of its row as ginibre does (moduli, then phases);
+    r_b = 0 leaves the block zero. The transform gets contiguous uniform
+    stacks and each trace sums the complex diagonal (a sum of its real parts
+    rounds differently), so every row is the per-draw matrix.
     """
-    length = 2 * sum(nb * r for nb, r in shapes)
-    # one generator alive at a time: a stack of them costs kilobytes per draw
-    u = np.fromiter((rng.random(length) for rng in rngs), dtype=(float, length))
+    if not isinstance(u, np.ndarray):
+        length = 2 * sum(nb * r for nb, r in shapes)
+        # one generator alive at a time: a stack of them costs kilobytes per draw
+        u = np.fromiter((rng.random(length) for rng in u), dtype=(float, length))
     n = sum(nb for nb, _ in shapes)
     m = np.zeros((len(u), n, n), dtype=complex)
     at = col = 0
@@ -212,28 +218,26 @@ def sample_algebra(
     raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
 
 
-def _conditioned_mixture(rng: np.random.Generator, r: int) -> np.ndarray:
-    """Trace-one positive matrix with smallest eigenvalue >= 1/(2r): half a
-    normalized Wishart plus half the normalized identity."""
-    return 0.5 * _gram_stack([(r, r)], [rng])[0] + 0.5 * np.eye(r) / r
+def _kernel_frame(blocks: np.ndarray, i: int) -> np.ndarray:
+    """Kernel frames of rank-i blocks, of a matrix or of each matrix of a
+    stack: their first n - i gauge-fixed eigenvectors."""
+    n = blocks.shape[-1]
+    if i == 0:
+        return np.broadcast_to(np.eye(n, dtype=complex), blocks.shape)
+    return linalg.eigh_fixed(blocks)[1][..., : n - i]
 
 
-def _kernel_frame(block: np.ndarray, i: int) -> np.ndarray:
-    """Kernel frame of a rank-i block: its first n - i gauge-fixed eigenvectors."""
-    n = block.shape[0]
-    return np.eye(n, dtype=complex) if i == 0 else linalg.eigh_fixed(block)[1][:, : n - i]
-
-
-def _kernel_summand(
-    kernel: np.ndarray, r: int, rng: np.random.Generator, seed: int, rot_index: int
+def _kernel_summands(
+    kernels: np.ndarray, rotations: np.ndarray, r: int, u: np.ndarray
 ) -> np.ndarray:
-    """A trace-one rank-r state supported on a kernel frame: support tau
-    support^dagger, with support the first r columns of the frame rotated by
-    the Haar unitary sample_unitary(frame columns, seed, rot_index), and tau
-    drawn from rng."""
-    support = kernel @ sample_unitary(kernel.shape[1], seed, rot_index)[:, :r]
-    tau = _conditioned_mixture(rng, r)
-    return support @ tau @ support.conj().T
+    """Trace-one rank-r states supported on kernel frames, one per row of
+    the (B, n, m) frames: support tau support^dagger, with support the first
+    r columns of the frame rotated by the row's Haar unitary, and tau half a
+    normalized Wishart (from the row's 2 r^2 uniforms u) plus half the
+    normalized identity, so its smallest eigenvalue is >= 1/(2r)."""
+    support = kernels @ rotations[..., :r]
+    tau = 0.5 * _gram_stack([(r, r)], u) + 0.5 * np.eye(r) / r
+    return support @ tau @ support.conj().swapaxes(-1, -2)
 
 
 def _audit_ranks(ms: np.ndarray, expect: int, tol: float) -> None:
@@ -313,7 +317,9 @@ def _sequence_stacks(
     label_i, kernel, basis = base
     n = y.dim
     rng = _rng(seed, 5, index)
-    sigma = _kernel_summand(kernel, j - label_i.total, rng, seed, 1000 + index)
+    r = j - label_i.total
+    rotation = sample_unitary(kernel.shape[1], seed, 1000 + index)
+    sigma = _kernel_summands(kernel[None], rotation[None], r, rng.random((1, 2 * r * r)))[0]
     deltas = np.array([rate**k for k in range(1, length + 1)])
     # each step's two uniform arrays, in the order standard_normal would
     # draw them step by step, and handed over contiguous as it hands them
@@ -366,10 +372,82 @@ def sequence_toward(
     return list(zip(_validated_states(xs, y.alg, y.tol), _validated_states(ys, y.alg, y.tol)))
 
 
+def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, indices):
+    """What the approximants of a validated (B, n, n) stack of points of
+    label's stratum share, whatever the target (row b is approach_state's
+    point at index indices[b]): (label, tol, seed, indices, frames), frames
+    holding per block that is not full the rows' kernel frames and Haar
+    rotations sample_unitary(n_b - i_b, seed, 2000 + 16 index + b)."""
+    alg = label.alg
+    frames = {}
+    for b, (sl, nb, ib) in enumerate(zip(alg.block_slices(), alg.block_sizes, label.per_block)):
+        if ib < nb:
+            rotations = [sample_unitary(nb - ib, seed, 2000 + 16 * index + b) for index in indices]
+            frames[b] = _kernel_frame(hs[:, sl, sl], ib), np.array(rotations)
+    return label, tol, seed, tuple(indices), frames
+
+
+def _audit_approximants(xm: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
+    """Validate a (B, n, n) stack of approximants and refuse it unless every
+    one classifies as target."""
+    xs = validate_stack(xm, target.alg, tol)
+    got = classify_stack(xs, target.alg, tol)
+    wrong = np.flatnonzero((got != target.per_block).any(axis=1))
+    if wrong.size:
+        raise RuntimeError(
+            f"constructed approximant classifies as {tuple(got[wrong[0]].tolist())}, "
+            f"wanted {target.per_block}"
+        )
+    return xs
+
+
+def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) -> np.ndarray:
+    """The validated stack of the approach_state approximants of the rows
+    of hs, from their _approach_base; hs itself when target is their label.
+
+    Each row draws the uniforms of every raised block's tau, in block
+    order, from its (seed, 6, index) stream at once; sigma comes from
+    stacked products, and one validation and audit run on the stack. So
+    every row is approach_state's, bit for bit, and when rows fail the error
+    is the one of the first failing row.
+    """
+    label, tol, seed, indices, frames = base
+    if target.alg != label.alg:
+        raise ValueError("target label belongs to a different algebra")
+    if any(jb < ib for ib, jb in zip(label.per_block, target.per_block)):
+        raise ValueError(
+            "target drops some block rank; no nearby state can reach it "
+            f"({label.per_block} -> {target.per_block})"
+        )
+    pairs = enumerate(zip(label.per_block, target.per_block))
+    raises = [(b, jb - ib) for b, (ib, jb) in pairs if jb > ib]
+    if not raises:
+        return hs
+    length = 2 * sum(add * add for _, add in raises)
+    streams = (_rng(seed, 6, index) for index in indices)
+    u = np.fromiter((rng.random(length) for rng in streams), dtype=(float, length))
+    sigma = np.zeros(hs.shape, dtype=complex)
+    slices = label.alg.block_slices()
+    col = 0
+    for b, add in raises:
+        summands = _kernel_summands(*frames[b], add, u[:, col : col + 2 * add * add])
+        sigma[:, slices[b], slices[b]] = summands / len(raises)
+        col += 2 * add * add
+    xm = (1.0 - delta) * hs + delta * sigma
+    try:
+        return _audit_approximants(xm, target, tol)
+    except (StratumLabError, RuntimeError):
+        # raise the error of the first failing row, the first error a
+        # point-by-point construction would meet
+        for k in range(len(xm)):
+            _audit_approximants(xm[k : k + 1], target, tol)
+        raise
+
+
 def approach_state(
     y: DensityMatrix,
     target: StratumLabel,
-    delta: float = 4e-7,
+    delta: float = FRONTIER_DELTA,
     seed: int = 0,
     index: int = 0,
 ) -> DensityMatrix:
@@ -378,37 +456,9 @@ def approach_state(
     Requires target >= classify(y) per block (rank can only be raised by a
     small perturbation; lowering it is impossible nearby). Blocks whose rank
     must rise get an extra summand supported on their kernel, weight split
-    evenly; the per-block ranks of the result are audited.
+    evenly; the per-block ranks of the result are audited. This is
+    _approach_stack on the stack of one point.
     """
-    label_y = classify(y)
-    if target.alg != y.alg:
-        raise ValueError("target label belongs to a different algebra")
-    raises = [
-        (b, jb - ib)
-        for b, (ib, jb) in enumerate(zip(label_y.per_block, target.per_block))
-        if jb > ib
-    ]
-    if any(jb < ib for ib, jb in zip(label_y.per_block, target.per_block)):
-        raise ValueError(
-            "target drops some block rank; no nearby state can reach it "
-            f"({label_y.per_block} -> {target.per_block})"
-        )
-    if not raises:
-        return y
-    n = y.dim
-    rng = _rng(seed, 6, index)
-    sigma = np.zeros((n, n), dtype=complex)
-    slices = y.alg.block_slices()
-    blocks = y.blocks()
-    for b, add in raises:
-        kernel = _kernel_frame(blocks[b], label_y.per_block[b])
-        summand = _kernel_summand(kernel, add, rng, seed, 2000 + index * 16 + b)
-        sigma[slices[b], slices[b]] = summand / len(raises)
-    xm = (1.0 - delta) * y.matrix + delta * sigma
-    x = validate_density(xm, y.alg, y.tol)
-    got = classify(x)
-    if got.per_block != target.per_block:
-        raise RuntimeError(
-            f"constructed approximant classifies as {got.per_block}, wanted {target.per_block}"
-        )
-    return x
+    hs = y.matrix[None]
+    base = _approach_base(hs, classify(y), y.tol, seed, [index])
+    return _validated_states(_approach_stack(hs, base, target, delta), y.alg, y.tol)[0]

@@ -18,7 +18,12 @@ The frontier suite checks that the closure order of strata is exactly the
 componentwise per-block rank order: comparable pairs are witnessed by
 constructed approximants, incomparable pairs by the Eckart-Young distance
 floor (a rank-(j) matrix cannot approximate a rank-(i > j) block closer than
-the norm of the dropped eigenvalue tail).
+the norm of the dropped eigenvalue tail). A source label's sampled points
+are drawn one by one and then stacked; their kernel frames, Haar rotations
+and block spectra are derived once and shared by every target. Each
+comparable target gets one stack of approximants (the approach_state of
+each point, bit for bit), validated and audited once; each incomparable
+target reads its floors off the shared spectra.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ import numpy as np
 
 from . import linalg
 from .errors import CoincidentPoints
-from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _rng, _sequence_base, _sequence_stacks
-from .sampler import approach_state, sample_algebra, standard_normal
-from .states import AlgebraDescriptor, DensityMatrix, _validated_states
-from .strata import StratumLabel, classify, frontier_leq, tangent_basis_stack
+from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
+from .sampler import _approach_stack, _rng, _sequence_base, _sequence_stacks
+from .sampler import sample_algebra, standard_normal
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
+from .strata import StratumLabel, frontier_leq, tangent_basis_stack
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -44,8 +50,8 @@ WHITNEY_DISTANCE = 1e-6
 # dimension of the negative control's random plane
 CONTROL_PLANE_DIM = 2
 
-# approximant step and witness distance of the frontier checks
-FRONTIER_DELTA = 4e-7
+# witness distance of the frontier checks (their approximant step,
+# FRONTIER_DELTA, is the sampler's)
 FRONTIER_DISTANCE = 1e-6
 
 
@@ -289,51 +295,47 @@ class FrontierReport:
     min_floor: float
 
 
-def _frontier_report(i: StratumLabel, j: StratumLabel, ys, seed: int) -> FrontierReport:
+def _frontier_sources(i: StratumLabel, samples: int, seed: int):
+    """The sampled rank-i points of a frontier check, drawn one by one (point
+    s with index s) and stacked, with what every target shares: their
+    approach base and block spectra."""
+    ys = [sample_algebra(i.alg, seed, i.per_block, s, DEFAULT_TOL) for s in range(samples)]
+    hs = np.array([y.matrix for y in ys])
+    base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
+    return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)
+
+
+def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierReport:
     """Reachability of stratum i from stratum j, witnessed at the sampled
-    rank-i points ys (ys[s] drawn with index s)."""
+    rank-i points of _frontier_sources."""
+    hs, base, spectra = sources
     expected = frontier_leq(i, j)
-    comparable = all(ia <= ja for ia, ja in zip(i.per_block, j.per_block))
-    max_distance = 0.0
-    min_floor = float("inf")
-    reachable = True
-    for s, y in enumerate(ys):
-        if comparable:
-            x = approach_state(y, j, delta=FRONTIER_DELTA, seed=seed, index=s)
-            d = linalg.hs_norm(x.matrix - y.matrix)
-            max_distance = max(max_distance, d)
-            if d > FRONTIER_DISTANCE or classify(x).per_block != j.per_block:
-                reachable = False
-        else:
-            floor_sq = 0.0
-            for block, ib, jb in zip(y.blocks(), i.per_block, j.per_block):
-                if jb < ib:
-                    w = np.linalg.eigvalsh(block)
-                    positive = np.sort(w[w > 10.0 * y.tol])
-                    floor_sq += float(np.sum(positive[: ib - jb] ** 2))
-            floor = float(np.sqrt(floor_sq))
-            min_floor = min(min_floor, floor)
-    # a floor at or below FRONTIER_DISTANCE cannot certify impossibility at
-    # this resolution, and leaves the pair reachable
-    if not comparable and min_floor > FRONTIER_DISTANCE:
-        reachable = False
+    max_distance = min_floor = 0.0
+    if all(ia <= ja for ia, ja in zip(i.per_block, j.per_block)):
+        # the approximants are audited to classify as j
+        distances = linalg.hs_norm(_approach_stack(hs, base, j, FRONTIER_DELTA) - hs)
+        max_distance = float(distances.max())
+        reachable = not (distances > FRONTIER_DISTANCE).any()
+    else:
+        floor_sq = 0.0
+        for w, nb, ib, jb in zip(spectra, i.alg.block_sizes, i.per_block, j.per_block):
+            if jb < ib:
+                # the ib - jb smallest of the block's ib positive eigenvalues
+                floor_sq = floor_sq + np.sum(w[:, nb - ib : nb - jb] ** 2, axis=1)
+        min_floor = float(np.sqrt(floor_sq).min())
+        # a floor at or below FRONTIER_DISTANCE cannot certify impossibility
+        # at this resolution, and leaves the pair reachable
+        reachable = not min_floor > FRONTIER_DISTANCE
     return FrontierReport(
         source=i.per_block,
         target=j.per_block,
         expected=expected,
         reachable=reachable,
         matches=(reachable == expected),
-        samples=len(ys),
+        samples=len(hs),
         max_distance=max_distance,
-        min_floor=min_floor if min_floor != float("inf") else 0.0,
+        min_floor=min_floor,
     )
-
-
-def _frontier_sources(i: StratumLabel, samples: int, seed: int) -> list[DensityMatrix]:
-    """The sampled rank-i points of a frontier check."""
-    return [
-        sample_algebra(i.alg, seed, ranks=i.per_block, index=s) for s in range(samples)
-    ]
 
 
 def frontier_check(
@@ -350,8 +352,7 @@ def frontier_check(
     distance from the sampled point to anything with the lower block rank,
     which must exceed FRONTIER_DISTANCE.
     """
-    ys = _frontier_sources(i, samples, seed)
-    return _frontier_report(i, j, ys, seed)
+    return _frontier_report(i, j, _frontier_sources(i, samples, seed))
 
 
 def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) -> dict:
@@ -365,10 +366,10 @@ def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) ->
     reachable = []
     mismatches = []
     for a in labels:
-        ys = _frontier_sources(a, samples, seed)
+        sources = _frontier_sources(a, samples, seed)
         e_row, r_row = [], []
         for b in labels:
-            rep = _frontier_report(a, b, ys, seed)
+            rep = _frontier_report(a, b, sources)
             e_row.append(rep.expected)
             r_row.append(rep.reachable)
             if not rep.matches:

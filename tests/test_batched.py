@@ -21,6 +21,7 @@ from stratumlab import (
     classify_stack,
     enumerate_labels,
     frontier_check,
+    frontier_leq,
     frontier_matrix,
     linalg,
     maximally_mixed,
@@ -50,7 +51,13 @@ from stratumlab.joins import (
     join_state,
     summand_algebras,
 )
-from stratumlab.sampler import _algebra_stack
+from stratumlab.sampler import (
+    FRONTIER_DELTA,
+    _algebra_stack,
+    _approach_base,
+    _approach_stack,
+    approach_state,
+)
 from stratumlab.strata import (
     _tangent_template,
     rank_from_eigenvalues,
@@ -58,8 +65,14 @@ from stratumlab.strata import (
     retract_to_stratum,
     tangent_basis_stack,
 )
-from stratumlab.verify import suite_join, suite_orbit_census
+from stratumlab.verify import (
+    DEFAULT_FRONTIER_ALGEBRAS,
+    suite_frontier,
+    suite_join,
+    suite_orbit_census,
+)
 from stratumlab.whitney import (
+    _frontier_sources,
     gap_line_space,
     gap_line_space_stack,
     secant_direction,
@@ -309,6 +322,88 @@ def test_frontier_shared_sources_match_per_pair_draws(sizes):
     }
 
 
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_approach_stack_rows_match_approach_state(seed):
+    cases = 0
+    for sizes in DEFAULT_FRONTIER_ALGEBRAS:
+        alg = AlgebraDescriptor(sizes)
+        for a in enumerate_labels(alg):
+            hs, base, _ = _frontier_sources(a, 3, seed)
+            ys = [sample_algebra(alg, seed, ranks=a.per_block, index=s) for s in range(3)]
+            for b in enumerate_labels(alg):
+                if not frontier_leq(a, b):
+                    continue
+                xs = _approach_stack(hs, base, b, FRONTIER_DELTA)
+                for s, y in enumerate(ys):
+                    x = approach_state(y, b, FRONTIER_DELTA, seed, s)
+                    assert np.array_equal(xs[s], x.matrix)
+                    cases += 1
+    assert cases == 291
+
+
+def _reference_frontier_witnesses(i, j, samples, seed):
+    """Per point: the distance of approach_state from it, or the
+    Eckart-Young floor from its blocks' own eigvalsh."""
+    distances, floors = [], []
+    for s in range(samples):
+        y = sample_algebra(i.alg, seed, ranks=i.per_block, index=s)
+        if frontier_leq(i, j):
+            x = approach_state(y, j, FRONTIER_DELTA, seed, s)
+            distances.append(linalg.hs_norm(x.matrix - y.matrix))
+            continue
+        floor_sq = 0.0
+        for block, ib, jb in zip(y.blocks(), i.per_block, j.per_block):
+            if jb < ib:
+                w = np.linalg.eigvalsh(block)
+                floor_sq += float(np.sum(np.sort(w[w > 10.0 * y.tol])[: ib - jb] ** 2))
+        floors.append(float(np.sqrt(floor_sq)))
+    return max(distances, default=0.0), min(floors, default=0.0)
+
+
+@pytest.mark.parametrize("sizes", ((3,), (4,), (1, 2), (2, 2)))
+def test_frontier_check_witnesses_match_per_state_derivation(sizes):
+    alg = AlgebraDescriptor(sizes)
+    for a in enumerate_labels(alg):
+        for b in enumerate_labels(alg):
+            rep = frontier_check(a, b, samples=3, seed=41)
+            want = _reference_frontier_witnesses(a, b, 3, 41)
+            assert (rep.max_distance, rep.min_floor) == want
+            assert (rep.max_distance > 0.0) == (frontier_leq(a, b) and a != b)
+            assert (rep.min_floor > 0.0) == (not frontier_leq(a, b))
+
+
+def _first_row_error(hs, label, target):
+    """The error a row-by-row construction meets first, as (type, message)."""
+    for k in range(len(hs)):
+        base = _approach_base(hs[k : k + 1], label, 1e-9, 5, [k])
+        try:
+            _approach_stack(hs[k : k + 1], base, target, FRONTIER_DELTA)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_approach_stack_raises_the_loops_first_error():
+    alg = AlgebraDescriptor((3,))
+    label, target = StratumLabel(alg, (1,)), StratumLabel(alg, (2,))
+    good = sample_algebra(alg, 5, ranks=(1,)).matrix
+    # labelled rank 1 but of rank 2: raising its "kernel" gives rank 3
+    wrong_rank = sample_algebra(alg, 5, ranks=(2,)).matrix
+    # an eigenvalue of 3e-9 stays in the gray zone of the approximant
+    gray = np.diag([0.0, 3e-9, 1.0 - 3e-9]).astype(complex)
+    for rows, kind in (
+        ((good, wrong_rank, gray), RuntimeError),
+        ((good, gray, wrong_rank), AmbiguousRank),
+    ):
+        hs = validate_stack(np.array(rows), alg)
+        want = _first_row_error(hs, label, target)
+        assert want is not None and want[0] is kind
+        base = _approach_base(hs, label, 1e-9, 5, range(len(hs)))
+        with pytest.raises(kind) as exc:
+            _approach_stack(hs, base, target, FRONTIER_DELTA)
+        assert str(exc.value) == want[1]
+
+
 @pytest.mark.parametrize("sizes", ALGEBRAS)
 def test_eigh_fixed_stack_matches_per_matrix(sizes):
     ms = _matrices(AlgebraDescriptor(sizes))  # clustered spectra included
@@ -532,7 +627,7 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         d[: alg.block_sizes[0]] = (1.0 - weight) / alg.block_sizes[0]
         ms.append(np.diag(d).astype(complex)[None])
     hs = validate_stack(np.concatenate(ms), alg)
-    weights, comps, tols = _split_stack(hs, alg, split, 1e-9, WEIGHT_DROP_TOL)
+    weights, comps, tols = _split_stack(hs, alg, split, 1e-9)
     back = _join_stack(weights, comps, alg, 1e-9)
     assert not back.flags.writeable
     dropped = 0
@@ -552,7 +647,7 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         assert np.array_equal(back[b], join_state(p).matrix)
         ref_back = _reference_join_state(alg, split, ref_weights, ref_comps)
         assert np.array_equal(back[b], ref_back.matrix)
-    assert dropped >= 13  # every zero-rank draw and the sub-drop_tol weight
+    assert dropped >= 13  # every zero-rank draw and the sub-WEIGHT_DROP_TOL weight
 
 
 @pytest.mark.parametrize(
@@ -566,9 +661,14 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
          "86bd0d6454bb787da41a036fd4c366ba1c571bcd52c37d22ab7c3f0037f52b72"),
         (suite_join, {"samples": 200}, 20201104,
          "16d3d015bde476685efb5697ec61ef2017ce5b3f0560f5d04470a2389cf6582b"),
+        (suite_frontier, {"samples": 15}, 0,
+         "bb0c12038ba064f1987e2998d865a81cbe81d71a5fd0ed0aa96974d2ba02ef19"),
+        (suite_frontier, {"samples": 15}, 20201104,
+         "21f7676c1cff336e5058ed0b38e048eea71b4fd450886cebf1ad388bc882e90c"),
     ),
 )
 def test_stacked_suites_golden(suite, kwargs, seed, digest):
-    # computed from the per-draw census and the per-state join round trips
+    # computed from the per-draw census, the per-state join round trips and
+    # the per-state frontier approximants
     report = suite(seed=seed, **kwargs)
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest

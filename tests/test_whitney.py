@@ -8,7 +8,6 @@ from stratumlab import linalg, sampler, strata, whitney
 from stratumlab.errors import AmbiguousRank, CoincidentPoints
 from stratumlab.fileio import canonical_json
 from stratumlab.sampler import (
-    _conditioned_mixture,
     _rng,
     sample_rank,
     sample_unitary,
@@ -187,7 +186,6 @@ def test_whitney_estimate_derives_y_data_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(sampler, "classify", lambda rho: rho is y)
-    count(whitney, "classify", lambda rho: rho is y)
     count(sampler, "tangent_basis", lambda rho: rho is y)
     count(linalg, "eigh_fixed", lambda m: m.shape == y.matrix.shape and np.array_equal(m, y.matrix))
     rep = whitney_b_estimate(y, 2, trials=5, seed=38)
@@ -289,7 +287,8 @@ def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
     rng = _rng(seed, 5, index)
     rot = sample_unitary(n - i, seed, 1000 + index)
     support = kernel @ rot[:, :r]
-    tau = _conditioned_mixture(rng, r)
+    # half a normalized Wishart plus half the normalized identity
+    tau = 0.5 * sampler._gram_stack([(r, r)], [rng])[0] + 0.5 * np.eye(r) / r
     sigma = support @ tau @ support.conj().T
     basis = tangent_basis(y, label=label_i)
     out = []
