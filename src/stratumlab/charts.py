@@ -29,7 +29,7 @@ from .errors import (
     NotInChartDomain,
     NotOrthonormal,
 )
-from .states import AlgebraDescriptor, DensityMatrix, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
 from .strata import numerical_rank, rank_from_eigenvalues
 
 MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
@@ -67,31 +67,25 @@ class ChartConfig:
             )
 
 
-def spectral_gap(f: DensityMatrix, tol: float | None = None) -> float:
-    """Smallest positive eigenvalue of f (gray-zone rank protocol).
+def spectral_gap(f: DensityMatrix) -> float:
+    """Smallest positive eigenvalue of f (gray-zone rank protocol at f.tol).
 
-    Raises ValueError when tol declares every eigenvalue zero.
+    Raises ValueError when f.tol declares every eigenvalue zero.
     """
-    if tol is None:
-        tol = f.tol
     w = f.eigenvalues()
-    i = rank_from_eigenvalues(w, tol)
+    i = rank_from_eigenvalues(w, f.tol)
     if i == 0:
-        raise ValueError(f"tolerance {tol:.6g} declares every eigenvalue of the center zero")
+        raise ValueError(f"tolerance {f.tol:.6g} declares every eigenvalue of the center zero")
     return float(w[f.dim - i])
 
 
-def chart_config_for(
-    f: DensityMatrix,
-    epsilon: float | None = None,
-    tol: float | None = None,
-) -> ChartConfig:
+def chart_config_for(f: DensityMatrix, epsilon: float | None = None) -> ChartConfig:
     """Default chart configuration centered at f.
 
     epsilon defaults to a quarter of the spectral gap; the contour radius sits
     halfway between epsilon and gap - epsilon.
     """
-    a = spectral_gap(f, tol)
+    a = spectral_gap(f)
     if epsilon is None:
         epsilon = a / 4.0
     radius = 0.5 * (epsilon + (a - epsilon))
@@ -124,7 +118,7 @@ class ChartPoint:
     frame_range: np.ndarray
     cone_part: np.ndarray
     base_part: np.ndarray
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         n = self.alg.dim
@@ -210,18 +204,17 @@ def chart_forward(
     )
 
 
-def chart_inverse(p: ChartPoint, tol: float | None = None) -> DensityMatrix:
+def chart_inverse(p: ChartPoint) -> DensityMatrix:
     """Rebuild the density matrix of a chart value.
 
     cone on W plus (1 - alpha) base on W-perp; defined whenever the chart
     point is valid (its constructor already enforces alpha's budget on the
-    forward path, and PSD/trace on both parts).
+    forward path, and PSD/trace on both parts). The state is validated at
+    p.tol.
     """
-    if tol is None:
-        tol = p.tol
     w, c = p.frame_kernel, p.frame_range
     m = w @ p.cone_part @ w.conj().T + (1.0 - p.alpha) * (c @ p.base_part @ c.conj().T)
-    return validate_density(linalg.hermitian_part(m), p.alg, tol)
+    return validate_density(linalg.hermitian_part(m), p.alg, p.tol)
 
 
 def small_spectral_projector(g: np.ndarray, threshold: float) -> np.ndarray:

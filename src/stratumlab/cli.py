@@ -47,7 +47,7 @@ import numpy as np
 from . import linalg
 from .charts import MIN_NODES, chart_config_for, chart_forward, chart_inverse
 from .errors import SchemaError, StratumLabError, ValidationError
-from .fileio import canonical_json, read_matrix
+from .fileio import canonical_json, grid_payload, read_matrix
 from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim, orbit_signature
 from .states import (
     DEFAULT_TOL,
@@ -185,14 +185,6 @@ def _given(args) -> dict:
     return given
 
 
-def _grid_payload(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
-
-
 def _signature_string(sig) -> str:
     return ";".join("+".join(str(m) for m in block) for block in sig.per_block)
 
@@ -200,7 +192,7 @@ def _signature_string(sig) -> str:
 def _cmd_classify(args, config: dict, given: dict) -> tuple[str, int]:
     matrix, alg = read_matrix(args.input)
     rho = validate_density(matrix, alg, tol=config["tol_rank"])
-    label = classify(rho, tol=config["tol_rank"])
+    label = classify(rho)
     sig = orbit_signature(rho, cluster_tol=config["cluster_tol"])
     report = {
         "command": "classify",
@@ -214,7 +206,7 @@ def _cmd_classify(args, config: dict, given: dict) -> tuple[str, int]:
         "is_pure": is_pure(rho),
         "orbit_signature": [list(b) for b in sig.per_block],
         "isotropy_dim": isotropy_dim(sig),
-        "orbit_dim": orbit_dim(rho, tol=config["tol_rank"]),
+        "orbit_dim": orbit_dim(rho),
         "unitary_group_dim": alg.unitary_group_dim,
     }
     return canonical_json(report), 0
@@ -230,7 +222,7 @@ def _cmd_chart(args, config: dict, given: dict) -> tuple[str, int]:
         )
     f = validate_density(center_m, center_alg, tol=config["tol_rank"])
     g = validate_density(point_m, point_alg, tol=config["tol_rank"])
-    chart_cfg = chart_config_for(f, epsilon=config["epsilon"], tol=config["tol_rank"])
+    chart_cfg = chart_config_for(f, epsilon=config["epsilon"])
     p = chart_forward(f, g, chart_cfg)
     back = chart_inverse(p)
     report = {
@@ -244,9 +236,9 @@ def _cmd_chart(args, config: dict, given: dict) -> tuple[str, int]:
         "contour_radius": chart_cfg.contour_radius,
         "center_rank": p.frame_range.shape[1],
         "alpha": p.alpha,
-        "kernel_projector": _grid_payload(p.frame_kernel @ p.frame_kernel.conj().T),
-        "cone_part": _grid_payload(p.cone_part),
-        "base_part": _grid_payload(p.base_part),
+        "kernel_projector": grid_payload(p.frame_kernel @ p.frame_kernel.conj().T),
+        "cone_part": grid_payload(p.cone_part),
+        "base_part": grid_payload(p.base_part),
         "round_trip_error": linalg.hs_norm(back.matrix - g.matrix),
     }
     return canonical_json(report), 0
@@ -275,7 +267,7 @@ def _demo_bloch(resolution: int, tol_rank: float, cluster_tol: float) -> str:
                 valid = norm <= 1.0 + 1e-12
                 if valid:
                     rho = bloch_state((x1, x2, x3), tol=tol_rank)
-                    rank = str(classify(rho, tol=tol_rank).total)
+                    rank = str(classify(rho).total)
                     sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
                 else:
                     rank, sig = "", ""
@@ -303,7 +295,7 @@ def _demo_cone(resolution: int, tol_rank: float, cluster_tol: float) -> str:
                 valid = norm <= t + 1e-12
                 if valid:
                     rho = cone_state(t, (x1, 0.0, x3), tol=tol_rank)
-                    label = classify(rho, tol=tol_rank)
+                    label = classify(rho)
                     r1, r2 = label.per_block
                     total = str(label.total)
                     sig = _signature_string(orbit_signature(rho, cluster_tol=cluster_tol))
@@ -327,7 +319,7 @@ def _demo_simplex(resolution: int, tol_rank: float) -> str:
                 d = n - a - b - c
                 p = (a / n, b / n, c / n, d / n)
                 rho = simplex_state(p, tol=tol_rank)
-                label = classify(rho, tol=tol_rank)
+                label = classify(rho)
                 ranks = ";".join(str(r) for r in label.per_block)
                 rows.append(
                     f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(p[3])},"

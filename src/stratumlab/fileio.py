@@ -92,14 +92,17 @@ def read_matrix(path: str) -> tuple[np.ndarray, AlgebraDescriptor]:
     return parse_matrix_payload(payload)
 
 
-def matrix_payload(matrix: np.ndarray, alg: AlgebraDescriptor) -> dict:
+def grid_payload(matrix: np.ndarray) -> dict:
+    """The "re" and "im" nested lists of a complex matrix."""
     m = np.asarray(matrix, dtype=complex)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "alg": list(alg.block_sizes),
         "re": [[float(x) for x in row] for row in m.real],
         "im": [[float(x) for x in row] for row in m.imag],
     }
+
+
+def matrix_payload(matrix: np.ndarray, alg: AlgebraDescriptor) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "alg": list(alg.block_sizes), **grid_payload(matrix)}
 
 
 def write_matrix(path: str, matrix: np.ndarray, alg: AlgebraDescriptor) -> None:

@@ -183,13 +183,15 @@ def _join_stack(
     return validate_stack(m, alg, tol)
 
 
-def join_state(p: JoinPoint, tol: float = 1e-9) -> DensityMatrix:
-    """Assemble the density matrix sum_j w_j phi_j of a join point."""
+def join_state(p: JoinPoint) -> DensityMatrix:
+    """Assemble the density matrix sum_j w_j phi_j of a join point, validated
+    at DEFAULT_TOL."""
     comps = [
         np.zeros((1, sub.dim, sub.dim), dtype=complex) if comp is None else comp.matrix[None]
         for comp, sub in zip(p.components, summand_algebras(p.alg, p.split))
     ]
-    return _validated_states(_join_stack(np.array([p.weights]), comps, p.alg, tol), p.alg, tol)[0]
+    hs = _join_stack(np.array([p.weights]), comps, p.alg)
+    return _validated_states(hs, p.alg, DEFAULT_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -221,18 +223,15 @@ class JoinPieceLabel:
         return f"J[{present}]"
 
 
-def join_piece_label(p: JoinPoint, tol: float | None = None) -> JoinPieceLabel:
+def join_piece_label(p: JoinPoint) -> JoinPieceLabel:
     """Locate a join point inside the decomposition of the join.
 
     For two summands the pieces are the strata of either endpoint factor and
     the products (first stratum) x (second stratum) x (0, 1); for more
-    summands the label records the support pattern plus the factor strata.
+    summands the label records the support pattern plus the factor strata,
+    each classified at its component's own tol.
     """
-    labels = [
-        classify(comp, tol if tol is not None else comp.tol)
-        for comp in p.components
-        if comp is not None
-    ]
+    labels = [classify(comp) for comp in p.components if comp is not None]
     return JoinPieceLabel(
         factor_ranks=tuple(lab.total for lab in labels),
         factor_labels=tuple(labels),
@@ -240,10 +239,9 @@ def join_piece_label(p: JoinPoint, tol: float | None = None) -> JoinPieceLabel:
     )
 
 
-def rank_of_join(p: JoinPoint, tol: float | None = None) -> int:
+def rank_of_join(p: JoinPoint) -> int:
     """Rank of the assembled state: factor ranks add across disjoint blocks."""
-    label = join_piece_label(p, tol)
-    return sum(label.factor_ranks)
+    return sum(join_piece_label(p).factor_ranks)
 
 
 JOIN_RANK_NOTE = (

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousClustering, NotInAlgebra, NotUnitary
-from .states import AlgebraDescriptor, DensityMatrix, validate_density
+from .errors import AmbiguousClustering, DimensionTooLarge, NotInAlgebra, NotUnitary
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
 from .strata import rank_from_eigenvalues
 
 DEFAULT_CLUSTER_TOL = 1e-8
+# largest block orbit_dim_stack accepts: a block of size n costs a B n^4
+# complex tensor and the SVD of an n^2 x n^2 matrix per item
+ORBIT_DIM_MAX_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,9 @@ def adjoint_act(u: np.ndarray, rho: DensityMatrix, tol: float = 1e-10) -> Densit
     return validate_density(u @ rho.matrix @ u.conj().T, rho.alg, rho.tol)
 
 
-def orbit_dim_stack(hs: np.ndarray, alg: AlgebraDescriptor, tol: float = 1e-9) -> np.ndarray:
+def orbit_dim_stack(
+    hs: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
+) -> np.ndarray:
     """Dimension of the adjoint orbit through each matrix of a validated
     (B, n, n) stack of density matrices of alg, as a (B,) integer array.
 
@@ -155,7 +160,18 @@ def orbit_dim_stack(hs: np.ndarray, alg: AlgebraDescriptor, tol: float = 1e-9) -
     The singular values of all blocks, descending, are thresholded with the
     gray-zone protocol; the route never looks at the eigenvalue clustering.
     Equals dim U(A) - isotropy_dim whenever clustering is clean.
+
+    Raises
+    ------
+    DimensionTooLarge
+        If a block is larger than ORBIT_DIM_MAX_BLOCK, before allocating.
     """
+    largest = max(alg.block_sizes)
+    if largest > ORBIT_DIM_MAX_BLOCK:
+        raise DimensionTooLarge(
+            f"refusing the SVD of a {largest ** 2} x {largest ** 2} orbit map for a "
+            f"block of size {largest} > {ORBIT_DIM_MAX_BLOCK}"
+        )
     sv = []
     for sl, n in zip(alg.block_slices(), alg.block_sizes):
         rho = hs[:, sl, sl]
@@ -170,10 +186,10 @@ def orbit_dim_stack(hs: np.ndarray, alg: AlgebraDescriptor, tol: float = 1e-9) -
     return rank_from_eigenvalues(-np.sort(-sv, axis=1), tol)
 
 
-def orbit_dim(rho: DensityMatrix, tol: float = 1e-9) -> int:
+def orbit_dim(rho: DensityMatrix) -> int:
     """Dimension of the adjoint orbit through rho: orbit_dim_stack on the
-    stack of one matrix, thresholded at tol (not rho.tol)."""
-    return int(orbit_dim_stack(rho.matrix[None], rho.alg, tol)[0])
+    stack of one matrix, thresholded at rho.tol."""
+    return int(orbit_dim_stack(rho.matrix[None], rho.alg, rho.tol)[0])
 
 
 def _merges_to(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:

@@ -12,6 +12,8 @@ the stack, and every row is bit for bit the matrix a lone draw gives
 (sample_hs and sample_algebra are one-draw stacks). Approximants of a stack
 of points are built the same way (approach_state is the one-point stack).
 
+Every drawn state is validated at states.DEFAULT_TOL.
+
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
 Haar unitaries come from the QR factorization of a Ginibre matrix with the
@@ -121,14 +123,12 @@ def _hs_stack(n: int, seed: int, indices) -> np.ndarray:
     return _gram_stack([(n, n)], (_rng(seed, 0, index) for index in indices))
 
 
-def sample_hs(n: int, seed: int, index: int = 0, tol: float = 1e-9) -> DensityMatrix:
+def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     """Hilbert-Schmidt ensemble draw on the states of M_n(C)."""
-    return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n), tol)
+    return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
 
 
-def sample_rank(
-    n: int, r: int, seed: int, index: int = 0, tol: float = 1e-9
-) -> DensityMatrix:
+def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     """Random rank-r state of M_n(C) from an n x r Ginibre factor.
 
     The rank is audited with the gray-zone protocol; the measure-zero
@@ -138,7 +138,7 @@ def sample_rank(
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
     for attempt in range(MAX_RESAMPLE):
         m = _gram_stack([(n, r)], [_rng(seed, 1, index, attempt)])[0]
-        rho = validate_density(m, full_algebra(n), tol)
+        rho = validate_density(m, full_algebra(n))
         try:
             if numerical_rank(rho) == r:
                 return rho
@@ -188,7 +188,6 @@ def sample_algebra(
     seed: int,
     ranks: tuple[int, ...] | None = None,
     index: int = 0,
-    tol: float = 1e-9,
 ) -> DensityMatrix:
     """Random state of a block-diagonal algebra.
 
@@ -207,7 +206,7 @@ def sample_algebra(
         if sum(ranks) == 0:
             raise ValueError("at least one block must have positive rank")
     for attempt in range(MAX_RESAMPLE):
-        rho = validate_density(_algebra_stack(alg, seed, ranks, [index], attempt)[0], alg, tol)
+        rho = validate_density(_algebra_stack(alg, seed, ranks, [index], attempt)[0], alg)
         if ranks is None:
             return rho
         try:

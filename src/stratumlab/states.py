@@ -261,12 +261,10 @@ def is_psd_sylvester(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-def is_pure(rho: DensityMatrix, tol: float | None = None) -> bool:
-    """Whether rho is a pure state: rho^2 = rho within tol (HS norm)."""
-    if tol is None:
-        tol = rho.tol
+def is_pure(rho: DensityMatrix) -> bool:
+    """Whether rho is a pure state: rho^2 = rho within rho.tol (HS norm)."""
     m = rho.matrix
-    return linalg.hs_norm(m @ m - m) <= tol
+    return linalg.hs_norm(m @ m - m) <= rho.tol
 
 
 def maximally_mixed(alg: AlgebraDescriptor) -> DensityMatrix:

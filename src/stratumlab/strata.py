@@ -49,14 +49,13 @@ def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
     return int(np.count_nonzero(above)) if w.ndim <= 1 else above.sum(axis=-1)
 
 
-def numerical_rank(rho: DensityMatrix, tol: float | None = None) -> int:
-    """Rank of a density matrix under the gray-zone protocol, clamped to >= 1.
+def numerical_rank(rho: DensityMatrix) -> int:
+    """Rank of a density matrix under the gray-zone protocol at rho.tol,
+    clamped to >= 1.
 
     The clamp is sound: a trace-one PSD matrix cannot vanish.
     """
-    if tol is None:
-        tol = rho.tol
-    return max(1, rank_from_eigenvalues(rho.eigenvalues(), tol))
+    return max(1, rank_from_eigenvalues(rho.eigenvalues(), rho.tol))
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,14 @@ def classify_stack(
     return rank_from_eigenvalues(w, tol)
 
 
-def classify(rho: DensityMatrix, tol: float | None = None) -> StratumLabel:
+def classify(rho: DensityMatrix) -> StratumLabel:
     """Stratum label (per-block ranks) of a density matrix: classify_stack on
-    the stack of one matrix, at rho's own tol unless tol is given.
+    the stack of one matrix, at rho.tol.
 
     Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
     zone.
     """
-    if tol is None:
-        tol = rho.tol
-    ranks = classify_stack(rho.matrix[None], rho.alg, tol)[0]
+    ranks = classify_stack(rho.matrix[None], rho.alg, rho.tol)[0]
     return StratumLabel(alg=rho.alg, per_block=tuple(ranks.tolist()))
 
 
@@ -236,9 +233,7 @@ def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
     return frame[:, None] @ template @ frame.conj().swapaxes(1, 2)[:, None]
 
 
-def tangent_basis(
-    rho: DensityMatrix, tol: float | None = None, label: StratumLabel | None = None
-) -> np.ndarray:
+def tangent_basis(rho: DensityMatrix, *, label: StratumLabel | None = None) -> np.ndarray:
     """Orthonormal basis of the tangent space of rho's stratum at rho:
     tangent_basis_stack on the stack of one matrix.
 
@@ -254,19 +249,17 @@ def tangent_basis(
     eigenframe of rho, computed afresh for every call.
 
     Pass label to use construction-known ranks instead of the tolerance
-    protocol.
+    protocol at rho.tol.
     """
-    if tol is None:
-        tol = rho.tol
     if label is None:
-        label = classify(rho, tol)
+        label = classify(rho)
     elif label.alg != rho.alg:
         raise ValueError("label belongs to a different algebra")
     return tangent_basis_stack(rho.matrix[None], label)[0]
 
 
 def retract_stack(
-    hs: np.ndarray, label: StratumLabel, tol: float = 1e-9
+    hs: np.ndarray, label: StratumLabel, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retract each matrix of a (B, n, n) stack of Hermitian matrices to the
     labeled stratum, as retract_to_stratum does one.
@@ -306,7 +299,7 @@ def retract_stack(
 
 
 def retract_to_stratum(
-    h: np.ndarray, label: StratumLabel, tol: float = 1e-9
+    h: np.ndarray, label: StratumLabel, tol: float = DEFAULT_TOL
 ) -> DensityMatrix:
     """Nearest-by-truncation point of the labeled stratum to a Hermitian h:
     retract_stack on the stack of one matrix.

@@ -299,7 +299,7 @@ def _frontier_sources(i: StratumLabel, samples: int, seed: int):
     """The sampled rank-i points of a frontier check, drawn one by one (point
     s with index s) and stacked, with what every target shares: their
     approach base and block spectra."""
-    ys = [sample_algebra(i.alg, seed, i.per_block, s, DEFAULT_TOL) for s in range(samples)]
+    ys = [sample_algebra(i.alg, seed, i.per_block, s) for s in range(samples)]
     hs = np.array([y.matrix for y in ys])
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
     return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)

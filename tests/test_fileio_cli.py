@@ -21,6 +21,7 @@ from stratumlab.fileio import (
     read_matrix,
     write_matrix,
 )
+from stratumlab.orbits import ORBIT_DIM_MAX_BLOCK
 from stratumlab.states import AlgebraDescriptor, full_algebra, maximally_mixed
 
 
@@ -126,6 +127,28 @@ def test_cli_classify(mm3_file, capsys):
     assert report["isotropy_dim"] == 9
     assert not report["is_pure"]
     assert "# elapsed" in out.err
+
+
+def test_cli_classify_verdict_follows_the_tolerances(tmp_path, capsys):
+    path = tmp_path / "near.json"
+    write_matrix(str(path), np.diag([0.5, 0.5 - 1e-6, 1e-6]).astype(complex), full_algebra(3))
+    for flags, ranks, dim, iso in (
+        ([], [3], 6, 3),
+        (["--tol-rank", "1e-4", "--cluster-tol", "1e-4"], [2], 4, 5),
+    ):
+        assert cli.main(["classify", str(path), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rank_per_block"] == ranks
+        assert (report["orbit_dim"], report["isotropy_dim"]) == (dim, iso)
+        assert report["orbit_dim"] + report["isotropy_dim"] == report["unitary_group_dim"]
+
+
+def test_cli_classify_refuses_blocks_above_the_orbit_cap(tmp_path, capsys):
+    alg = full_algebra(ORBIT_DIM_MAX_BLOCK + 1)
+    path = tmp_path / "big.json"
+    write_matrix(str(path), maximally_mixed(alg).matrix, alg)
+    assert cli.main(["classify", str(path)]) == 3
+    assert _single_error(capsys.readouterr().err, 3)["error"] == "DimensionTooLarge"
 
 
 def test_cli_classify_out_file(mm3_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ from stratumlab import (
     AlgebraDescriptor,
     OrbitSignature,
     adjoint_act,
+    classify,
     cone_state,
     full_algebra,
     isotropy_dim,
@@ -20,7 +21,8 @@ from stratumlab import (
     sample_unitary,
     validate_density,
 )
-from stratumlab.errors import AmbiguousClustering, NotInAlgebra, NotUnitary
+from stratumlab.errors import AmbiguousClustering, DimensionTooLarge, NotInAlgebra, NotUnitary
+from stratumlab.orbits import ORBIT_DIM_MAX_BLOCK, orbit_dim_stack
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -93,6 +95,26 @@ def test_orbit_dim_reference_values():
     assert orbit_dim(maximally_mixed(full_algebra(2))) == 0
     assert orbit_dim(maximally_mixed(full_algebra(4))) == 0
     assert orbit_dim(_diag_state([0.5, 0.3, 0.2])) == 6
+
+
+def test_orbit_dim_thresholds_at_the_states_own_tol():
+    # the 1e-6 eigenvalue and the 1e-6 gap are zero at tol 1e-4, not at 1e-9
+    m = np.diag([0.5, 0.5 - 1e-6, 1e-6]).astype(complex)
+    for tol, ranks, dim, iso in ((1e-9, (3,), 6, 3), (1e-4, (2,), 4, 5)):
+        rho = validate_density(m, full_algebra(3), tol)
+        assert classify(rho).per_block == ranks
+        assert orbit_dim(rho) == dim
+        assert isotropy_dim(orbit_signature(rho, tol)) == iso
+        assert dim + iso == rho.alg.unitary_group_dim
+
+
+def test_orbit_dim_refuses_blocks_above_the_cap():
+    n = ORBIT_DIM_MAX_BLOCK + 1
+    with pytest.raises(DimensionTooLarge):
+        orbit_dim(maximally_mixed(full_algebra(n)))
+    alg = AlgebraDescriptor((1, n))
+    with pytest.raises(DimensionTooLarge):
+        orbit_dim_stack(maximally_mixed(alg).matrix[None], alg)
 
 
 def test_orbit_plus_isotropy_is_group_dim():
