@@ -1,16 +1,28 @@
 """Seeded random ensembles: states, unitaries, and approach sequences.
 
 Randomness contract: every draw is produced by a PCG64 generator seeded
-through SeedSequence([seed, index, ...]), and all Gaussians are produced by
-an explicit Box-Muller transform of uniform doubles. The transform is spelled
+through SeedSequence([seed, *path]), and all Gaussians are produced by an
+explicit Box-Muller transform of uniform doubles. The transform is spelled
 out here (rather than delegating to the generator's normal method) so the
-byte content of golden outputs depends only on the uniform stream.
+byte content of golden outputs depends only on the uniform stream. The
+stream paths:
 
-Draws of one ensemble are built as (B, n, n) stacks: each draw still takes
-its uniforms from its own generator, the transform and products run once on
+  (0, i)           sample_hs           (5, i)  sequence_toward
+  (1, i, attempt)  sample_rank         (6, i)  approach_state
+  (2, i)           sample_unitary      (7, t)  whitney's negative control
+  (3, i)           sample_hermitian    (8, i)  projector-equiv margin split
+  (4, i, attempt)  sample_algebra
+
+attempt counts the resamples of a rank audit. sample_unitary's index is
+1000 + i for sequence i, 2000 + 16 i + b for block b of approximant i,
+3000 + i for margin split i and i * blocks + b in sample_block_unitary.
+
+Draws of one ensemble are built as (B, n, n) stacks: _uniform_rows draws
+each row from its own generator, the transform and products run once on
 the stack, and every row is bit for bit the matrix a lone draw gives
-(sample_hs and sample_algebra are one-draw stacks). Approximants of a stack
-of points are built the same way (approach_state is the one-point stack).
+(sample_hs and sample_algebra are one-draw stacks). Sequence steps and
+approximants are one construction, a point plus delta times a state on its
+kernel, built the same way (approach_state is the one-point stack).
 
 Every drawn state is validated at states.DEFAULT_TOL.
 
@@ -34,15 +46,7 @@ from .states import (
     validate_density,
     validate_stack,
 )
-from .strata import (
-    StratumLabel,
-    classify,
-    classify_stack,
-    numerical_rank,
-    rank_from_eigenvalues,
-    retract_stack,
-    tangent_basis,
-)
+from .strata import StratumLabel, classify, classify_stack, retract_stack, tangent_basis
 
 MAX_RESAMPLE = 100
 
@@ -87,10 +91,17 @@ def ginibre(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return complex_normal(rng, (n, m))
 
 
-def _gram_stack(shapes, u) -> np.ndarray:
+def _uniform_rows(seed: int, paths, length: int) -> np.ndarray:
+    """The (B, length) array of one row of uniforms per stream path: row b
+    is _rng(seed, *paths[b]).random(length)."""
+    # one generator alive at a time: a stack of them costs kilobytes per draw
+    return np.fromiter((_rng(seed, *path).random(length) for path in paths), dtype=(float, length))
+
+
+def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:
     """The (B, n, n) stack of trace-one block-diagonal matrices
     sum_b g_b g_b^dagger / trace, one per row of a (B, length) uniform
-    array u, or per generator that u yields (each gives one row).
+    array u.
 
     Block b's factor g_b of shape shapes[b] = (n_b, r_b) takes the next
     2 n_b r_b uniforms of its row as ginibre does (moduli, then phases);
@@ -98,10 +109,6 @@ def _gram_stack(shapes, u) -> np.ndarray:
     stacks and each trace sums the complex diagonal (a sum of its real parts
     rounds differently), so every row is the per-draw matrix.
     """
-    if not isinstance(u, np.ndarray):
-        length = 2 * sum(nb * r for nb, r in shapes)
-        # one generator alive at a time: a stack of them costs kilobytes per draw
-        u = np.fromiter((rng.random(length) for rng in u), dtype=(float, length))
     n = sum(nb for nb, _ in shapes)
     m = np.zeros((len(u), n, n), dtype=complex)
     at = col = 0
@@ -117,15 +124,36 @@ def _gram_stack(shapes, u) -> np.ndarray:
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
+def _draws(alg: AlgebraDescriptor, ranks: tuple[int, ...] | None, seed: int, paths) -> np.ndarray:
+    """The unvalidated (B, n, n) stack of Gram draws of alg, one per stream
+    path: block b's factor is n_b x ranks[b], or square with ranks=None."""
+    shapes = list(zip(alg.block_sizes, alg.block_sizes if ranks is None else ranks))
+    return _gram_stack(shapes, _uniform_rows(seed, paths, 2 * sum(nb * r for nb, r in shapes)))
+
+
 def _hs_stack(n: int, seed: int, indices) -> np.ndarray:
     """The unvalidated (B, n, n) stack of the matrices of
     sample_hs(n, seed, index), one per index."""
-    return _gram_stack([(n, n)], (_rng(seed, 0, index) for index in indices))
+    return _draws(full_algebra(n), None, seed, ((0, index) for index in indices))
 
 
 def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     """Hilbert-Schmidt ensemble draw on the states of M_n(C)."""
     return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
+
+
+def _resampled(alg: AlgebraDescriptor, seed: int, ranks, path: tuple[int, ...]) -> DensityMatrix:
+    """The first draw of the (seed, *path, attempt) streams, attempt = 0,
+    1, ..., whose per-block ranks are ranks under the gray-zone protocol
+    (the measure-zero failures resample); with ranks=None, attempt 0."""
+    for attempt in range(MAX_RESAMPLE):
+        rho = validate_density(_draws(alg, ranks, seed, [(*path, attempt)])[0], alg)
+        try:
+            if ranks is None or classify(rho).per_block == ranks:
+                return rho
+        except AmbiguousRank:
+            continue
+    raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
 
 
 def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
@@ -136,15 +164,7 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     """
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
-    for attempt in range(MAX_RESAMPLE):
-        m = _gram_stack([(n, r)], [_rng(seed, 1, index, attempt)])[0]
-        rho = validate_density(m, full_algebra(n))
-        try:
-            if numerical_rank(rho) == r:
-                return rho
-        except AmbiguousRank:
-            continue
-    raise RuntimeError(f"could not draw a clean rank-{r} state in {MAX_RESAMPLE} tries")
+    return _resampled(full_algebra(n), seed, (r,), (1, index))
 
 
 def sample_unitary(n: int, seed: int, index: int = 0) -> np.ndarray:
@@ -179,8 +199,7 @@ def _algebra_stack(
     """The unvalidated (B, n, n) stack of the matrices of sample_algebra's
     draw number attempt, one per index; with ranks=None the first attempt
     is the draw."""
-    shapes = list(zip(alg.block_sizes, alg.block_sizes if ranks is None else ranks))
-    return _gram_stack(shapes, (_rng(seed, 4, index, attempt) for index in indices))
+    return _draws(alg, ranks, seed, ((4, index, attempt) for index in indices))
 
 
 def sample_algebra(
@@ -197,64 +216,76 @@ def sample_algebra(
     per-block ranks are audited, resampling on the measure-zero failures.
     """
     if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != alg.num_blocks:
-            raise ValueError(f"{len(ranks)} ranks for {alg.num_blocks} blocks")
-        for r, nb in zip(ranks, alg.block_sizes):
-            if not 0 <= r <= nb:
-                raise ValueError(f"block rank {r} outside [0, {nb}]")
-        if sum(ranks) == 0:
-            raise ValueError("at least one block must have positive rank")
-    for attempt in range(MAX_RESAMPLE):
-        rho = validate_density(_algebra_stack(alg, seed, ranks, [index], attempt)[0], alg)
-        if ranks is None:
-            return rho
-        try:
-            if classify(rho).per_block == ranks:
-                return rho
-        except AmbiguousRank:
-            continue
-    raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
+        ranks = StratumLabel(alg, ranks).per_block
+    return _resampled(alg, seed, ranks, (4, index))
 
 
-def _kernel_frame(blocks: np.ndarray, i: int) -> np.ndarray:
-    """Kernel frames of rank-i blocks, of a matrix or of each matrix of a
-    stack: their first n - i gauge-fixed eigenvectors."""
-    n = blocks.shape[-1]
-    if i == 0:
-        return np.broadcast_to(np.eye(n, dtype=complex), blocks.shape)
-    return linalg.eigh_fixed(blocks)[1][..., : n - i]
+def _kernel_frames(ms: np.ndarray, label: StratumLabel) -> dict[int, np.ndarray]:
+    """Per block b that label leaves rank-deficient, the kernel frames of
+    block b of a matrix, or of each matrix of a (..., n, n) stack, of
+    label's stratum: the block's first n_b - i_b gauge-fixed eigenvectors."""
+    alg, frames = label.alg, {}
+    for b, (sl, nb, ib) in enumerate(zip(alg.block_slices(), alg.block_sizes, label.per_block)):
+        if ib == 0:
+            frames[b] = np.broadcast_to(np.eye(nb, dtype=complex), ms[..., sl, sl].shape)
+        elif ib < nb:
+            frames[b] = linalg.eigh_fixed(ms[..., sl, sl])[1][..., : nb - ib]
+    return frames
 
 
-def _kernel_summands(
-    kernels: np.ndarray, rotations: np.ndarray, r: int, u: np.ndarray
-) -> np.ndarray:
-    """Trace-one rank-r states supported on kernel frames, one per row of
-    the (B, n, m) frames: support tau support^dagger, with support the first
-    r columns of the frame rotated by the row's Haar unitary, and tau half a
-    normalized Wishart (from the row's 2 r^2 uniforms u) plus half the
-    normalized identity, so its smallest eigenvalue is >= 1/(2r)."""
-    support = kernels @ rotations[..., :r]
-    tau = 0.5 * _gram_stack([(r, r)], u) + 0.5 * np.eye(r) / r
-    return support @ tau @ support.conj().swapaxes(-1, -2)
+def _kernel_mixture(alg: AlgebraDescriptor, frames, rotations, raises, u: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack of the trace-one states sigma on kernels, one
+    per row of the uniforms u: per raised block (b, add), in order, weight
+    1 / len(raises) on support tau support^dagger, with support the first add
+    columns of the block's kernel frame rotated by the row's Haar unitary,
+    and tau half a normalized Wishart (from the row's next 2 add^2 uniforms)
+    plus half the normalized identity, so its least eigenvalue is >= 1/(2 add)."""
+    sigma = np.zeros((len(u), alg.dim, alg.dim), dtype=complex)
+    slices = alg.block_slices()
+    col = 0
+    for b, add in raises:
+        support = frames[b] @ rotations[b][..., :add]
+        tau = 0.5 * _gram_stack([(add, add)], u[:, col : col + 2 * add * add])
+        tau = tau + 0.5 * np.eye(add) / add
+        sigma[:, slices[b], slices[b]] = support @ tau @ support.conj().swapaxes(1, 2) / len(raises)
+        col += 2 * add * add
+    return sigma
 
 
-def _audit_ranks(ms: np.ndarray, expect: int, tol: float) -> None:
-    """Refuse a (B, n, n) stack of constructed points unless every one has
-    rank expect (AmbiguousRank in the gray zone, else RuntimeError)."""
-    got = rank_from_eigenvalues(np.linalg.eigvalsh(ms), tol)
-    wrong = np.flatnonzero(got != expect)
+def _audit(xs: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
+    """Return a validated (B, n, n) stack of constructed points, refusing it
+    unless every one classifies as target (AmbiguousRank in the gray zone,
+    else RuntimeError)."""
+    got = classify_stack(xs, target.alg, tol)
+    wrong = np.flatnonzero((got != target.per_block).any(axis=1))
     if wrong.size:
-        raise RuntimeError(f"constructed point has rank {got[wrong[0]]}, expected {expect}")
+        raise RuntimeError(
+            f"constructed point classifies as {tuple(got[wrong[0]].tolist())}, "
+            f"wanted {target.per_block}"
+        )
+    return xs
+
+
+def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float) -> np.ndarray:
+    """The validated stack (1 - delta) hs + delta sigma, audited to classify
+    as target: the one step of sequence_toward's x_k and approach_state."""
+    return _audit(validate_stack((1.0 - delta) * hs + delta * sigma, target.alg, tol), target, tol)
+
+
+def _first_failure(build, rows: int):
+    """build(slice(None)), the construction of all rows at once. When it
+    fails, rerun build(slice(k, k + 1)) row by row and raise the first
+    failing row's error, the first error a row-by-row construction meets."""
+    try:
+        return build(slice(None))
+    except (StratumLabError, RuntimeError, ValueError):
+        for k in range(rows):
+            build(slice(k, k + 1))
+        raise
 
 
 def _approach_steps(
-    y: DensityMatrix,
-    sigma: np.ndarray,
-    h: np.ndarray,
-    deltas: np.ndarray,
-    label_i: StratumLabel,
-    j: int,
+    y: DensityMatrix, sigma, h, deltas: np.ndarray, label_i: StratumLabel, label_j: StratumLabel
 ) -> tuple[np.ndarray, np.ndarray]:
     """The validated stacks of the x_k and the y_k of the steps of sizes
     deltas along the unit tangent directions h, each check run once on all
@@ -266,10 +297,7 @@ def _approach_steps(
     negative) is shrunk like any overshoot.
     """
     tol = y.tol
-    scale = deltas[:, None, None]
-    xs = (1.0 - scale) * y.matrix + scale * sigma
-    _audit_ranks(xs, j, tol)
-    xs = validate_stack(xs, y.alg, tol)
+    xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, tol)
     ys = np.empty_like(xs)
     steps = 0.5 * deltas
     todo = np.arange(len(deltas))
@@ -285,14 +313,14 @@ def _approach_steps(
         steps[todo] *= 0.5
     else:
         raise RuntimeError("tangent retraction kept overshooting the step budget")
-    _audit_ranks(ys, label_i.total, tol)
     ys.flags.writeable = False
-    return xs, ys
+    return xs, _audit(ys, label_i, tol)
 
 
 def _sequence_base(y: DensityMatrix, j: int, rate: float):
-    """Check sequence_toward's arguments; return y's label, kernel frame and
-    tangent basis, which every sequence toward y shares."""
+    """Check sequence_toward's arguments; return what every sequence toward
+    y shares: y's label, the target label, y's kernel frames and its tangent
+    basis."""
     if y.alg.num_blocks != 1:
         raise ValueError(
             "integer-rank sequences are defined for single-block algebras; "
@@ -305,7 +333,8 @@ def _sequence_base(y: DensityMatrix, j: int, rate: float):
     i = label_i.total
     if not i < j <= n:
         raise ValueError(f"target rank must satisfy {i} < j <= {n}, got {j}")
-    return label_i, _kernel_frame(y.matrix, i), tangent_basis(y, label=label_i)
+    label_j = StratumLabel(alg=y.alg, per_block=(j,))
+    return label_i, label_j, _kernel_frames(y.matrix, label_i), tangent_basis(y, label=label_i)
 
 
 def _sequence_stacks(
@@ -313,29 +342,24 @@ def _sequence_stacks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The validated (length, n, n) stacks of the x_k and the y_k of
     sequence_toward, from y's _sequence_base."""
-    label_i, kernel, basis = base
-    n = y.dim
-    rng = _rng(seed, 5, index)
-    r = j - label_i.total
-    rotation = sample_unitary(kernel.shape[1], seed, 1000 + index)
-    sigma = _kernel_summands(kernel[None], rotation[None], r, rng.random((1, 2 * r * r)))[0]
-    deltas = np.array([rate**k for k in range(1, length + 1)])
-    # each step's two uniform arrays, in the order standard_normal would
-    # draw them step by step, and handed over contiguous as it hands them
-    u = rng.random((length, 2, len(basis)))
-    coeffs = _box_muller(np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(u[:, 1]))
+    label_i, label_j, frames, basis = base
+    n, r, d = y.dim, j - label_i.total, len(basis)
+    # tau's uniforms, then each step's two uniform arrays in the order
+    # standard_normal would draw them step by step
+    u = _uniform_rows(seed, [(5, index)], 2 * r * r + 2 * length * d)
+    rotation = sample_unitary(n - label_i.total, seed, 1000 + index)
+    sigma = _kernel_mixture(y.alg, frames, {0: rotation[None]}, [(0, r)], u)
+    steps = u[0, 2 * r * r :].reshape(length, 2, d)
+    # handed over contiguous, as standard_normal hands them
+    coeffs = _box_muller(np.ascontiguousarray(steps[:, 0]), np.ascontiguousarray(steps[:, 1]))
     # one vector-matrix product per step, as tensordot forms a single step
     # (a (length, d) @ (d, n n) product rounds differently)
-    h = (coeffs[:, None, :] @ basis.reshape(len(basis), n * n)).reshape(length, n, n)
+    h = (coeffs[:, None, :] @ basis.reshape(d, n * n)).reshape(length, n, n)
     h = h / linalg.hs_norm(h)[:, None, None]
-    try:
-        return _approach_steps(y, sigma, h, deltas, label_i, j)
-    except (StratumLabError, RuntimeError, ValueError):
-        # a step failed: raise the error of the first failing step, the
-        # first error a step-by-step construction would meet
-        for k in range(length):
-            _approach_steps(y, sigma, h[k : k + 1], deltas[k : k + 1], label_i, j)
-        raise
+    deltas = np.array([rate**k for k in range(1, length + 1)])
+    return _first_failure(
+        lambda k: _approach_steps(y, sigma, h[k], deltas[k], label_i, label_j), length
+    )
 
 
 def sequence_toward(
@@ -364,7 +388,7 @@ def sequence_toward(
     and retraction per stack (the retraction retries only the steps that
     overshoot), so the pairs are those a step-by-step construction gives,
     bit for bit. When steps fail, the error is the one of the first failing
-    step, in the order of its checks: x_k's audit and validation, the
+    step, in the order of its checks: x_k's validation and audit, the
     retraction of y_k, y_k's audit.
     """
     xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, index)
@@ -374,30 +398,15 @@ def sequence_toward(
 def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, indices):
     """What the approximants of a validated (B, n, n) stack of points of
     label's stratum share, whatever the target (row b is approach_state's
-    point at index indices[b]): (label, tol, seed, indices, frames), frames
-    holding per block that is not full the rows' kernel frames and Haar
+    point at index indices[b]): (label, tol, seed, indices, frames,
+    rotations), per block that is not full the rows' kernel frames and Haar
     rotations sample_unitary(n_b - i_b, seed, 2000 + 16 index + b)."""
-    alg = label.alg
-    frames = {}
-    for b, (sl, nb, ib) in enumerate(zip(alg.block_slices(), alg.block_sizes, label.per_block)):
-        if ib < nb:
-            rotations = [sample_unitary(nb - ib, seed, 2000 + 16 * index + b) for index in indices]
-            frames[b] = _kernel_frame(hs[:, sl, sl], ib), np.array(rotations)
-    return label, tol, seed, tuple(indices), frames
-
-
-def _audit_approximants(xm: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
-    """Validate a (B, n, n) stack of approximants and refuse it unless every
-    one classifies as target."""
-    xs = validate_stack(xm, target.alg, tol)
-    got = classify_stack(xs, target.alg, tol)
-    wrong = np.flatnonzero((got != target.per_block).any(axis=1))
-    if wrong.size:
-        raise RuntimeError(
-            f"constructed approximant classifies as {tuple(got[wrong[0]].tolist())}, "
-            f"wanted {target.per_block}"
-        )
-    return xs
+    frames = _kernel_frames(hs, label)
+    rotations = {
+        b: np.array([sample_unitary(f.shape[-1], seed, 2000 + 16 * index + b) for index in indices])
+        for b, f in frames.items()
+    }
+    return label, tol, seed, tuple(indices), frames, rotations
 
 
 def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) -> np.ndarray:
@@ -410,7 +419,7 @@ def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) ->
     every row is approach_state's, bit for bit, and when rows fail the error
     is the one of the first failing row.
     """
-    label, tol, seed, indices, frames = base
+    label, tol, seed, indices, frames, rotations = base
     if target.alg != label.alg:
         raise ValueError("target label belongs to a different algebra")
     if any(jb < ib for ib, jb in zip(label.per_block, target.per_block)):
@@ -423,24 +432,9 @@ def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) ->
     if not raises:
         return hs
     length = 2 * sum(add * add for _, add in raises)
-    streams = (_rng(seed, 6, index) for index in indices)
-    u = np.fromiter((rng.random(length) for rng in streams), dtype=(float, length))
-    sigma = np.zeros(hs.shape, dtype=complex)
-    slices = label.alg.block_slices()
-    col = 0
-    for b, add in raises:
-        summands = _kernel_summands(*frames[b], add, u[:, col : col + 2 * add * add])
-        sigma[:, slices[b], slices[b]] = summands / len(raises)
-        col += 2 * add * add
-    xm = (1.0 - delta) * hs + delta * sigma
-    try:
-        return _audit_approximants(xm, target, tol)
-    except (StratumLabError, RuntimeError):
-        # raise the error of the first failing row, the first error a
-        # point-by-point construction would meet
-        for k in range(len(xm)):
-            _audit_approximants(xm[k : k + 1], target, tol)
-        raise
+    u = _uniform_rows(seed, ((6, index) for index in indices), length)
+    sigma = _kernel_mixture(label.alg, frames, rotations, raises, u)
+    return _first_failure(lambda k: _mixed(hs[k], sigma[k], delta, target, tol), len(hs))
 
 
 def approach_state(

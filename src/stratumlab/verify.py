@@ -28,7 +28,6 @@ from .states import (
     validate_density,
     validate_stack,
 )
-from .strata import classify
 from .whitney import GAP_THRESHOLD, frontier_matrix, whitney_b_estimate
 from .whitney import whitney_negative_control
 

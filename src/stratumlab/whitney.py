@@ -167,12 +167,12 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
     Passes when the terminal distance reaches WHITNEY_DISTANCE and both
     terminal gaps are at most GAP_THRESHOLD.
     """
-    label_j = StratumLabel(alg=y.alg, per_block=(j,))
+    base = _sequence_base(y, j, SEQUENCE_RATE)
+    label_j = base[1]
     gaps_b = np.zeros((trials, SEQUENCE_LENGTH))
     gaps_a = np.zeros((trials, SEQUENCE_LENGTH))
     dists = np.zeros((trials, SEQUENCE_LENGTH))
     terminal_pairs = []
-    base = _sequence_base(y, j, SEQUENCE_RATE)
     for t in range(trials):
         xs, ys = _sequence_stacks(y, j, base, SEQUENCE_RATE, SEQUENCE_LENGTH, seed, t)
         # the last pair alone, not views that keep the stacks alive

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import pytest
@@ -42,3 +44,26 @@ def test_names_follow_a_rebinding_on_their_submodule(monkeypatch):
     assert stratumlab.classify() == "rebound"
     monkeypatch.undo()
     assert stratumlab.classify is original
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_modules_read_every_name_they_import():
+    # the package's __init__ imports to re-export, so it is not scanned
+    modules = sorted(pathlib.Path(stratumlab.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    unused = {p.name: _unused_imports(p) for p in modules if p.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -20,10 +20,14 @@ from stratumlab import (
     sequence_toward,
     validate_density,
 )
+from stratumlab import strata
+from stratumlab.errors import AmbiguousRank
 from stratumlab.sampler import (
+    MAX_RESAMPLE,
     _algebra_stack,
     _hs_stack,
     _rng,
+    _uniform_rows,
     complex_normal,
     ginibre,
     standard_normal,
@@ -101,6 +105,13 @@ def _reference_hs_matrix(n, seed, index):
     return m / float(np.trace(m).real)
 
 
+def _reference_rank_matrix(n, r, seed, index, attempt):
+    """The per-draw construction of sample_rank's matrix number attempt."""
+    g = ginibre(_rng(seed, 1, index, attempt), n, r)
+    m = g @ g.conj().T
+    return m / float(np.trace(m).real)
+
+
 def _reference_algebra_matrix(alg, seed, ranks, index, attempt):
     """The per-draw construction of sample_algebra's matrix that
     _algebra_stack replaced."""
@@ -132,6 +143,25 @@ def test_stacked_draws_match_per_draw_loops(seed):
             ms = _algebra_stack(alg, seed, ranks, indices, attempt)
             for m, index in zip(ms, indices):
                 assert np.array_equal(m, _reference_algebra_matrix(alg, seed, ranks, index, attempt))
+    # the (1, index, attempt) streams: every draw here is clean at attempt 0
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for index in indices[::5]:
+                want = _reference_rank_matrix(n, r, seed, index, 0)
+                want = validate_density(want, full_algebra(n)).matrix
+                assert np.array_equal(sample_rank(n, r, seed, index).matrix, want)
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_uniform_rows_are_the_per_path_streams(seed):
+    # paths of one to four entries
+    for paths in ([(3,), (0,)], [(1, 4), (6, 0)], [(1, 7, 0), (4, 9, 3)], [(4, 2, 1, 5)]):
+        for length in (1, 8, 33):
+            u = _uniform_rows(seed, iter(paths), length)
+            assert u.shape == (len(paths), length)
+            for row, path in zip(u, paths):
+                assert np.array_equal(row, _rng(seed, *path).random(length))
+    assert _uniform_rows(seed, [], 6).shape == (0, 6)
 
 
 def test_sample_hs_is_valid_full_rank():
@@ -265,3 +295,52 @@ def test_validation_of_returned_samples():
         validate_density(rho.matrix, rho.alg, rho.tol)
     rho = sample_rank(4, 2, seed=18)
     validate_density(rho.matrix, rho.alg, rho.tol)
+
+
+def _refuse_first_ranks(monkeypatch, times):
+    """Make strata.rank_from_eigenvalues refuse (AmbiguousRank) its first
+    `times` calls, in place of any earlier patch; return the list that
+    records every call."""
+    monkeypatch.undo()
+    original = strata.rank_from_eigenvalues
+    seen = []
+
+    def patched(w, tol):
+        seen.append(w)
+        if len(seen) <= times:
+            raise AmbiguousRank(5 * tol, tol)
+        return original(w, tol)
+
+    monkeypatch.setattr(strata, "rank_from_eigenvalues", patched)
+    return seen
+
+
+def test_an_ambiguous_first_draw_resamples_from_the_next_attempt(monkeypatch):
+    n, r, seed, index = 4, 2, 31, 5
+    seen = _refuse_first_ranks(monkeypatch, 1)
+    got = sample_rank(n, r, seed, index).matrix
+    assert len(seen) == 2
+    draws = [_reference_rank_matrix(n, r, seed, index, k) for k in (0, 1)]
+    draws = [validate_density(m, full_algebra(n)).matrix for m in draws]
+    assert not np.array_equal(got, draws[0])
+    assert np.array_equal(got, draws[1])
+
+    alg, ranks = AlgebraDescriptor((1, 3)), (1, 2)
+    seen = _refuse_first_ranks(monkeypatch, 1)
+    got = sample_algebra(alg, seed, ranks=ranks, index=index).matrix
+    assert len(seen) == 2
+    draws = [_reference_algebra_matrix(alg, seed, ranks, index, k) for k in (0, 1)]
+    draws = [validate_density(m, alg).matrix for m in draws]
+    assert not np.array_equal(got, draws[0])
+    assert np.array_equal(got, draws[1])
+
+
+def test_resampling_gives_up_after_max_resample_attempts(monkeypatch):
+    for draw in (
+        lambda: sample_rank(3, 2, seed=32),
+        lambda: sample_algebra(AlgebraDescriptor((2, 2)), 32, ranks=(1, 2)),
+    ):
+        seen = _refuse_first_ranks(monkeypatch, float("inf"))
+        with pytest.raises(RuntimeError, match=f"in {MAX_RESAMPLE} tries"):
+            draw()
+        assert len(seen) == MAX_RESAMPLE

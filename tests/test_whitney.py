@@ -288,7 +288,7 @@ def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
     rot = sample_unitary(n - i, seed, 1000 + index)
     support = kernel @ rot[:, :r]
     # half a normalized Wishart plus half the normalized identity
-    tau = 0.5 * sampler._gram_stack([(r, r)], [rng])[0] + 0.5 * np.eye(r) / r
+    tau = 0.5 * sampler._gram_stack([(r, r)], rng.random((1, 2 * r * r)))[0] + 0.5 * np.eye(r) / r
     sigma = support @ tau @ support.conj().T
     basis = tangent_basis(y, label=label_i)
     out = []
