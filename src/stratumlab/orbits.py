@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousClustering, DimensionTooLarge, NotInAlgebra, NotUnitary
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _require_tol, validate_density
 from .strata import rank_from_eigenvalues
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -80,7 +80,7 @@ def orbit_signature_stack(
     consecutive values within cluster_tol merge; the resulting clusters must
     then be separated by more than 10 * cluster_tol, else the pattern is
     declared ambiguous. Matrices with equal patterns share one (immutable)
-    OrbitSignature.
+    OrbitSignature. cluster_tol must be finite and > 0 (else ValueError).
 
     Raises
     ------
@@ -88,6 +88,7 @@ def orbit_signature_stack(
         If two clusters in some block are separated by less than
         10 * cluster_tol, naming the gap a per-state loop would meet first.
     """
+    _require_tol(cluster_tol, "cluster_tol")
     gaps = np.concatenate(
         [w[:, 1:] - w[:, :-1] for w in linalg.block_eigvalsh(hs, alg.block_sizes)], axis=1
     )

@@ -1,35 +1,39 @@
 """Seeded random ensembles: states, unitaries, and approach sequences.
 
-Randomness contract: every draw is produced by a PCG64 generator seeded
-through SeedSequence([seed, *path]), and all Gaussians are produced by an
-explicit Box-Muller transform of uniform doubles. The transform is spelled
-out here (rather than delegating to the generator's normal method) so the
-byte content of golden outputs depends only on the uniform stream. The
-stream paths:
+Randomness contract: _uniform_rows is the only reader of the streams. It
+reads one row of uniform doubles per stream path from the PCG64 generator
+seeded by SeedSequence([seed, *path]), and all Gaussians are explicit
+transforms of the rows (Box-Muller, and its polar form for complex ones),
+so golden outputs depend only on the uniform stream. A Ginibre factor of
+shape (n, m) reads n m moduli, then n m phases. Paths and rows, in order:
 
-  (0, i)           sample_hs           (5, i)  sequence_toward
-  (1, i, attempt)  sample_rank         (6, i)  approach_state
-  (2, i)           sample_unitary      (7, t)  whitney's negative control
-  (3, i)           sample_hermitian    (8, i)  projector-equiv margin split
-  (4, i, attempt)  sample_algebra
+  (0, i)           sample_hs          2 n^2: the factor
+  (1, i, attempt)  sample_rank        2 n r: the n x r factor
+  (2, i)           sample_unitary     2 n^2: the factor
+  (3, i)           sample_hermitian   2 n^2: the factor
+  (4, i, attempt)  sample_algebra     2 n_b r_b per block b: its factor
+  (5, i)           sequence_toward    2 r^2 of tau's factor, then per step
+                                      d u1 and d u2 of its tangent normals
+  (6, i)           approach_state     2 add^2 per raised block: its tau
+  (7, t)           whitney's control  4 n^2 per plane matrix: u1 and u2 of
+                                      its real, then imaginary part
+  (8, i)           margin split       n: n_small small eigenvalues, then
+                                      the large ones
 
 attempt counts the resamples of a rank audit. sample_unitary's index is
 1000 + i for sequence i, 2000 + 16 i + b for block b of approximant i,
 3000 + i for margin split i and i * blocks + b in sample_block_unitary.
 
-Draws of one ensemble are built as (B, n, n) stacks: _uniform_rows draws
-each row from its own generator, the transform and products run once on
-the stack, and every row is bit for bit the matrix a lone draw gives
-(sample_hs and sample_algebra are one-draw stacks). Sequence steps and
-approximants are one construction, a point plus delta times a state on its
-kernel, built the same way (approach_state is the one-point stack).
-
-Every drawn state is validated at states.DEFAULT_TOL.
+Draws of one ensemble are (B, n, n) stacks, one row per draw, and every
+row is bit for bit the matrix a lone draw gives (sample_hs, sample_algebra
+and sample_unitary are one-draw stacks). Sequence steps and approximants
+are one construction, a point plus delta times a state on its kernel
+(approach_state is the one-point stack). Every drawn state is validated at
+states.DEFAULT_TOL.
 
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
-Haar unitaries come from the QR factorization of a Ginibre matrix with the
-R-diagonal phase fix.
+Haar unitaries come from the QR of a Ginibre matrix, R-diagonal phase fix.
 """
 
 from __future__ import annotations
@@ -57,45 +61,37 @@ SEQUENCE_LENGTH = 22
 FRONTIER_DELTA = 4e-7
 
 
-def _rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for one draw: PCG64 seeded by (seed, *path)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
-
-
-def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Gaussians via Box-Muller: z = sqrt(-2 ln(1-u1)) cos(2 pi u2) (and the
-    matching sine draw), consuming two uniform arrays per output array."""
-    return _box_muller(rng.random(shape), rng.random(shape))
-
-
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Gaussians sqrt(-2 ln(1-u1)) cos(2 pi u2) from two uniform arrays."""
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     return radius * np.cos(2.0 * np.pi * u2)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Complex Gaussians with independent N(0,1) real and imaginary parts,
-    drawn in polar form from two uniforms per entry."""
-    return _polar_normal(rng.random(shape), rng.random(shape))
-
-
 def _polar_normal(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Complex Gaussians sqrt(-ln(1-u1)) exp(2 pi i u2) from two uniform arrays."""
+    """Complex Gaussians sqrt(-ln(1-u1)) exp(2 pi i u2) from two uniform
+    arrays: independent N(0,1) real and imaginary parts."""
     radius = np.sqrt(-np.log1p(-u1))
     return radius * np.exp(2j * np.pi * u2)
 
 
-def ginibre(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """n x m complex Ginibre matrix."""
-    return complex_normal(rng, (n, m))
-
-
 def _uniform_rows(seed: int, paths, length: int) -> np.ndarray:
     """The (B, length) array of one row of uniforms per stream path: row b
-    is _rng(seed, *paths[b]).random(length)."""
+    is the first length doubles of the PCG64 generator seeded by
+    SeedSequence([seed, *paths[b]])."""
     # one generator alive at a time: a stack of them costs kilobytes per draw
-    return np.fromiter((_rng(seed, *path).random(length) for path in paths), dtype=(float, length))
+    seeds = (np.random.SeedSequence([int(seed), *map(int, path)]) for path in paths)
+    rows = (np.random.Generator(np.random.PCG64(s)).random(length) for s in seeds)
+    return np.fromiter(rows, dtype=(float, length))
+
+
+def _ginibre_stack(u: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (B, n, m) complex Ginibre matrices of the first 2 n m uniforms of
+    each row of u, moduli then phases, each handed over contiguous."""
+    size = n * m
+    return _polar_normal(
+        np.ascontiguousarray(u[:, :size]).reshape(len(u), n, m),
+        np.ascontiguousarray(u[:, size : 2 * size]).reshape(len(u), n, m),
+    )
 
 
 def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:
@@ -103,24 +99,20 @@ def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:
     sum_b g_b g_b^dagger / trace, one per row of a (B, length) uniform
     array u.
 
-    Block b's factor g_b of shape shapes[b] = (n_b, r_b) takes the next
-    2 n_b r_b uniforms of its row as ginibre does (moduli, then phases);
-    r_b = 0 leaves the block zero. The transform gets contiguous uniform
-    stacks and each trace sums the complex diagonal (a sum of its real parts
-    rounds differently), so every row is the per-draw matrix.
+    Block b's factor g_b of shape shapes[b] = (n_b, r_b) is the Ginibre
+    matrix of the next 2 n_b r_b uniforms of its row (moduli, then phases);
+    r_b = 0 leaves the block zero. Each trace sums the complex diagonal (a
+    sum of its real parts rounds differently), so every row is the
+    per-draw matrix.
     """
     n = sum(nb for nb, _ in shapes)
     m = np.zeros((len(u), n, n), dtype=complex)
     at = col = 0
     for nb, r in shapes:
-        size = nb * r
-        g = _polar_normal(
-            np.ascontiguousarray(u[:, col : col + size]).reshape(len(u), nb, r),
-            np.ascontiguousarray(u[:, col + size : col + 2 * size]).reshape(len(u), nb, r),
-        )
+        g = _ginibre_stack(u[:, col:], nb, r)
         m[:, at : at + nb, at : at + nb] = g @ g.conj().swapaxes(1, 2)
         at += nb
-        col += 2 * size
+        col += 2 * nb * r
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
@@ -167,13 +159,19 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     return _resampled(full_algebra(n), seed, (r,), (1, index))
 
 
+def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
+    """The (B, n, n) stack of sample_unitary(n, seed, index), one per index:
+    one stacked QR of the Ginibre matrices of the (2, index) rows."""
+    g = _ginibre_stack(_uniform_rows(seed, ((2, index) for index in indices), 2 * n * n), n, n)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def sample_unitary(n: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a Ginibre matrix, with each
     column rephased by the sign of the corresponding R diagonal entry."""
-    g = ginibre(_rng(seed, 2, index), n, n)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary_stack(n, seed, [index])[0]
 
 
 def sample_block_unitary(alg: AlgebraDescriptor, seed: int, index: int = 0) -> np.ndarray:
@@ -188,8 +186,7 @@ def sample_block_unitary(alg: AlgebraDescriptor, seed: int, index: int = 0) -> n
 def sample_hermitian(n: int, seed: int, index: int = 0) -> np.ndarray:
     """Hermitian matrix of unit HS norm (GUE direction; generically
     indefinite)."""
-    g = ginibre(_rng(seed, 3, index), n, n)
-    h = linalg.hermitian_part(g)
+    h = linalg.hermitian_part(_ginibre_stack(_uniform_rows(seed, [(3, index)], 2 * n * n), n, n)[0])
     return h / linalg.hs_norm(h)
 
 
@@ -203,10 +200,7 @@ def _algebra_stack(
 
 
 def sample_algebra(
-    alg: AlgebraDescriptor,
-    seed: int,
-    ranks: tuple[int, ...] | None = None,
-    index: int = 0,
+    alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None = None, index: int = 0
 ) -> DensityMatrix:
     """Random state of a block-diagonal algebra.
 
@@ -344,13 +338,13 @@ def _sequence_stacks(
     sequence_toward, from y's _sequence_base."""
     label_i, label_j, frames, basis = base
     n, r, d = y.dim, j - label_i.total, len(basis)
-    # tau's uniforms, then each step's two uniform arrays in the order
-    # standard_normal would draw them step by step
+    # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
+    # of its Box-Muller Gaussians
     u = _uniform_rows(seed, [(5, index)], 2 * r * r + 2 * length * d)
-    rotation = sample_unitary(n - label_i.total, seed, 1000 + index)
-    sigma = _kernel_mixture(y.alg, frames, {0: rotation[None]}, [(0, r)], u)
+    rotation = _unitary_stack(n - label_i.total, seed, [1000 + index])
+    sigma = _kernel_mixture(y.alg, frames, {0: rotation}, [(0, r)], u)
     steps = u[0, 2 * r * r :].reshape(length, 2, d)
-    # handed over contiguous, as standard_normal hands them
+    # handed over contiguous, as a step-by-step draw hands them
     coeffs = _box_muller(np.ascontiguousarray(steps[:, 0]), np.ascontiguousarray(steps[:, 1]))
     # one vector-matrix product per step, as tensordot forms a single step
     # (a (length, d) @ (d, n n) product rounds differently)
@@ -403,7 +397,7 @@ def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, i
     rotations sample_unitary(n_b - i_b, seed, 2000 + 16 index + b)."""
     frames = _kernel_frames(hs, label)
     rotations = {
-        b: np.array([sample_unitary(f.shape[-1], seed, 2000 + 16 * index + b) for index in indices])
+        b: _unitary_stack(f.shape[-1], seed, [2000 + 16 * index + b for index in indices])
         for b, f in frames.items()
     }
     return label, tol, seed, tuple(indices), frames, rotations

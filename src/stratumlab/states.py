@@ -32,6 +32,13 @@ DEFAULT_TOL = 1e-9
 SYLVESTER_MAX_DIM = 12
 
 
+def _require_tol(tol, name: str = "tolerance") -> None:
+    """Refuse a tolerance (or array of them) unless all are finite and > 0."""
+    ok = 0.0 < tol < np.inf if isinstance(tol, float) else np.all((tol > 0) & (tol < np.inf))
+    if not ok:
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class AlgebraDescriptor:
     """A finite direct sum of full matrix algebras, given by block sizes.
@@ -138,7 +145,7 @@ def validate_stack(
     the earlier ones, so no solver is handed a non-finite matrix.
 
     tol is one float for the whole stack, or a (B,) array of one tolerance
-    per matrix.
+    per matrix; each must be finite and > 0 (else ValueError).
 
     Returns
     -------
@@ -152,6 +159,7 @@ def validate_stack(
         with the violation magnitude: the error a loop of validate_density
         over the stack would raise.
     """
+    _require_tol(tol)
     ms = np.asarray(ms, dtype=complex)
     n = alg.dim
     if ms.ndim != 3 or ms.shape[1:] != (n, n):

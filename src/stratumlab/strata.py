@@ -24,6 +24,7 @@ from .states import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     DensityMatrix,
+    _require_tol,
     _validated_states,
     validate_stack,
 )
@@ -37,10 +38,9 @@ def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
     value in row-major order. Works on singular values too.
 
     Counts over the last axis: an int for a 1-d w, an integer array of
-    w.shape[:-1] otherwise.
+    w.shape[:-1] otherwise. Raises ValueError unless tol is finite and > 0.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _require_tol(tol)
     w = np.asarray(w, dtype=float)
     in_zone = (w > tol / 10.0) & (w < 10.0 * tol)
     if np.count_nonzero(in_zone):

@@ -15,8 +15,8 @@ from . import linalg
 from .charts import contour_quadrature
 from .joins import JOIN_RANK_NOTE, _join_stack, _split_stack, convex_split, join_piece_label
 from .joins import join_state, make_join_point, rank_of_join
-from .orbits import isotropy_dim, orbit_dim_stack, orbit_signature_stack
-from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _hs_stack, _rng
+from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim_stack, orbit_signature_stack
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _hs_stack, _uniform_rows
 from .sampler import sample_rank, sample_unitary
 from .states import (
     DEFAULT_TOL,
@@ -49,10 +49,10 @@ def _require_at_least(least: int, **sizes: int) -> None:
 def _margin_split_sample(n: int, seed: int, index: int):
     """Hermitian matrix whose spectrum splits across the contour with a
     comfortable margin: small eigenvalues in [0, 0.15], large in [0.4, 1]."""
-    rng = _rng(seed, 8, index)
     n_small = 1 + index % (n - 1)
-    small = rng.random(n_small) * SMALL_BAND
-    large = LARGE_BAND[0] + rng.random(n - n_small) * (LARGE_BAND[1] - LARGE_BAND[0])
+    u = _uniform_rows(seed, [(8, index)], n)[0]
+    small = u[:n_small] * SMALL_BAND
+    large = LARGE_BAND[0] + u[n_small:] * (LARGE_BAND[1] - LARGE_BAND[0])
     w = np.concatenate([small, large])
     u = sample_unitary(n, seed, 3000 + index)
     return u @ np.diag(w) @ u.conj().T, n_small
@@ -176,21 +176,23 @@ EXPECTED_TETRAHEDRON_PIECES = {
 }
 
 
+# the solid tetrahedron C^2 (+) C^2, and its split into two summands C (+) C
+TETRAHEDRON, TETRAHEDRON_SPLIT = AlgebraDescriptor((1, 1, 1, 1)), (2, 2)
+
+
+def _edge_state(p1: float, p2: float):
+    """The diagonal state (p1, p2) of a summand C (+) C of the tetrahedron."""
+    return validate_density(np.diag([p1, p2]).astype(complex), AlgebraDescriptor((1, 1)))
+
+
 def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
-    """Visit every piece of the join decomposition of C^2 (+) C^2 (the solid
-    tetrahedron) and record the computed rank of each."""
-    alg = AlgebraDescriptor((1, 1, 1, 1))
-    split = (2, 2)
-    two = AlgebraDescriptor((1, 1))
-
-    def point(p1, p2):
-        return validate_density(np.diag([p1, p2]).astype(complex), two)
-
-    factor_states = {1: point(1.0, 0.0), 2: point(0.7, 0.3)}
+    """Visit every piece of the join decomposition of the solid tetrahedron
+    and record the computed rank of each."""
+    factor_states = {1: _edge_state(1.0, 0.0), 2: _edge_state(0.7, 0.3)}
     seen: dict[str, int] = {}
 
     def visit(weights, comps):
-        p = make_join_point(alg, weights, comps, split=split)
+        p = make_join_point(TETRAHEDRON, weights, comps, split=TETRAHEDRON_SPLIT)
         lab = join_piece_label(p)
         rank = rank_of_join(p)
         prev = seen.setdefault(lab.piece_name, rank)
@@ -203,9 +205,9 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
         for s in (1, 2):
             visit((0.6, 0.4), (factor_states[r], factor_states[s]))
     # random interior samples all land in a known piece
-    hs = validate_stack(_algebra_stack(alg, seed, None, range(5000, 5000 + samples), 0), alg)
-    for rho in _validated_states(hs, alg, DEFAULT_TOL):
-        lab = join_piece_label(convex_split(rho, split=split))
+    hs = _algebra_stack(TETRAHEDRON, seed, None, range(5000, 5000 + samples), 0)
+    for rho in _validated_states(validate_stack(hs, TETRAHEDRON), TETRAHEDRON, DEFAULT_TOL):
+        lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         if lab.piece_name not in EXPECTED_TETRAHEDRON_PIECES:
             raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
     return seen
@@ -214,11 +216,7 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
 def suite_join(samples: int = 200, seed: int = 0) -> dict:
     """Join round-trips, endpoint collapse, and the tetrahedron piece table."""
     _require_at_least(1, samples=samples)
-    cases = (
-        ((1, 2), (1, 1)),
-        ((1, 1, 1, 1), (2, 2)),
-        ((2, 3), (1, 1)),
-    )
+    cases = (((1, 2), (1, 1)), ((1, 1, 1, 1), (2, 2)), ((2, 3), (1, 1)))
     max_err = 0.0
     for sizes, split in cases:
         alg = AlgebraDescriptor(sizes)
@@ -228,15 +226,10 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
         max_err = max(max_err, linalg.hs_norm(back - rhos).max())
     # endpoint collapse: at weight zero the second component is dropped, so
     # two different fillers give byte-identical assembled states
-    alg = AlgebraDescriptor((1, 1, 1, 1))
-    split = (2, 2)
-    two = AlgebraDescriptor((1, 1))
-    phi1 = validate_density(np.diag([0.4, 0.6]).astype(complex), two)
-    fill_a = validate_density(np.diag([1.0, 0.0]).astype(complex), two)
-    fill_b = validate_density(np.diag([0.2, 0.8]).astype(complex), two)
-    left = join_state(make_join_point(alg, (1.0, 0.0), (phi1, fill_a), split=split))
-    right = join_state(make_join_point(alg, (1.0, 0.0), (phi1, fill_b), split=split))
-    collapse_exact = bool(np.array_equal(left.matrix, right.matrix))
+    phi1, fill_a, fill_b = _edge_state(0.4, 0.6), _edge_state(1.0, 0.0), _edge_state(0.2, 0.8)
+    left = make_join_point(TETRAHEDRON, (1.0, 0.0), (phi1, fill_a), split=TETRAHEDRON_SPLIT)
+    right = make_join_point(TETRAHEDRON, (1.0, 0.0), (phi1, fill_b), split=TETRAHEDRON_SPLIT)
+    collapse_exact = bool(np.array_equal(join_state(left).matrix, join_state(right).matrix))
     pieces = _tetrahedron_piece_census(seed, samples=min(samples, 200))
     pieces_ok = pieces == EXPECTED_TETRAHEDRON_PIECES
     passed = bool(max_err <= 1e-10 and collapse_exact and pieces_ok)
@@ -253,7 +246,9 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
     }
 
 
-def suite_orbit_census(draws: int = 2000, seed: int = 0, cluster_tol: float = 1e-8) -> dict:
+def suite_orbit_census(
+    draws: int = 2000, seed: int = 0, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> dict:
     """Signature census with stabilizer/orbit dimension consistency on M_2
     and on C (+) M_2.
 

@@ -36,8 +36,8 @@ import numpy as np
 from . import linalg
 from .errors import CoincidentPoints
 from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
-from .sampler import _approach_stack, _rng, _sequence_base, _sequence_stacks
-from .sampler import sample_algebra, standard_normal
+from .sampler import _approach_stack, _box_muller, _sequence_base, _sequence_stacks
+from .sampler import _uniform_rows, sample_algebra
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
 from .strata import StratumLabel, frontier_leq, tangent_basis_stack
 
@@ -237,38 +237,40 @@ def whitney_negative_control(terminal_pairs, seed: int = 0) -> dict:
     still passes. A healthy detector fails nearly all of them.
 
     terminal_pairs is the WhitneyReport.terminal_pairs of the estimate under
-    test: one (x_L, y_L) pair of DensityMatrix per trial, in trial order.
-    Trial t draws its plane from the (seed, 7, t) stream and measures the
-    moving-base secant of its pair against it.
+    test: one (x_L, y_L) pair of DensityMatrix per trial, in trial order,
+    all of one algebra. Trial t draws its plane from the (seed, 7, t) stream
+    and measures the moving-base secant of its pair against it. The trials
+    run as one stack (a stacked Gram-Schmidt with one (1, k) @ (k, 1) inner
+    product per trial), so each gap is a trial-by-trial loop's, bit for bit.
 
     Returns a dict with the per-trial terminal gaps and the fraction whose
     gap exceeds GAP_THRESHOLD.
     """
     trials = len(terminal_pairs)
-    if trials == 0:
-        raise ValueError("the negative control needs at least one terminal pair")
-    fails = 0
-    terminal_gaps = []
-    for t, (x, yk) in enumerate(terminal_pairs):
-        n = x.dim
-        rng = _rng(seed, 7, t)
-        plane = []
-        for _ in range(CONTROL_PLANE_DIM):
-            g = standard_normal(rng, (n, n)) + 1j * standard_normal(rng, (n, n))
-            h = linalg.hermitian_part(g)
-            h -= np.trace(h).real * np.eye(n) / n
-            for e in plane:
-                h = h - linalg.hs_inner(e, h) * e
-            plane.append(h / linalg.hs_norm(h))
-        gap = gap_line_space(secant_direction(x.matrix, yk.matrix), plane)
-        terminal_gaps.append(float(gap))
-        if gap > GAP_THRESHOLD:
-            fails += 1
+    algs = {p.alg for pair in terminal_pairs for p in pair}
+    if len(algs) != 1:
+        raise ValueError("the negative control needs terminal pairs, all of one algebra")
+    n = algs.pop().dim
+    u = _uniform_rows(seed, ((7, t) for t in range(trials)), 4 * CONTROL_PLANE_DIM * n * n)
+    # axes: trial, plane matrix, real / imaginary part, u1 / u2, entry
+    u = u.reshape(trials, CONTROL_PLANE_DIM, 2, 2, n, n)
+    z = _box_muller(np.ascontiguousarray(u[:, :, :, 0]), np.ascontiguousarray(u[:, :, :, 1]))
+    hs = linalg.hermitian_part(z[:, :, 0] + 1j * z[:, :, 1])
+    hs -= np.trace(hs, axis1=-2, axis2=-1).real[..., None, None] * np.eye(n) / n
+    plane = []
+    for h in hs.swapaxes(0, 1):
+        for e in plane:
+            inner = (e.conj().reshape(trials, 1, n * n) @ h.reshape(trials, n * n, 1)).real
+            h = h - inner * e
+        plane.append(h / linalg.hs_norm(h)[:, None, None])
+    ends = np.array([(x.matrix, yk.matrix) for x, yk in terminal_pairs])
+    gaps = gap_line_space_stack(secant_direction_stack(ends[:, 0], ends[:, 1]), np.stack(plane, 1))
+    fails = int(np.count_nonzero(gaps > GAP_THRESHOLD))
     return {
         "trials": trials,
         "failed": fails,
         "fraction_failed": fails / trials,
-        "terminal_gaps": terminal_gaps,
+        "terminal_gaps": gaps.tolist(),
     }
 
 

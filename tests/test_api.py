@@ -67,3 +67,42 @@ def test_modules_read_every_name_they_import():
     assert len(modules) > 10
     unused = {p.name: _unused_imports(p) for p in modules if p.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _random_references(path):
+    """(line, function) of each reference to numpy.random in a module:
+    np.random / numpy.random attributes and imports from numpy.random,
+    with the name of the function they sit in ("" at module level)."""
+    tree = ast.parse(path.read_text())
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names)
+            )
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        else:
+            hit = False
+        if hit:
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_uniform_rows_reads_the_random_streams():
+    # every seeded draw goes through sampler._uniform_rows, so the stream
+    # format has one reader
+    modules = sorted(pathlib.Path(stratumlab.__file__).parent.glob("*.py"))
+    refs = {p.name: _random_references(p) for p in modules}
+    assert {fn for _, fn in refs.pop("sampler.py")} == {"_uniform_rows"}
+    assert {name: found for name, found in refs.items() if found} == {}

@@ -22,7 +22,7 @@ from stratumlab import (
     validate_density,
 )
 from stratumlab.errors import AmbiguousClustering, DimensionTooLarge, NotInAlgebra, NotUnitary
-from stratumlab.orbits import ORBIT_DIM_MAX_BLOCK, orbit_dim_stack
+from stratumlab.orbits import ORBIT_DIM_MAX_BLOCK, orbit_dim_stack, orbit_signature_stack
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -79,6 +79,18 @@ def test_ambiguous_clustering():
     assert orbit_signature(rho, 1e-6).per_block == ((2,),)
     # a clearly separated pair stays two clusters
     assert orbit_signature(_diag_state([0.6, 0.4]), 1e-8).per_block == ((1, 1),)
+
+
+def test_signature_refuses_tolerances_that_decide_nothing():
+    # at NaN or -1 every eigenvalue would be its own cluster, at inf all
+    # would merge
+    rho = _diag_state([0.5, 0.25, 0.25])
+    for tol in (np.nan, -1.0, np.inf, 0.0):
+        with pytest.raises(ValueError, match="cluster_tol must be finite and positive"):
+            orbit_signature(rho, tol)
+        with pytest.raises(ValueError, match="cluster_tol must be finite and positive"):
+            orbit_signature_stack(rho.matrix[None], rho.alg, tol)
+    assert orbit_signature(rho, 1e-8).per_block == ((2, 1),)
 
 
 def test_isotropy_dim():

@@ -25,12 +25,12 @@ from stratumlab.errors import AmbiguousRank
 from stratumlab.sampler import (
     MAX_RESAMPLE,
     _algebra_stack,
+    _box_muller,
+    _ginibre_stack,
     _hs_stack,
-    _rng,
+    _polar_normal,
     _uniform_rows,
-    complex_normal,
-    ginibre,
-    standard_normal,
+    _unitary_stack,
 )
 from stratumlab.strata import StratumLabel
 from stratumlab.whitney import enumerate_labels
@@ -76,38 +76,51 @@ def test_streams_are_independent_per_purpose():
     assert _sha(b) != _sha(c)
 
 
+def _stream(seed, *path):
+    """The generator of one stream path, built here rather than by the
+    sampler, so the references below do not lean on the code they check."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *path])))
+
+
+def _ginibre(rng, n, m):
+    """n x m complex Ginibre matrix in polar form: n m moduli, then n m
+    phases."""
+    u1, u2 = rng.random((n, m)), rng.random((n, m))
+    return np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+
+
 def test_standard_normal_moments():
-    rng = _rng(0, 99)
-    x = standard_normal(rng, (200_000,))
+    rng = _stream(0, 99)
+    x = _box_muller(rng.random(200_000), rng.random(200_000))
     assert abs(float(np.mean(x))) < 0.01
     assert abs(float(np.std(x)) - 1.0) < 0.01
 
 
 def test_complex_normal_moments():
-    rng = _rng(0, 98)
-    z = complex_normal(rng, (200_000,))
+    rng = _stream(0, 98)
+    z = _polar_normal(rng.random(200_000), rng.random(200_000))
     assert abs(float(np.mean(z.real))) < 0.01
     assert abs(float(np.mean(z.imag))) < 0.01
     assert abs(float(np.mean(np.abs(z) ** 2)) - 1.0) < 0.02
 
 
 def test_ginibre_shape():
-    rng = _rng(0, 97)
-    g = ginibre(rng, 3, 5)
-    assert g.shape == (3, 5)
+    g = _ginibre_stack(_uniform_rows(0, [(97,), (96,)], 30), 3, 5)
+    assert g.shape == (2, 3, 5)
     assert np.iscomplexobj(g)
+    assert np.array_equal(g[1], _ginibre(_stream(0, 96), 3, 5))
 
 
 def _reference_hs_matrix(n, seed, index):
     """The per-draw construction of sample_hs's matrix that _hs_stack replaced."""
-    g = ginibre(_rng(seed, 0, index), n, n)
+    g = _ginibre(_stream(seed, 0, index), n, n)
     m = g @ g.conj().T
     return m / float(np.trace(m).real)
 
 
 def _reference_rank_matrix(n, r, seed, index, attempt):
     """The per-draw construction of sample_rank's matrix number attempt."""
-    g = ginibre(_rng(seed, 1, index, attempt), n, r)
+    g = _ginibre(_stream(seed, 1, index, attempt), n, r)
     m = g @ g.conj().T
     return m / float(np.trace(m).real)
 
@@ -115,17 +128,25 @@ def _reference_rank_matrix(n, r, seed, index, attempt):
 def _reference_algebra_matrix(alg, seed, ranks, index, attempt):
     """The per-draw construction of sample_algebra's matrix that
     _algebra_stack replaced."""
-    rng = _rng(seed, 4, index, attempt)
+    rng = _stream(seed, 4, index, attempt)
     blocks = []
     for b, nb in enumerate(alg.block_sizes):
         r = nb if ranks is None else ranks[b]
         if r == 0:
             blocks.append(np.zeros((nb, nb), dtype=complex))
             continue
-        g = ginibre(rng, nb, r)
+        g = _ginibre(rng, nb, r)
         blocks.append(g @ g.conj().T)
     m = linalg.block_embed(blocks)
     return m / float(np.trace(m).real)
+
+
+def _reference_unitary(n, seed, index):
+    """The per-draw construction of sample_unitary: QR of one Ginibre
+    matrix, each column rephased by its R diagonal entry."""
+    q, r = np.linalg.qr(_ginibre(_stream(seed, 2, index), n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 @pytest.mark.parametrize("seed", (0, 20201104))
@@ -160,8 +181,24 @@ def test_uniform_rows_are_the_per_path_streams(seed):
             u = _uniform_rows(seed, iter(paths), length)
             assert u.shape == (len(paths), length)
             for row, path in zip(u, paths):
-                assert np.array_equal(row, _rng(seed, *path).random(length))
+                assert np.array_equal(row, _stream(seed, *path).random(length))
     assert _uniform_rows(seed, [], 6).shape == (0, 6)
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_unitary_stack_rows_are_the_per_index_draws(seed):
+    # the index families of the sequences, the approximants' blocks, the
+    # margin splits and plain draws
+    families = [range(5)]
+    families += [[1000 + i for i in range(5)], [3000 + i for i in range(5)]]
+    families += [[2000 + 16 * i + b for i in range(4) for b in range(3)]]
+    for n in range(1, 7):
+        for indices in families:
+            us = _unitary_stack(n, seed, indices)
+            assert us.shape == (len(indices), n, n)
+            for u, index in zip(us, indices):
+                assert np.array_equal(u, _reference_unitary(n, seed, index))
+                assert np.array_equal(u, sample_unitary(n, seed, index))
 
 
 def test_sample_hs_is_valid_full_rank():
@@ -198,6 +235,9 @@ def test_sample_hermitian_unit_norm():
     h = sample_hermitian(4, seed=12)
     npt.assert_array_equal(h, h.conj().T)
     assert linalg.hs_norm(h) == pytest.approx(1.0, abs=1e-12)
+    # the (3, index) stream
+    want = linalg.hermitian_part(_ginibre(_stream(12, 3, 0), 4, 4))
+    assert np.array_equal(h, want / linalg.hs_norm(want))
 
 
 def test_sample_algebra():

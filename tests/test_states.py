@@ -19,6 +19,7 @@ from stratumlab import (
     simplex_state,
     validate_density,
 )
+from stratumlab.states import validate_stack
 from stratumlab.errors import (
     DimensionTooLarge,
     NotBlockDiagonal,
@@ -170,3 +171,19 @@ def test_simplex_state():
     npt.assert_array_equal(rho.matrix, np.diag([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(TraceNotOne):
         simplex_state([0.5, 0.6])
+
+
+def test_validation_refuses_tolerances_that_decide_nothing():
+    # at tol = inf an indefinite matrix would pass; at -1 or NaN every
+    # check would refuse, even one with nothing to refuse
+    indefinite = np.diag([2.0, -1.0]).astype(complex)
+    for tol in (np.inf, -1.0, np.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_density(indefinite, full_algebra(2), tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_density(np.diag([0.5, 0.5]).astype(complex), full_algebra(2), tol=tol)
+    ms = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])], dtype=complex)
+    for bad in (np.inf, np.nan, -1e-9):
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_stack(ms, full_algebra(2), np.array([1e-9, bad]))
+    assert validate_stack(ms, full_algebra(2), np.array([1e-9, 1e-6])).shape == (2, 2, 2)

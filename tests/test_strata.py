@@ -37,6 +37,15 @@ def test_rank_gray_zone_protocol():
         rank_from_eigenvalues(np.array([0.5]), 0.0)
 
 
+def test_rank_refuses_tolerances_that_decide_nothing():
+    # at tol = inf every eigenvalue would count as zero
+    w = np.array([0.5, 0.3, 0.2])
+    for tol in (np.inf, np.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rank_from_eigenvalues(w, tol)
+    assert rank_from_eigenvalues(w, 1e-9) == 3
+
+
 def test_numerical_rank_and_classify():
     alg = AlgebraDescriptor((1, 2))
     rho = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex), alg)

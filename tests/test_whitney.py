@@ -7,13 +7,7 @@ import pytest
 from stratumlab import linalg, sampler, strata, whitney
 from stratumlab.errors import AmbiguousRank, CoincidentPoints
 from stratumlab.fileio import canonical_json
-from stratumlab.sampler import (
-    _rng,
-    sample_rank,
-    sample_unitary,
-    sequence_toward,
-    standard_normal,
-)
+from stratumlab.sampler import sample_rank, sequence_toward
 from stratumlab.states import AlgebraDescriptor, validate_density
 from stratumlab.strata import (
     StratumLabel,
@@ -169,6 +163,40 @@ def test_negative_control_reuse_is_exact():
         whitney_negative_control((), seed=38)
 
 
+def _reference_control_gaps(terminal_pairs, seed):
+    """The trial-by-trial construction of whitney_negative_control's gaps:
+    per trial, a Gram-Schmidt plane of two traceless Hermitian matrices
+    from the (seed, 7, t) stream, then the gap of its terminal secant."""
+    gaps = []
+    for t, (x, yk) in enumerate(terminal_pairs):
+        n = x.dim
+        rng = _stream(seed, 7, t)
+        plane = []
+        for _ in range(whitney.CONTROL_PLANE_DIM):
+            g = _normal(rng, (n, n)) + 1j * _normal(rng, (n, n))
+            h = linalg.hermitian_part(g)
+            h -= np.trace(h).real * np.eye(n) / n
+            for e in plane:
+                h = h - linalg.hs_inner(e, h) * e
+            plane.append(h / linalg.hs_norm(h))
+        gaps.append(gap_line_space(secant_direction(x.matrix, yk.matrix), plane))
+    return gaps
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_negative_control_matches_trial_loop(seed):
+    for n, i, j in ((2, 1, 2), (3, 1, 2), (4, 2, 3)):
+        y = sample_rank(n, i, seed, index=n)
+        pairs = whitney_b_estimate(y, j, trials=12, seed=seed).terminal_pairs
+        out = whitney_negative_control(pairs, seed=seed)
+        assert out["terminal_gaps"] == _reference_control_gaps(pairs, seed)
+        assert out["failed"] == sum(g > whitney.GAP_THRESHOLD for g in out["terminal_gaps"])
+    # the trials run as one stack, so they must share one algebra
+    other = whitney_b_estimate(sample_rank(3, 1, seed), 2, trials=1, seed=seed).terminal_pairs
+    with pytest.raises(ValueError, match="one algebra"):
+        whitney_negative_control(pairs + other, seed=seed)
+
+
 def test_whitney_estimate_derives_y_data_once(monkeypatch):
     # every trial's sequence shares y's label, kernel frame and tangent basis,
     # so each is computed once per estimate, not once per trial
@@ -269,6 +297,26 @@ def test_sequence_toward_golden(nij):
     assert _sequence_sha(seq) == GOLDEN_SEQUENCES[nij]
 
 
+def _stream(seed, *path):
+    """The generator of one stream path, built here rather than by the
+    sampler, so the references below do not lean on the code they check."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *path])))
+
+
+def _normal(rng, shape):
+    """Box-Muller Gaussians sqrt(-2 ln(1-u1)) cos(2 pi u2) of two uniform
+    arrays."""
+    u1, u2 = rng.random(shape), rng.random(shape)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _ginibre(rng, n):
+    """n x n complex Ginibre matrix in polar form: n^2 moduli, then n^2
+    phases."""
+    u1, u2 = rng.random((n, n)), rng.random((n, n))
+    return np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+
+
 def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
     """The step-by-step construction sequence_toward used to run: per step,
     a rank audit and validation of x_k, one Gaussian draw, the halving
@@ -284,11 +332,14 @@ def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
     label_i = classify(y)
     kernel = linalg.eigh_fixed(y.matrix)[1][:, : n - i]
     r = j - i
-    rng = _rng(seed, 5, index)
-    rot = sample_unitary(n - i, seed, 1000 + index)
+    rng = _stream(seed, 5, index)
+    q, qr = np.linalg.qr(_ginibre(_stream(seed, 2, 1000 + index), n - i))
+    rot = q * (np.diagonal(qr) / np.abs(np.diagonal(qr)))
     support = kernel @ rot[:, :r]
     # half a normalized Wishart plus half the normalized identity
-    tau = 0.5 * sampler._gram_stack([(r, r)], rng.random((1, 2 * r * r)))[0] + 0.5 * np.eye(r) / r
+    g = _ginibre(rng, r)
+    wishart = g @ g.conj().T
+    tau = 0.5 * (wishart / float(np.trace(wishart).real)) + 0.5 * np.eye(r) / r
     sigma = support @ tau @ support.conj().T
     basis = tangent_basis(y, label=label_i)
     out = []
@@ -297,7 +348,7 @@ def _reference_sequence(y, j, rate=0.5, length=22, seed=0, index=0):
         xm = (1.0 - delta) * y.matrix + delta * sigma
         audit(xm, j)
         x = validate_density(xm, y.alg, y.tol)
-        h = np.tensordot(standard_normal(rng, len(basis)), basis, axes=1)
+        h = np.tensordot(_normal(rng, len(basis)), basis, axes=1)
         h = h / np.linalg.norm(h)
         step = 0.5 * delta
         for _ in range(30):
