@@ -20,6 +20,8 @@ import numpy as np
 from .errors import NotFinite, NotHermitian, NotOrthonormal
 
 HERMITICITY_TOL = 1e-12
+# budget of exact structure: orthonormal frames, block diagonality, unitarity
+STRUCTURE_TOL = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -103,16 +105,14 @@ def gauge_fix_columns(v: np.ndarray) -> np.ndarray:
     return cols.swapaxes(0, -2)
 
 
-def eigh_fixed(a: np.ndarray, tol: float = HERMITICITY_TOL):
+def eigh_fixed(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     (..., n, n) stack, with a deterministic gauge.
 
     Parameters
     ----------
     a : ndarray
-        Square matrix or stack of them, Hermitian within tol.
-    tol : float
-        Hermiticity budget passed to as_hermitian.
+        Square matrix or stack of them, Hermitian within HERMITICITY_TOL.
 
     Returns
     -------
@@ -127,18 +127,18 @@ def eigh_fixed(a: np.ndarray, tol: float = HERMITICITY_TOL):
     numpy.linalg.LinAlgError
         If the eigensolver does not converge (reported, never truncated).
     """
-    h = as_hermitian(a, tol)
+    h = as_hermitian(a)
     w, v = np.linalg.eigh(h)
     return w, gauge_fix_columns(v)
 
 
-def check_frame(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_frame(columns: np.ndarray) -> np.ndarray:
     """Validate an orthonormal frame (n x d matrix of column vectors).
 
     Raises
     ------
     NotOrthonormal
-        If columns^dagger columns deviates from the identity beyond tol.
+        If columns^dagger columns deviates from the identity beyond STRUCTURE_TOL.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
@@ -148,7 +148,7 @@ def check_frame(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"frame has more columns ({d}) than ambient dimensions ({n})")
     gram = columns.conj().T @ columns
     dev = float(np.max(np.abs(gram - np.eye(d)))) if d else 0.0
-    if dev > tol:
+    if dev > STRUCTURE_TOL:
         raise NotOrthonormal("frame columns are not orthonormal", magnitude=dev)
     return columns
 

@@ -124,25 +124,25 @@ def isotropy_dim(sig: OrbitSignature) -> int:
     return sum(m * m for mults in sig.per_block for m in mults)
 
 
-def adjoint_act(u: np.ndarray, rho: DensityMatrix, tol: float = 1e-10) -> DensityMatrix:
+def adjoint_act(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     """Conjugate rho by a block-diagonal unitary u.
 
     Raises
     ------
     NotInAlgebra
-        If u has off-block entries above tol.
+        If u has off-block entries above linalg.STRUCTURE_TOL.
     NotUnitary
-        If u^dagger u deviates from the identity beyond tol.
+        If u^dagger u deviates from the identity beyond linalg.STRUCTURE_TOL.
     """
     u = np.asarray(u, dtype=complex)
     n = rho.dim
     if u.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {u.shape}")
     off = linalg.off_block_magnitude(u, rho.alg.block_sizes)
-    if off > tol:
+    if off > linalg.STRUCTURE_TOL:
         raise NotInAlgebra("unitary is not block diagonal for this algebra", magnitude=off)
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if dev > tol:
+    if dev > linalg.STRUCTURE_TOL:
         raise NotUnitary("matrix is not unitary", magnitude=dev)
     return validate_density(u @ rho.matrix @ u.conj().T, rho.alg, rho.tol)
 

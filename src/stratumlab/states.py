@@ -78,12 +78,12 @@ class AlgebraDescriptor:
             at += n
         return out
 
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
-        """Whether x is (numerically) a block-diagonal element of the algebra."""
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether x is block diagonal for the algebra, within linalg.STRUCTURE_TOL."""
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             return False
-        return linalg.off_block_magnitude(x, self.block_sizes) <= tol
+        return linalg.off_block_magnitude(x, self.block_sizes) <= linalg.STRUCTURE_TOL
 
 
 def full_algebra(n: int) -> AlgebraDescriptor:
@@ -229,16 +229,16 @@ def _validated_states(hs: np.ndarray, alg: AlgebraDescriptor, tol: float) -> lis
     return [DensityMatrix(alg=alg, matrix=h, tol=tol, _validated=True) for h in hs]
 
 
-def is_psd_eigen(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness by the eigenvalue route: min eig >= -tol."""
+def is_psd_eigen(m: np.ndarray) -> bool:
+    """Positive semidefiniteness by the eigenvalue route: min eig >= -DEFAULT_TOL."""
     h = linalg.as_hermitian(m)
-    return bool(np.linalg.eigvalsh(h)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(h)[0] >= -DEFAULT_TOL)
 
 
-def is_psd_sylvester(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_psd_sylvester(m: np.ndarray) -> bool:
     """Positive semidefiniteness by the principal-minor route.
 
-    True iff every principal minor (all 2^n - 1 of them) is >= -tol * scale,
+    True iff every principal minor (all 2^n - 1 of them) is >= -DEFAULT_TOL * scale,
     where scale is the Hadamard bound of the submatrix (product of its row
     norms, floored at 1). The Hadamard scaling keeps the threshold meaningful
     for minors whose honest value is a large product.
@@ -264,7 +264,7 @@ def is_psd_sylvester(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         minors = np.linalg.det(sub).real
         row_norms = np.linalg.norm(sub, axis=2)
         scales = np.maximum(1.0, np.prod(row_norms, axis=1))
-        if bool(np.any(minors < -tol * scales)):
+        if bool(np.any(minors < -DEFAULT_TOL * scales)):
             return False
     return True
 

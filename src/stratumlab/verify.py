@@ -9,12 +9,14 @@ constant.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from . import linalg
-from .charts import contour_quadrature
+from .charts import contour_quadrature, small_spectral_projector
 from .joins import JOIN_RANK_NOTE, _join_stack, _split_stack, convex_split, join_piece_label
-from .joins import join_state, make_join_point, rank_of_join
+from .joins import join_state, make_join_point
 from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim_stack, orbit_signature_stack
 from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _hs_stack, _uniform_rows
 from .sampler import sample_rank, sample_unitary
@@ -55,7 +57,7 @@ def _margin_split_sample(n: int, seed: int, index: int):
     large = LARGE_BAND[0] + u[n_small:] * (LARGE_BAND[1] - LARGE_BAND[0])
     w = np.concatenate([small, large])
     u = sample_unitary(n, seed, 3000 + index)
-    return u @ np.diag(w) @ u.conj().T, n_small
+    return u @ np.diag(w) @ u.conj().T
 
 
 def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) -> dict:
@@ -67,11 +69,8 @@ def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) ->
     halved = max(nodes // 2, 4)
     for s in range(samples):
         n = 2 + s % 5
-        g, n_small = _margin_split_sample(n, seed, s)
-        w, v = linalg.eigh_fixed(g)
-        small_v = v[:, :n_small]
-        p_eig = small_v @ small_v.conj().T
-        part_eig = (small_v * w[:n_small]) @ small_v.conj().T
+        g = _margin_split_sample(n, seed, s)
+        p_eig, part_eig = small_spectral_projector(g, CONTOUR_RADIUS)
         for c, node_count in enumerate((halved, nodes)):
             p_c, s_c = contour_quadrature(g, CONTOUR_RADIUS, node_count)
             err_proj[s, c] = linalg.hs_norm(p_c - p_eig)
@@ -194,7 +193,7 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
     def visit(weights, comps):
         p = make_join_point(TETRAHEDRON, weights, comps, split=TETRAHEDRON_SPLIT)
         lab = join_piece_label(p)
-        rank = rank_of_join(p)
+        rank = sum(lab.factor_ranks)
         prev = seen.setdefault(lab.piece_name, rank)
         if prev != rank:
             raise AssertionError(f"piece {lab.piece_name} visited with ranks {prev} and {rank}")
@@ -256,76 +255,46 @@ def suite_orbit_census(
     validated, classified and measured as one stack per algebra.
     """
     _require_at_least(1, draws=draws)
+    m2, cm2 = full_algebra(2), AlgebraDescriptor((1, 2))
+    # algebra, draw, constructed states, generic and other signature, and the
+    # orbit dimension the first 50 draws share (None: unchecked)
+    table = (
+        (m2, lambda: _hs_stack(2, seed, range(draws)), [maximally_mixed(m2)],
+         ((1, 1),), ((2,),), 2),
+        (cm2, lambda: _algebra_stack(cm2, seed, None, range(draws), 0),
+         [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))],
+         ((1,), (1, 1)), ((1,), (2,)), None),
+    )
     reports = []
-    all_ok = True
-
-    def census(alg, draw, constructed, generic_signature):
+    for alg, draw, constructed, generic, other, generic_dim in table:
         # the draws, then the constructed states (which validate unchanged);
         # the raw stacks are not kept past validation
         hs = validate_stack(np.concatenate([draw(), [c.matrix for c in constructed]]), alg)
         sigs = orbit_signature_stack(hs, alg, cluster_tol)
         dims = orbit_dim_stack(hs, alg).tolist()
-        dim_u = alg.unitary_group_dim
-        counts: dict = {}
-        for sig in sigs:
-            counts[sig.per_block] = counts.get(sig.per_block, 0) + 1
-        consistent = all(d + isotropy_dim(sig) == dim_u for sig, d in zip(sigs, dims))
-        generic_fraction = counts.get(generic_signature, 0) / draws
-        return counts, consistent, generic_fraction, dims
-
-    m2 = full_algebra(2)
-    counts, consistent, generic_fraction, dims = census(
-        m2, lambda: _hs_stack(2, seed, range(draws)), [maximally_mixed(m2)], ((1, 1),)
-    )
-    generic_orbit_dims = set(dims[: min(draws, 50)])
-    m2_ok = bool(
-        set(counts) == {((1, 1),), ((2,),)}
-        and consistent
-        and generic_fraction >= 0.999
-        and generic_orbit_dims == {2}
-    )
-    all_ok = all_ok and m2_ok
-    reports.append(
-        {
-            "alg": [2],
+        counts = Counter(sig.per_block for sig in sigs)
+        consistent = all(d + isotropy_dim(s) == alg.unitary_group_dim for s, d in zip(sigs, dims))
+        generic_fraction = counts.get(generic, 0) / draws
+        ok = set(counts) == {generic, other} and consistent and generic_fraction >= 0.999
+        report = {
+            "alg": list(alg.block_sizes),
             "signatures": {str(list(map(list, k))): v for k, v in sorted(counts.items())},
             "distinct": len(counts),
             "dimension_identity_holds": consistent,
             "generic_fraction": generic_fraction,
-            "generic_orbit_dim": sorted(generic_orbit_dims),
-            "passed": m2_ok,
         }
-    )
-
-    cm2 = AlgebraDescriptor((1, 2))
-    cm2_constructed = [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))]
-    counts, consistent, generic_fraction, _ = census(
-        cm2, lambda: _algebra_stack(cm2, seed, None, range(draws), 0), cm2_constructed,
-        ((1,), (1, 1)),
-    )
-    cm2_ok = bool(
-        set(counts) == {((1,), (1, 1)), ((1,), (2,))}
-        and consistent
-        and generic_fraction >= 0.999
-    )
-    all_ok = all_ok and cm2_ok
-    reports.append(
-        {
-            "alg": [1, 2],
-            "signatures": {str(list(map(list, k))): v for k, v in sorted(counts.items())},
-            "distinct": len(counts),
-            "dimension_identity_holds": consistent,
-            "generic_fraction": generic_fraction,
-            "passed": cm2_ok,
-        }
-    )
+        if generic_dim is not None:
+            report["generic_orbit_dim"] = sorted(set(dims[: min(draws, 50)]))
+            ok = ok and report["generic_orbit_dim"] == [generic_dim]
+        report["passed"] = bool(ok)
+        reports.append(report)
     return {
         "suite": "orbit-census",
         "draws": draws,
         "seed": seed,
         "cluster_tol": cluster_tol,
         "censuses": reports,
-        "passed": all_ok,
+        "passed": all(r["passed"] for r in reports),
     }
 
 

@@ -53,35 +53,37 @@ CONTROL_PLANE_DIM = 2
 # witness distance of the frontier checks (their approximant step,
 # FRONTIER_DELTA, is the sampler's)
 FRONTIER_DISTANCE = 1e-6
+# HS distance at or below which two points have no secant direction
+COINCIDENT_TOL = 1e-14
 
 
-def secant_direction_stack(xs: np.ndarray, ys: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def secant_direction_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Unit (HS) directions from ys to xs, matrix by matrix, over stacks of
     any (broadcast) leading shape.
 
     Raises
     ------
     CoincidentPoints
-        For the first pair, in row-major order, closer than tol.
+        For the first pair, in row-major order, within COINCIDENT_TOL.
     """
     d = np.asarray(xs, dtype=complex) - np.asarray(ys, dtype=complex)
     norms = linalg.hs_norm(d)
-    close = np.flatnonzero(norms <= tol)
+    close = np.flatnonzero(norms <= COINCIDENT_TOL)
     if close.size:
         raise CoincidentPoints(f"points coincide within {norms.flat[close[0]]:.3e}")
     return d / norms[..., None, None]
 
 
-def secant_direction(x: np.ndarray, y: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def secant_direction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unit (HS) direction from y to x: secant_direction_stack on stacks of
     one matrix.
 
     Raises
     ------
     CoincidentPoints
-        If the two matrices are closer than tol.
+        If the two matrices are within COINCIDENT_TOL.
     """
-    return secant_direction_stack(np.asarray(x)[None], np.asarray(y)[None], tol)[0]
+    return secant_direction_stack(np.asarray(x)[None], np.asarray(y)[None])[0]
 
 
 def gap_line_space_stack(vs: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -188,17 +190,14 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
     max_b = gaps_b.max(axis=0)
     max_a = gaps_a.max(axis=0)
     keep = (gaps_b > SLOPE_FIT_FLOOR).ravel()
-    if j == y.dim:
-        # the target stratum is open, its tangent space is the whole
-        # trace-zero hyperplane, every gap is roundoff; no rate to fit
-        slope = float("inf")
-    elif int(keep.sum()) >= 3:
+    if j != y.dim and int(keep.sum()) >= 3:
         slope = float(
             np.polyfit(np.log10(dists.ravel()[keep]), np.log10(gaps_b.ravel()[keep]), 1)[0]
         )
     else:
-        # gaps collapsed onto the numerical floor immediately; decay is as
-        # fast as measurable
+        # no rate to fit: the target stratum is open (its tangent space is the
+        # whole trace-zero hyperplane, every gap is roundoff), or the gaps
+        # collapsed onto the numerical floor at once (decay as fast as measurable)
         slope = float("inf")
     passed = bool(
         max_d[-1] <= WHITNEY_DISTANCE

@@ -1,11 +1,12 @@
 import ast
+import inspect
 import pathlib
 import types
 
 import pytest
 
 import stratumlab
-from stratumlab import strata
+from stratumlab import linalg, orbits, states, strata, whitney
 
 
 def test_all_lists_exactly_the_public_names():
@@ -106,3 +107,11 @@ def test_only_uniform_rows_reads_the_random_streams():
     refs = {p.name: _random_references(p) for p in modules}
     assert {fn for _, fn in refs.pop("sampler.py")} == {"_uniform_rows"}
     assert {name: found for name, found in refs.items() if found} == {}
+
+
+def test_fixed_tolerances_are_not_parameters():
+    # each of these decides at one named module constant
+    fixed = (linalg.eigh_fixed, linalg.check_frame, states.AlgebraDescriptor.contains,
+             orbits.adjoint_act, states.is_psd_eigen, states.is_psd_sylvester,
+             whitney.secant_direction_stack, whitney.secant_direction)
+    assert [f.__name__ for f in fixed if "tol" in inspect.signature(f).parameters] == []

@@ -23,6 +23,7 @@ from stratumlab.errors import (
     EigenvalueOnContour,
     NotInChartDomain,
 )
+from stratumlab.verify import _margin_split_sample
 
 M3 = full_algebra(3)
 
@@ -77,12 +78,12 @@ def test_chart_domain_rejections():
     # 0.3 and 0.2 land inside the forbidden band (0.125, 0.375)
     g_band = _diag_state([0.5, 0.3, 0.2])
     assert not in_chart_domain(f, g_band, cfg)
-    with pytest.raises(NotInChartDomain):
+    with pytest.raises(NotInChartDomain, match=r"eigenvalue 0\.2 inside the forbidden band"):
         chart_forward(f, g_band, cfg)
     # spectrum splits, but with the wrong number of small eigenvalues
     g_split = _diag_state([0.9, 0.05, 0.05])
     assert in_chart_domain(f, g_split, cfg)
-    with pytest.raises(NotInChartDomain):
+    with pytest.raises(NotInChartDomain, match="leaves 1 large eigenvalues but the center has rank 2"):
         chart_forward(f, g_split, cfg)
 
 
@@ -136,12 +137,22 @@ def test_contour_matches_eigen_route():
         w = np.concatenate([rng.uniform(0, 0.1, size=1), rng.uniform(0.4, 1.0, size=n - 1)])
         u = sample_unitary(n, seed=44, index=n)
         g = (u * w) @ u.conj().T
-        p_eig = small_spectral_projector(g, 0.25)
+        p_eig, s_eig = small_spectral_projector(g, 0.25)
         p_q, s_q = contour_quadrature(g, 0.25, nodes=64)
         assert linalg.hs_norm(p_q - p_eig) <= 1e-10
-        small_v = linalg.eigh_fixed(g)[1][:, :1]
-        s_eig = (small_v * w[:1]) @ small_v.conj().T
         assert linalg.hs_norm(s_q - s_eig) <= 1e-10
+
+
+def test_eigen_route_is_the_leading_eigenvectors():
+    # the pair is built from the k leading columns and eigenvalues of
+    # eigh_fixed, bit for bit, k the count below the threshold
+    for s in range(200):
+        g = _margin_split_sample(2 + s % 5, 0, s)
+        w, v = linalg.eigh_fixed(g)
+        k = int(np.count_nonzero(w < 0.25))
+        p, part = small_spectral_projector(g, 0.25)
+        assert np.array_equal(p, v[:, :k] @ v[:, :k].conj().T)
+        assert np.array_equal(part, (v[:, :k] * w[:k]) @ v[:, :k].conj().T)
 
 
 def test_contour_projector_worked_example():
@@ -172,7 +183,7 @@ def test_contour_node_halving_gains_accuracy():
         w = np.concatenate([rng.uniform(0, 0.15, size=2), rng.uniform(0.4, 1.0, size=2)])
         u = sample_unitary(4, seed=46, index=s)
         g = (u * w) @ u.conj().T
-        p_eig = small_spectral_projector(g, 0.25)
+        p_eig = small_spectral_projector(g, 0.25)[0]
         e32 = linalg.hs_norm(contour_quadrature(g, 0.25, nodes=32)[0] - p_eig)
         e64 = linalg.hs_norm(contour_quadrature(g, 0.25, nodes=64)[0] - p_eig)
         ratios.append(e32 / max(e64, 1e-16))

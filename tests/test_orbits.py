@@ -158,6 +158,13 @@ def test_adjoint_act():
     assert adjoint_act(ub, rho2).alg == alg
 
 
+def test_adjoint_act_takes_no_tolerance():
+    # off-block and unitarity budgets are linalg.STRUCTURE_TOL; no keyword
+    # can wave a non-unitary through
+    with pytest.raises(TypeError):
+        adjoint_act(np.diag([1.0, 2.0]).astype(complex), _diag_state([0.6, 0.4]), tol=np.inf)
+
+
 def test_signature_census_matches_partition_count():
     for n in range(1, 7):
         seen = set()

@@ -93,7 +93,6 @@ def test_blocks_and_eigenvalues():
 
 def test_sylvester_agrees_with_eigen_route():
     rng = np.random.default_rng(20)
-    tol = 1e-9
     checked = 0
     for trial in range(500):
         n = 1 + trial % 6
@@ -105,7 +104,7 @@ def test_sylvester_agrees_with_eigen_route():
             m = (a + a.conj().T) / 2  # indefinite almost surely for n > 1
         else:
             m = a @ a.conj().T - 0.05 * np.eye(n)  # slightly shifted down
-        assert is_psd_sylvester(m, tol) == is_psd_eigen(m, tol)
+        assert is_psd_sylvester(m) == is_psd_eigen(m)
         checked += 1
     assert checked == 500
 
@@ -114,13 +113,22 @@ def test_sylvester_boundary_and_cap():
     # singular PSD: a rank-1 projector has zero minors but none negative
     v = np.array([1.0, 2.0, 2.0]) / 3.0
     p = np.outer(v, v)
-    assert is_psd_sylvester(p, 1e-9)
-    assert is_psd_eigen(p, 1e-9)
+    assert is_psd_sylvester(p)
+    assert is_psd_eigen(p)
     # a matrix with nonnegative leading minors but a negative principal minor
     m = np.diag([0.0, -1.0])
-    assert not is_psd_sylvester(m, 1e-9)
+    assert not is_psd_sylvester(m)
     with pytest.raises(DimensionTooLarge):
-        is_psd_sylvester(np.eye(13), 1e-9)
+        is_psd_sylvester(np.eye(13))
+
+
+def test_psd_routes_take_no_tolerance():
+    # both routes decide at DEFAULT_TOL; no keyword can widen the budget
+    m = np.diag([2.0, -1.0])
+    with pytest.raises(TypeError):
+        is_psd_eigen(m, tol=np.inf)
+    with pytest.raises(TypeError):
+        is_psd_sylvester(m, tol=np.nan)
 
 
 def test_is_pure():

@@ -62,7 +62,7 @@ def test_secant_direction_coincident():
     with pytest.raises(CoincidentPoints):
         secant_direction(y, y)
     with pytest.raises(CoincidentPoints):
-        secant_direction(y + 1e-16 * SX, y, tol=1e-14)
+        secant_direction(y + 1e-16 * SX, y)
 
 
 def test_gap_line_space_exact():
