@@ -46,7 +46,7 @@ _EXPORTS = {
         ),
         "joins": (
             "JOIN_RANK_NOTE", "JoinPieceLabel", "JoinPoint", "convex_split", "join_piece_label",
-            "join_state", "make_join_point", "rank_of_join", "summand_algebras",
+            "join_state", "make_join_point", "summand_algebras",
         ),
         "sampler": (
             "approach_state", "sample_algebra", "sample_block_unitary", "sample_hermitian",

@@ -91,12 +91,17 @@ def chart_config_for(f: DensityMatrix, epsilon: float | None = None) -> ChartCon
     return ChartConfig(gap_a=a, epsilon=epsilon, contour_radius=radius)
 
 
+def _in_band(w: np.ndarray, cfg: ChartConfig) -> np.ndarray:
+    """Mask of the ascending eigenvalues w inside the forbidden band: neither
+    below epsilon nor above gap - epsilon (NaN included, so it fails closed)."""
+    return ~((w < cfg.epsilon) | (w > cfg.gap_a - cfg.epsilon))
+
+
 def in_chart_domain(f: DensityMatrix, g: DensityMatrix, cfg: ChartConfig) -> bool:
     """Whether g's spectrum splits below epsilon / above gap - epsilon."""
     if g.dim != f.dim:
         raise ValueError("center and point live in different ambient spaces")
-    w = g.eigenvalues()
-    return bool(np.all((w < cfg.epsilon) | (w > cfg.gap_a - cfg.epsilon)))
+    return not _in_band(g.eigenvalues(), cfg).any()
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def chart_forward(
     if cfg is None:
         cfg = chart_config_for(f)
     w, v = linalg.eigh_fixed(g.matrix)
-    inside = w[(w >= cfg.epsilon) & (w <= cfg.gap_a - cfg.epsilon)]
+    inside = w[_in_band(w, cfg)]
     if inside.size:
         raise NotInChartDomain(
             f"eigenvalue {inside[0]:.6g} inside the forbidden band "

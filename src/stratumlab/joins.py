@@ -239,11 +239,6 @@ def join_piece_label(p: JoinPoint) -> JoinPieceLabel:
     )
 
 
-def rank_of_join(p: JoinPoint) -> int:
-    """Rank of the assembled state: factor ranks add across disjoint blocks."""
-    return sum(join_piece_label(p).factor_ranks)
-
-
 JOIN_RANK_NOTE = (
     "Ranks of join pieces are computed by eigenvalue count and add across "
     "summands: a product piece RrxSsxI consists of rank r+s density matrices. "

@@ -4,7 +4,9 @@ The density matrices of M_{n_1} (+) ... (+) M_{n_k} are partitioned by the
 tuple of per-block ranks. Each piece (stratum) is a smooth manifold; over a
 full matrix block, the rank-i stratum fibers over the Grassmannian of
 (n - i)-dimensional kernels with positive-definite trace-normalized fibers,
-giving real dimension 2 i (n - i) + i^2 - 1.
+giving real dimension 2 i (n - i) + i^2 - 1. For a direct sum the diagonal
+tangent directions in the eigenframe form one trace-free family over the
+range positions of all blocks: one trace constraint, not one per block.
 
 Rank decisions follow a strict tolerance protocol: eigenvalues must stay out
 of the gray zone (tol/10, 10 tol), otherwise the classification refuses to
@@ -142,30 +144,6 @@ def frontier_leq(a: StratumLabel, b: StratumLabel) -> bool:
     return all(ia <= ib for ia, ib in zip(a.per_block, b.per_block))
 
 
-def _contrast_coefficients(weights: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to weights in R^k.
-
-    Columns 2..k of the Householder reflection sending e_1 to the normalized
-    weight vector; deterministic, exactly orthonormal.
-    """
-    s = np.asarray(weights, dtype=float)
-    k = s.size
-    s = s / np.linalg.norm(s)
-    e1 = np.zeros(k)
-    e1[0] = 1.0
-    w = s - e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        h = np.eye(k)
-    else:
-        w = w / nw
-        h = np.eye(k) - 2.0 * np.outer(w, w)
-        # first column of h is -s when built this way; flip signs so h[:,0] = s
-        if np.dot(h[:, 0], s) < 0:
-            h = -h
-    return h[:, 1:]
-
-
 @functools.lru_cache(maxsize=64)
 def _tangent_template(block_sizes: tuple[int, ...], per_block: tuple[int, ...]) -> np.ndarray:
     """Tangent basis of a stratum written in the per-block eigenframe.
@@ -178,35 +156,26 @@ def _tangent_template(block_sizes: tuple[int, ...], per_block: tuple[int, ...]) 
     n = sum(block_sizes)
     eye = np.eye(n)
     basis: list[np.ndarray] = []
-    units: list[np.ndarray] = []  # diagonals of the normalized range projectors
-    occupied: list[int] = []
+    ranges: list[int] = []  # range positions of every block, in order
     at = 0
     for nb, ib in zip(block_sizes, per_block):
-        if ib >= 1:
-            kept = range(at + nb - ib, at + nb)
-            # range x kernel couplings, then the off-diagonal directions
-            # inside the range block
-            pairs = [(r, q) for r in kept for q in range(at, at + nb - ib)]
-            pairs += [(r, s) for x, r in enumerate(kept) for s in kept[x + 1 :]]
-            for r, q in pairs:
-                outer = np.outer(eye[r], eye[q])
-                basis.append((outer + outer.T) / np.sqrt(2.0))
-                basis.append((1j * outer - 1j * outer.T) / np.sqrt(2.0))
-            # traceless diagonal directions inside the range block
-            for a in range(1, ib):
-                w = np.zeros(n)
-                w[kept[:a]] = 1.0
-                w[kept[a]] = -a
-                basis.append(np.diag(w / np.sqrt(a * (a + 1))))
-            units.append(np.zeros(n))
-            units[-1][kept] = 1.0 / np.sqrt(ib)
-            occupied.append(ib)
+        kept = range(at + nb - ib, at + nb)
+        # range x kernel couplings, then the off-diagonal directions inside
+        # the range block
+        pairs = [(r, q) for r in kept for q in range(at, at + nb - ib)]
+        pairs += [(r, s) for x, r in enumerate(kept) for s in kept[x + 1 :]]
+        for r, q in pairs:
+            outer = np.outer(eye[r], eye[q])
+            basis.append((outer + outer.T) / np.sqrt(2.0))
+            basis.append((1j * outer - 1j * outer.T) / np.sqrt(2.0))
+        ranges += kept
         at += nb
-    # relative weights between occupied blocks (trace-free combinations of
-    # the normalized range projectors)
-    if len(occupied) > 1:
-        contrasts = _contrast_coefficients(np.sqrt(np.asarray(occupied, dtype=float)))
-        basis += [np.diag(w) for w in contrasts.T @ np.array(units)]
+    # trace-free diagonal directions over the joint range (Helmert)
+    for a in range(1, len(ranges)):
+        w = np.zeros(n)
+        w[ranges[:a]] = 1.0
+        w[ranges[a]] = -a
+        basis.append(np.diag(w / np.sqrt(a * (a + 1))))
     template = np.array(basis, dtype=complex).reshape(len(basis), n, n)
     template.flags.writeable = False
     return template
@@ -240,8 +209,9 @@ def tangent_basis(rho: DensityMatrix, *, label: StratumLabel | None = None) -> n
     The tangent space is the set of block-diagonal Hermitian H with total
     trace zero whose compression to the kernel of rho vanishes
     (P_ker H P_ker = 0). The basis is built exactly in the eigenframe of each
-    block: range-range traceless directions, range-kernel couplings, and the
-    relative block-weight contrasts.
+    block: range-kernel couplings and off-diagonal range directions per
+    block, then one Helmert family of trace-free diagonal directions over
+    the range positions of all blocks.
 
     Returns a (d, n, n) array, d = stratum_dim_label of the stratum, whose
     slices are HS-orthonormal Hermitian matrices. It is W T W^dagger with T

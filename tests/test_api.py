@@ -115,3 +115,13 @@ def test_fixed_tolerances_are_not_parameters():
              orbits.adjoint_act, states.is_psd_eigen, states.is_psd_sylvester,
              whitney.secant_direction_stack, whitney.secant_direction)
     assert [f.__name__ for f in fixed if "tol" in inspect.signature(f).parameters] == []
+
+
+def test_readme_quick_tour_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    tour = readme.read_text().split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md quick tour", "exec"), namespace)
+    assert namespace["label"].per_block == (1, 2)
+    assert linalg.hs_norm(namespace["back"].matrix - namespace["g"].matrix) <= 1e-12

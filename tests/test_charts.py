@@ -18,6 +18,7 @@ from stratumlab import (
     spectral_gap,
     validate_density,
 )
+from stratumlab.charts import _in_band
 from stratumlab.errors import (
     AlphaTooLarge,
     EigenvalueOnContour,
@@ -85,6 +86,13 @@ def test_chart_domain_rejections():
     assert in_chart_domain(f, g_split, cfg)
     with pytest.raises(NotInChartDomain, match="leaves 1 large eigenvalues but the center has rank 2"):
         chart_forward(f, g_split, cfg)
+
+
+def test_forbidden_band_fails_closed():
+    cfg = ChartConfig(gap_a=0.5, epsilon=0.125, contour_radius=0.25)
+    # the band is closed at both edges, and NaN is neither small nor large
+    w = np.array([0.0, 0.125 - 1e-12, 0.125, 0.2, 0.375, 0.375 + 1e-12, np.nan])
+    assert _in_band(w, cfg).tolist() == [False, False, True, True, True, False, True]
 
 
 def test_chart_alpha_budget():

@@ -12,7 +12,6 @@ from stratumlab import (
     linalg,
     make_join_point,
     numerical_rank,
-    rank_of_join,
     sample_algebra,
     summand_algebras,
     validate_density,
@@ -137,7 +136,8 @@ def test_rank_of_join_matches_eigen_oracle():
         p = convex_split(rho, split=(2, 2))
         lab = join_piece_label(p)
         assert lab.piece_name == name
-        assert rank_of_join(p) == rank
+        # factor ranks add across disjoint blocks
+        assert sum(lab.factor_ranks) == rank
         assert numerical_rank(rho) == rank
 
 
