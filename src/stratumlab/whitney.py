@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CoincidentPoints
-from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
+from .errors import CoincidentPoints, StratumLabError
+from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _approach_base
 from .sampler import _approach_stack, _box_muller, _sequence_base, _sequence_stacks
 from .sampler import _uniform_rows, sample_algebra
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
-from .strata import StratumLabel, frontier_leq, tangent_basis_stack
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states, validate_stack
+from .strata import StratumLabel, classify_stack, frontier_leq, tangent_basis_stack
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -297,11 +297,24 @@ class FrontierReport:
 
 
 def _frontier_sources(i: StratumLabel, samples: int, seed: int):
-    """The sampled rank-i points of a frontier check, drawn one by one (point
-    s with index s) and stacked, with what every target shares: their
-    approach base and block spectra."""
-    ys = [sample_algebra(i.alg, seed, i.per_block, s) for s in range(samples)]
-    hs = np.array([y.matrix for y in ys])
+    """The sampled rank-i points of a frontier check, point s the draw
+    sample_algebra(i.alg, seed, i.per_block, s), with what every target
+    shares: their approach base and block spectra.
+
+    Attempt 0 of every point is drawn, validated and classified as one
+    stack. Only the points it leaves off rank i go through sample_algebra's
+    resample loop, and all of them do when the stacked checks refuse.
+    """
+    hs = _algebra_stack(i.alg, seed, i.per_block, range(samples), 0)
+    try:
+        hs = validate_stack(hs, i.alg)
+        redraw = np.flatnonzero((classify_stack(hs, i.alg) != i.per_block).any(axis=1))
+    except StratumLabError:
+        redraw = range(samples)
+    if len(redraw):
+        hs = hs.copy()
+        for s in redraw:
+            hs[s] = sample_algebra(i.alg, seed, i.per_block, s).matrix
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
     return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)
 

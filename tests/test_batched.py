@@ -71,6 +71,7 @@ from stratumlab.verify import (
     suite_join,
     suite_orbit_census,
 )
+from stratumlab import whitney
 from stratumlab.whitney import (
     _frontier_sources,
     gap_line_space,
@@ -339,6 +340,34 @@ def test_approach_stack_rows_match_approach_state(seed):
                     assert np.array_equal(xs[s], x.matrix)
                     cases += 1
     assert cases == 291
+
+
+def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
+    def draws(i):
+        return np.array([sample_algebra(i.alg, 4, ranks=i.per_block, index=s).matrix
+                         for s in range(15)])
+
+    labels = [StratumLabel(AlgebraDescriptor(sizes), ranks)
+              for sizes, ranks in (((1, 2), (1, 1)), ((3,), (2,)), ((2, 2), (0, 2)))]
+    for i in labels:
+        assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
+    stack = whitney._algebra_stack
+    i = labels[0]
+    # a point off rank i at attempt 0 is redrawn alone, by the resample loop
+    off = stack(i.alg, 4, i.per_block, range(15), 0).copy()
+    off[3] = maximally_mixed(i.alg).matrix
+    monkeypatch.setattr(whitney, "_algebra_stack", lambda *args: off)
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
+    # every point is redrawn when the stacked validation or audit refuses
+    off[5] = np.nan
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
+    monkeypatch.setattr(whitney, "_algebra_stack", stack)
+
+    def refuse(*args):
+        raise AmbiguousRank(1e-7, 1e-7)
+
+    monkeypatch.setattr(whitney, "classify_stack", refuse)
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
 
 
 def _reference_frontier_witnesses(i, j, samples, seed):

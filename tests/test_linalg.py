@@ -171,5 +171,5 @@ def test_eigh_fixed_reconstructs(seed, n):
     rng = np.random.default_rng(seed)
     a = _rand_hermitian(rng, n)
     w, v = linalg.eigh_fixed(a)
-    npt.assert_allclose(v @ np.diag(w) @ v.conj().T, a, atol=1e-12)
-    npt.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
+    npt.assert_allclose(v @ np.diag(w) @ v.conj().T, a, rtol=0, atol=1e-12)
+    npt.assert_allclose(v.conj().T @ v, np.eye(n), rtol=0, atol=1e-12)

@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratumlab import (
     AlgebraDescriptor,
@@ -24,6 +26,8 @@ from stratumlab import strata
 from stratumlab.errors import AmbiguousRank
 from stratumlab.sampler import (
     MAX_RESAMPLE,
+    STREAM_CHUNK_ROWS,
+    STREAM_PORT_ROWS,
     _algebra_stack,
     _box_muller,
     _ginibre_stack,
@@ -64,7 +68,7 @@ def test_sample_hs_reproducible_and_golden():
 def test_sample_unitary_golden_and_unitary():
     u = sample_unitary(4, seed=7)
     assert _sha(u) == GOLDEN_U4_SEED7
-    npt.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+    npt.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-12)
 
 
 def test_streams_are_independent_per_purpose():
@@ -185,6 +189,70 @@ def test_uniform_rows_are_the_per_path_streams(seed):
     assert _uniform_rows(seed, [], 6).shape == (0, 6)
 
 
+def _random_paths(rng, rows, ragged):
+    """rows stream paths: of 0 to 5 entries, about a third of them >= 2^32,
+    or (ragged=False) all of three entries below 2^32."""
+    if not ragged:
+        return [tuple(int(e) for e in rng.integers(0, 2**32, 3)) for _ in range(rows)]
+    big = lambda: 2**32 + int(rng.integers(0, 2**40))
+    return [
+        tuple(big() if rng.random() < 0.3 else int(rng.integers(0, 50))
+              for _ in range(rng.integers(0, 6)))
+        for _ in range(rows)
+    ]
+
+
+# just below and at the crossover between the two routes, and across a
+# chunk boundary of the port
+@pytest.mark.parametrize("rows", (STREAM_PORT_ROWS - 1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+@pytest.mark.parametrize("length", (1, 8, 33, 128))
+def test_uniform_rows_routes_are_the_numpy_streams(rows, length):
+    rng = np.random.default_rng(1000 * rows + length)
+    # seeds of two and three words; paths given as generators
+    seed = 2**32 + int(rng.integers(0, 2**62)) * int(rng.integers(1, 2**8))
+    for ragged in (True, False):
+        paths = _random_paths(rng, rows, ragged)
+        u = _uniform_rows(seed, (path for path in paths), length)
+        assert u.shape == (rows, length)
+        for row, path in zip(u, paths):
+            assert np.array_equal(row, _stream(seed, *path).random(length))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**80),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**70), max_size=5),
+        min_size=STREAM_PORT_ROWS,
+        max_size=3 * STREAM_PORT_ROWS,
+    ),
+    st.sampled_from((1, 8, 33, 128)),
+)
+def test_uniform_rows_port_is_the_numpy_streams(seed, paths, length):
+    u = _uniform_rows(seed, iter(paths), length)
+    for row, path in zip(u, paths):
+        assert np.array_equal(row, _stream(seed, *path).random(length))
+
+
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS))
+def test_uniform_rows_refuse_non_integer_entries(rows):
+    good = [(4, k, 0) for k in range(rows - 1)]
+    for seed, last in ((1.5, (4, 0, 0)), (np.float64(2.0), (4, 0, 0)), (3, (4, 2.5, 0))):
+        with pytest.raises(TypeError):
+            _uniform_rows(seed, good + [last], 8)
+    # a seed is no longer truncated to its integer part
+    with pytest.raises(TypeError):
+        sample_hs(2, 1.5)
+
+
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS))
+def test_uniform_rows_refuse_negative_entries(rows):
+    good = [(4, k, 0) for k in range(rows - 1)]
+    for seed, last in ((-1, (4, 0, 0)), (3, (4, -2**40, 0)), (3, (np.int64(-1),))):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            _uniform_rows(seed, good + [last], 8)
+
+
 @pytest.mark.parametrize("seed", (0, 20201104))
 def test_unitary_stack_rows_are_the_per_index_draws(seed):
     # the index families of the sequences, the approximants' blocks, the
@@ -227,7 +295,7 @@ def test_sample_rank():
 def test_sample_block_unitary():
     alg = AlgebraDescriptor((1, 2, 3))
     u = sample_block_unitary(alg, seed=11)
-    npt.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
+    npt.assert_allclose(u.conj().T @ u, np.eye(6), rtol=0, atol=1e-12)
     assert linalg.off_block_magnitude(u, alg.block_sizes) == 0.0
 
 
