@@ -38,7 +38,8 @@ _EXPORTS = {
         ),
         "charts": (
             "ChartConfig", "ChartPoint", "chart_config_for", "chart_forward", "chart_inverse",
-            "contour_quadrature", "in_chart_domain", "small_spectral_projector", "spectral_gap",
+            "contour_quadrature", "contour_quadrature_stack", "in_chart_domain",
+            "small_spectral_projector", "small_spectral_projector_stack", "spectral_gap",
         ),
         "orbits": (
             "OrbitSignature", "adjoint_act", "isotropy_dim", "orbit_dim", "orbit_dim_stack",

@@ -14,6 +14,9 @@ small spectral projector and the small part: small_spectral_projector by
 eigendecomposition, and contour_quadrature, which integrates the resolvent
 around a circle with the trapezoid rule (exponentially convergent;
 Trefethen & Weideman, SIAM Rev. 2014) from one set of node resolvents.
+Each route runs on (B, n, n) stacks, each item bit for bit its per-matrix
+call, and the contour stack sums every other node of the same resolvents,
+which for an even node count is the halved rule exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
 # an eigenvalue within CONTOUR_GUARD times the split threshold or contour
 # radius of it makes the split unstable, and is refused
 CONTOUR_GUARD = 1e-3
+CONTOUR_CHUNK = 8  # stack items whose (chunk, nodes, n, n) resolvents are held at once
 
 
 @dataclass(frozen=True)
@@ -217,53 +221,57 @@ def chart_inverse(p: ChartPoint) -> DensityMatrix:
     return validate_density(linalg.hermitian_part(m), p.alg, p.tol)
 
 
-def small_spectral_projector(g: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue
-    below threshold, and the small part of g on that span (eigendecomposition
-    route; the pair contour_quadrature returns).
-
-    Raises
-    ------
-    EigenvalueOnContour
-        If some eigenvalue is within CONTOUR_GUARD * threshold of the
-        threshold, so the split is not stable.
+def small_spectral_projector_stack(g: np.ndarray, threshold: float):
+    """Projector onto the eigenvectors with eigenvalue below threshold, and
+    the small part of g on them, of each matrix of a (B, n, n) stack: one
+    eigh_fixed, each pair from its k leading columns, the items grouped by k.
+    Raises EigenvalueOnContour for the first item with an eigenvalue within
+    CONTOUR_GUARD * threshold of the threshold, where the split is unstable.
     """
     w, v = linalg.eigh_fixed(np.asarray(g, dtype=complex))
-    margin = float(np.min(np.abs(w - threshold)))
-    if margin < CONTOUR_GUARD * threshold:
+    margins = np.min(np.abs(w - threshold), axis=-1)
+    if (near := np.flatnonzero(margins < CONTOUR_GUARD * threshold)).size:
         raise EigenvalueOnContour(
-            f"eigenvalue within {margin:.3e} of split threshold {threshold:.6g}"
+            f"eigenvalue within {margins[near[0]]:.3e} of split threshold {threshold:.6g}"
         )
-    k = int(np.count_nonzero(w < threshold))
-    small = v[:, :k]
-    return small @ small.conj().T, (small * w[:k]) @ small.conj().T
+    ks = np.count_nonzero(w < threshold, axis=-1)
+    projector, small_part = np.empty_like(v), np.empty_like(v)
+    for k in np.unique(ks):
+        at = ks == k
+        small = v[at, :, :k]
+        small_h = small.conj().swapaxes(-1, -2)
+        projector[at] = small @ small_h
+        small_part[at] = (small * w[at, None, :k]) @ small_h
+    return projector, small_part
 
 
-def contour_quadrature(
-    g: np.ndarray, radius: float, nodes: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projector and small part of g inside |z| = radius, by
-    trapezoid quadrature of z -> R_g(z) and z -> z R_g(z) around that circle.
+def small_spectral_projector(g: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """small_spectral_projector_stack of one matrix: the pair
+    contour_quadrature returns, by eigendecomposition."""
+    return tuple(m[0] for m in small_spectral_projector_stack(np.asarray(g)[None], threshold))
 
-    Both quadratures share one stacked inversion of the node resolvents
-    R_g(z) = (z - g)^-1. The trapezoid rule on a circle converges
-    exponentially in the node count for these integrands; kept as an oracle
-    against the eigendecomposition route. The small part is the part of g
-    carried by the spectrum inside the circle (its trace is the cone weight
-    alpha).
 
-    Raises
-    ------
-    EigenvalueOnContour
-        If some eigenvalue is within CONTOUR_GUARD * radius of the circle.
+def contour_quadrature_stack(g: np.ndarray, radius: float, nodes: int = 64, steps=(1,)):
+    """Spectral projector and small part (the part of g carried by the
+    spectrum inside the circle; its trace is the cone weight alpha) inside
+    |z| = radius of each matrix of a (B, n, n) stack, by trapezoid quadrature
+    of z -> R_g(z) and z -> z R_g(z): one (projectors, small parts) pair per
+    step t, the rule on every t-th node. t = 2 is the nodes // 2 rule bit for
+    bit, as 2 pi 2k / nodes and 2 pi k / (nodes / 2) are equal doubles.
+
+    All rules share one inversion of the node resolvents R_g(z) = (z - g)^-1,
+    CONTOUR_CHUNK items at a time. The rule converges exponentially in the
+    node count; kept as an oracle against the eigendecomposition route.
+    Raises EigenvalueOnContour for the first item with an eigenvalue within
+    CONTOUR_GUARD * radius of the circle.
     """
     g = linalg.as_hermitian(np.asarray(g, dtype=complex))
-    if nodes < 4:
-        raise ValueError("need at least 4 quadrature nodes")
-    margin = float(np.min(np.abs(np.abs(np.linalg.eigvalsh(g)) - radius)))
-    if margin < CONTOUR_GUARD * radius:
+    if nodes < 4 or any(nodes % t for t in steps):
+        raise ValueError(f"need at least 4 nodes, divided by every step, got {nodes} and {steps}")
+    margins = np.min(np.abs(np.abs(np.linalg.eigvalsh(g)) - radius), axis=-1)
+    if (near := np.flatnonzero(margins < CONTOUR_GUARD * radius)).size:
         raise EigenvalueOnContour(
-            f"eigenvalue within {margin:.3e} of the contour radius {radius:.6g}"
+            f"eigenvalue within {margins[near[0]]:.3e} of the contour radius {radius:.6g}"
         )
     e = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
     z = radius * e
@@ -272,9 +280,21 @@ def contour_quadrature(
     ez = np.empty_like(z)
     ez.real = e.real * z.real - e.imag * z.imag
     ez.imag = e.real * z.imag + e.imag * z.real
-    resolvents = np.linalg.inv(z[:, None, None] * np.eye(g.shape[0]) - g)
-    # running sums add the nodes in order, however numpy would block a
-    # plain reduction
-    weighted = np.stack([e, ez])[:, :, None, None] * resolvents
-    projector, small_part = np.cumsum(weighted, axis=1)[:, -1] * (radius / nodes)
-    return linalg.hermitian_part(projector), linalg.hermitian_part(small_part)
+    weights = np.stack([e, ez])[:, None, :, None, None]
+    sums = np.zeros((len(steps), 2, *g.shape), dtype=complex)
+    for at in range(0, len(g), CONTOUR_CHUNK):
+        items = slice(at, at + CONTOUR_CHUNK)
+        resolvents = np.linalg.inv(z[:, None, None] * np.eye(g.shape[-1]) - g[items, None])
+        for r, t in enumerate(steps):
+            # add the nodes in order, however numpy would block a reduction
+            acc = sums[r, :, items]
+            for k in range(0, nodes, t):
+                acc += weights[:, :, k] * resolvents[:, k]
+            acc *= radius / (nodes // t)
+    return [tuple(linalg.hermitian_part(pair)) for pair in sums]
+
+
+def contour_quadrature(g: np.ndarray, radius: float, nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """contour_quadrature_stack on the stack of one matrix: the spectral
+    projector and small part of g inside |z| = radius."""
+    return tuple(m[0] for m in contour_quadrature_stack(np.asarray(g)[None], radius, nodes)[0])

@@ -19,6 +19,7 @@ from stratumlab import (
     StratumLabel,
     classify,
     classify_stack,
+    contour_quadrature,
     enumerate_labels,
     frontier_check,
     frontier_leq,
@@ -31,6 +32,8 @@ from stratumlab import (
     orbit_signature_stack,
     sample_algebra,
     sample_block_unitary,
+    sample_unitary,
+    small_spectral_projector,
     stratum_dim_label,
     tangent_basis,
     validate_density,
@@ -40,6 +43,7 @@ from stratumlab.errors import (
     AmbiguousClustering,
     AmbiguousRank,
     CoincidentPoints,
+    EigenvalueOnContour,
     ValidationError,
 )
 from stratumlab.fileio import canonical_json
@@ -56,6 +60,7 @@ from stratumlab.sampler import (
     _algebra_stack,
     _approach_base,
     _approach_stack,
+    _uniform_rows,
     approach_state,
 )
 from stratumlab.strata import (
@@ -70,8 +75,9 @@ from stratumlab.verify import (
     suite_frontier,
     suite_join,
     suite_orbit_census,
+    suite_projector_equiv,
 )
-from stratumlab import whitney
+from stratumlab import charts, verify, whitney
 from stratumlab.whitney import (
     _frontier_sources,
     gap_line_space,
@@ -694,10 +700,88 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
          "bb0c12038ba064f1987e2998d865a81cbe81d71a5fd0ed0aa96974d2ba02ef19"),
         (suite_frontier, {"samples": 15}, 20201104,
          "21f7676c1cff336e5058ed0b38e048eea71b4fd450886cebf1ad388bc882e90c"),
+        (suite_projector_equiv, {"samples": 500, "nodes": 64}, 0,
+         "d10c2afc8697aa217b92c81c192fdc08d38f5119fc729006044a27517f9ce933"),
+        (suite_projector_equiv, {"samples": 500, "nodes": 64}, 20201104,
+         "d16af3bcd8fe6753ddd041ac57f085e95f3239c86cd634175e27036ecc6664b8"),
+        # an odd node count: the halved rule is not a slice of the full one
+        (suite_projector_equiv, {"samples": 60, "nodes": 17}, 5,
+         "2d9be4bee2d441cce4fd975728403ec80017839584101622f9acd7f5da85b08a"),
     ),
 )
 def test_stacked_suites_golden(suite, kwargs, seed, digest):
-    # computed from the per-draw census, the per-state join round trips and
-    # the per-state frontier approximants
+    # computed from the per-draw census, the per-state join round trips, the
+    # per-state frontier approximants and the per-sample projector routes
     report = suite(seed=seed, **kwargs)
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
+
+
+def _reference_projector_equiv(samples, seed, nodes):
+    # the sample-by-sample loop the stacked suite replaced: one draw, one
+    # eigen route and two quadratures per sample, each a B = 1 call
+    radius, (low, high) = verify.CONTOUR_RADIUS, verify.LARGE_BAND
+    err_proj = np.zeros((samples, 2))
+    err_part = np.zeros((samples, 2))
+    halved = nodes // 2
+    for s in range(samples):
+        n = 2 + s % 5
+        n_small = 1 + s % (n - 1)
+        u = _uniform_rows(seed, [(8, s)], n)[0]
+        w = np.concatenate([u[:n_small] * verify.SMALL_BAND, low + u[n_small:] * (high - low)])
+        v = sample_unitary(n, seed, 3000 + s)
+        g = v @ np.diag(w) @ v.conj().T
+        p_eig, part_eig = small_spectral_projector(g, radius)
+        for c, node_count in enumerate((halved, nodes)):
+            p_c, s_c = contour_quadrature(g, radius, node_count)
+            err_proj[s, c] = linalg.hs_norm(p_c - p_eig)
+            err_part[s, c] = linalg.hs_norm(s_c - part_eig)
+    ratio_proj = float(np.median(err_proj[:, 0]) / max(np.median(err_proj[:, 1]), 1e-16))
+    ratio_part = float(np.median(err_part[:, 0]) / max(np.median(err_part[:, 1]), 1e-16))
+    max_err = float(max(err_proj[:, 1].max(), err_part[:, 1].max()))
+    return {
+        "suite": "projector-equiv",
+        "samples": samples,
+        "seed": seed,
+        "nodes": nodes,
+        "halved_nodes": halved,
+        "contour_radius": radius,
+        "max_error_full_nodes": max_err,
+        "median_error_halved_projector": float(np.median(err_proj[:, 0])),
+        "median_error_full_projector": float(np.median(err_proj[:, 1])),
+        "error_ratio_projector": ratio_proj,
+        "error_ratio_small_part": ratio_part,
+        "passed": bool(max_err <= 1e-8 and ratio_proj >= 10.0 and ratio_part >= 10.0),
+    }
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+@pytest.mark.parametrize("samples, nodes", ((200, 16), (200, 17), (200, 64), (3, 17)))
+def test_projector_equiv_is_the_per_sample_loop(samples, nodes, seed):
+    # the host-independent twin of the projector-equiv goldens
+    report = suite_projector_equiv(samples, seed, nodes)
+    assert canonical_json(report) == canonical_json(_reference_projector_equiv(samples, seed, nodes))
+
+
+@pytest.mark.parametrize(
+    "guard, small_band, large_band, route",
+    (
+        # both guards refuse the same samples: the eigen route's error first
+        (0.5, 0.15, (0.4, 1.0), "split threshold"),
+        # only the contour guard sees small eigenvalues near -0.25
+        (0.2, -0.5, (0.4, 1.0), "contour radius"),
+        # each guard refuses samples the other passes
+        (0.2, -0.5, (0.28, 1.0), None),
+    ),
+)
+def test_projector_equiv_raises_the_loops_first_refusal(
+    monkeypatch, guard, small_band, large_band, route
+):
+    monkeypatch.setattr(charts, "CONTOUR_GUARD", guard)
+    monkeypatch.setattr(verify, "SMALL_BAND", small_band)
+    monkeypatch.setattr(verify, "LARGE_BAND", large_band)
+    with pytest.raises(EigenvalueOnContour) as loop_error:
+        _reference_projector_equiv(60, 0, 16)
+    with pytest.raises(EigenvalueOnContour) as stack_error:
+        suite_projector_equiv(60, 0, 16)
+    assert str(stack_error.value) == str(loop_error.value)
+    assert route is None or route in str(loop_error.value)

@@ -8,6 +8,7 @@ from stratumlab import (
     chart_forward,
     chart_inverse,
     contour_quadrature,
+    contour_quadrature_stack,
     full_algebra,
     in_chart_domain,
     linalg,
@@ -15,6 +16,7 @@ from stratumlab import (
     sample_rank,
     sample_unitary,
     small_spectral_projector,
+    small_spectral_projector_stack,
     spectral_gap,
     validate_density,
 )
@@ -24,7 +26,7 @@ from stratumlab.errors import (
     EigenvalueOnContour,
     NotInChartDomain,
 )
-from stratumlab.verify import _margin_split_sample
+from stratumlab.verify import _margin_split_stack
 
 M3 = full_algebra(3)
 
@@ -155,7 +157,7 @@ def test_eigen_route_is_the_leading_eigenvectors():
     # the pair is built from the k leading columns and eigenvalues of
     # eigh_fixed, bit for bit, k the count below the threshold
     for s in range(200):
-        g = _margin_split_sample(2 + s % 5, 0, s)
+        g = _margin_split_stack(2 + s % 5, 0, [s])[0]
         w, v = linalg.eigh_fixed(g)
         k = int(np.count_nonzero(w < 0.25))
         p, part = small_spectral_projector(g, 0.25)
@@ -235,6 +237,56 @@ def test_contour_quadrature_matches_node_loops():
                 p, part = contour_quadrature(g, 0.25, nodes=nodes)
                 assert np.array_equal(p, _loop_quadrature(g, 0.25, nodes, times_z=False))
                 assert np.array_equal(part, _loop_quadrature(g, 0.25, nodes, times_z=True))
+
+
+def _a2_stacks():
+    # the 500 samples of the projector-equiv suite at seed 0, one stack per n
+    return [_margin_split_stack(n, 0, range(n - 2, 500, 5)) for n in range(2, 7)]
+
+
+def test_stack_forms_are_the_per_matrix_calls():
+    for g in _a2_stacks():
+        projectors, parts = small_spectral_projector_stack(g, 0.25)
+        (p64, s64), (p32, s32) = contour_quadrature_stack(g, 0.25, 64, steps=(1, 2))
+        ((p17, s17),) = contour_quadrature_stack(g, 0.25, 17)
+        for b in range(len(g)):
+            p, part = small_spectral_projector(g[b], 0.25)
+            assert np.array_equal(projectors[b], p) and np.array_equal(parts[b], part)
+            for nodes, p_c, s_c in ((64, p64, s64), (32, p32, s32), (17, p17, s17)):
+                p, part = contour_quadrature(g[b], 0.25, nodes)
+                assert np.array_equal(p_c[b], p) and np.array_equal(s_c[b], part)
+            assert np.array_equal(p64[b], _loop_quadrature(g[b], 0.25, 64, times_z=False))
+            assert np.array_equal(s64[b], _loop_quadrature(g[b], 0.25, 64, times_z=True))
+
+
+def test_even_node_slice_is_the_halved_rule():
+    # 2 pi 2k / 64 and 2 pi k / 32 are equal doubles, so every other node of
+    # the 64-node resolvents is the 32-node rule, bit for bit
+    for g in _a2_stacks():
+        (p_half, s_half), _ = contour_quadrature_stack(g, 0.25, 64, steps=(2, 1))
+        ((p32, s32),) = contour_quadrature_stack(g, 0.25, 32)
+        assert np.array_equal(p_half, p32) and np.array_equal(s_half, s32)
+    with pytest.raises(ValueError, match="divided by every step"):
+        contour_quadrature_stack(_a2_stacks()[0], 0.25, 17, steps=(2,))
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_stack_refusal_names_the_first_refused_item(k):
+    # items k and 6 fail both guards; the stack raises item k's own error
+    g = np.stack([np.diag([0.1, 0.6, 0.9]).astype(complex)] * 8)
+    g[k] = np.diag([0.1, 0.2501, 0.9])
+    g[6] = np.diag([0.1, 0.2498, 0.9])
+    for stack_call, call in (
+        (lambda m: small_spectral_projector_stack(m, 0.25),
+         lambda m: small_spectral_projector(m, 0.25)),
+        (lambda m: contour_quadrature_stack(m, 0.25, 32),
+         lambda m: contour_quadrature(m, 0.25, 32)),
+    ):
+        with pytest.raises(EigenvalueOnContour) as item_error:
+            call(g[k])
+        with pytest.raises(EigenvalueOnContour) as stack_error:
+            stack_call(g)
+        assert str(stack_error.value) == str(item_error.value)
 
 
 def test_chart_respects_block_structure():

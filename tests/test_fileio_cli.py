@@ -572,6 +572,9 @@ def test_suites_refuse_vacuous_sizes():
         lambda: verify.suite_join(samples=-3),
         lambda: verify.suite_orbit_census(draws=0),
         lambda: verify.suite_projector_equiv(samples=0),
+        # a halved rule of 4 to 7 nodes is no coarser than the full rule
+        lambda: verify.suite_projector_equiv(nodes=verify.MIN_NODES - 1),
+        lambda: verify.suite_projector_equiv(nodes=4),
     ):
         with pytest.raises(ValueError, match="must be at least"):
             call()
