@@ -34,8 +34,8 @@ Draws of one ensemble are (B, n, n) stacks, one row per draw, and every
 row is bit for bit the matrix a lone draw gives (sample_hs, sample_algebra
 and sample_unitary are one-draw stacks). Sequence steps and approximants
 are one construction, a point plus delta times a state on its kernel
-(approach_state is the one-point stack). Every drawn state is validated at
-states.DEFAULT_TOL.
+(sequence_toward and approach_state are the one-index stacks). Every drawn
+state is validated at states.DEFAULT_TOL.
 
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
@@ -349,11 +349,12 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
 
 
-def _resampled(alg: AlgebraDescriptor, seed: int, ranks, path: tuple[int, ...]) -> DensityMatrix:
-    """The first draw of the (seed, *path, attempt) streams, attempt = 0,
-    1, ..., whose per-block ranks are ranks under the gray-zone protocol
-    (the measure-zero failures resample); with ranks=None, attempt 0."""
-    for attempt in range(MAX_RESAMPLE):
+def _resampled(alg: AlgebraDescriptor, seed: int, ranks, path: tuple, first=0) -> DensityMatrix:
+    """The first draw of the (seed, *path, attempt) streams, attempt =
+    first, first + 1, ..., whose per-block ranks are ranks under the
+    gray-zone protocol (the measure-zero failures resample); with
+    ranks=None, attempt first (attempts known to miss are not redrawn)."""
+    for attempt in range(first, MAX_RESAMPLE):
         rho = validate_density(_draws(alg, ranks, seed, [(*path, attempt)])[0], alg)
         try:
             if ranks is None or classify(rho).per_block == ranks:
@@ -547,27 +548,29 @@ def _sequence_base(y: DensityMatrix, j: int, rate: float):
 
 
 def _sequence_stacks(
-    y: DensityMatrix, j: int, base, rate: float, length: int, seed: int, index: int
+    y: DensityMatrix, j: int, base, rate: float, length: int, seed: int, indices
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The validated (length, n, n) stacks of the x_k and the y_k of
-    sequence_toward, from y's _sequence_base."""
+    """The validated (T length, n, n) stacks of the x_k and the y_k of
+    sequence_toward at a sequence of T indices, index-major, from y's
+    _sequence_base."""
     label_i, label_j, frames, basis = base
     n, r, d = y.dim, j - label_i.total, len(basis)
     # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
     # of its Box-Muller Gaussians
-    u = _uniform_rows(seed, [(5, index)], 2 * r * r + 2 * length * d)
-    rotation = _unitary_stack(n - label_i.total, seed, [1000 + index])
-    sigma = _kernel_mixture(y.alg, frames, {0: rotation}, [(0, r)], u)
-    steps = u[0, 2 * r * r :].reshape(length, 2, d)
+    u = _uniform_rows(seed, [(5, index) for index in indices], 2 * r * r + 2 * length * d)
+    rotations = _unitary_stack(n - label_i.total, seed, [1000 + index for index in indices])
+    sigma = _kernel_mixture(y.alg, frames, {0: rotations}, [(0, r)], u)
+    steps = u[:, 2 * r * r :].reshape(-1, 2, d)
     # handed over contiguous, as a step-by-step draw hands them
     coeffs = _box_muller(np.ascontiguousarray(steps[:, 0]), np.ascontiguousarray(steps[:, 1]))
     # one vector-matrix product per step, as tensordot forms a single step
-    # (a (length, d) @ (d, n n) product rounds differently)
-    h = (coeffs[:, None, :] @ basis.reshape(d, n * n)).reshape(length, n, n)
+    # (a (T length, d) @ (d, n n) product rounds differently)
+    h = (coeffs[:, None, :] @ basis.reshape(d, n * n)).reshape(-1, n, n)
     h = h / linalg.hs_norm(h)[:, None, None]
-    deltas = np.array([rate**k for k in range(1, length + 1)])
+    sigma = np.repeat(sigma, length, axis=0)
+    deltas = np.tile([rate**k for k in range(1, length + 1)], len(indices))
     return _first_failure(
-        lambda k: _approach_steps(y, sigma, h[k], deltas[k], label_i, label_j), length
+        lambda k: _approach_steps(y, sigma[k], h[k], deltas[k], label_i, label_j), len(h)
     )
 
 
@@ -592,15 +595,15 @@ def sequence_toward(
     Defined for single-block algebras (for per-block targets use
     approach_state). Every constructed rank is audited.
 
-    The steps are built as (length, n, n) stacks: one draw of every step's
-    Gaussians from the (seed, 5, index) stream, one rank audit, validation
-    and retraction per stack (the retraction retries only the steps that
-    overshoot), so the pairs are those a step-by-step construction gives,
-    bit for bit. When steps fail, the error is the one of the first failing
-    step, in the order of its checks: x_k's validation and audit, the
-    retraction of y_k, y_k's audit.
+    This is the [index] call of _sequence_stacks, which builds the steps of
+    many indices as one stack: per index one draw of every step's Gaussians
+    from its (seed, 5, index) stream, then one rank audit, validation and
+    retraction per stack (retried only for the steps that overshoot). So
+    the pairs are a step-by-step construction's, bit for bit, and the error
+    is the first failing index's first failing step's, in the order of its
+    checks: x_k's validation and audit, the retraction of y_k, y_k's audit.
     """
-    xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, index)
+    xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, [index])
     return list(zip(_validated_states(xs, y.alg, y.tol), _validated_states(ys, y.alg, y.tol)))
 
 

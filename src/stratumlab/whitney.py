@@ -10,9 +10,10 @@ gap
 
 along constructed geometric approach sequences; condition (B) predicts g_k
 decays to zero (empirically with slope ~1 in log-log). The fixed-base variant
-(y_k = y, the condition (A) flavor) is run alongside. A negative control
-replaces the tangent space by a fixed random plane and must fail, otherwise
-the detector is vacuous.
+(y_k = y, the condition (A) flavor) is run alongside. The trials are built
+as stacks of TRIAL_CHUNK sequences, each the one sequence_toward gives, bit
+for bit. A negative control replaces the tangent space by a fixed random
+plane and must fail, otherwise the detector is vacuous.
 
 The frontier suite checks that the closure order of strata is exactly the
 componentwise per-block rank order: comparable pairs are witnessed by
@@ -37,7 +38,7 @@ from . import linalg
 from .errors import CoincidentPoints, StratumLabError
 from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _approach_base
 from .sampler import _approach_stack, _box_muller, _sequence_base, _sequence_stacks
-from .sampler import _uniform_rows, sample_algebra
+from .sampler import _resampled, _uniform_rows
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states, validate_stack
 from .strata import StratumLabel, classify_stack, frontier_leq, tangent_basis_stack
 
@@ -49,6 +50,10 @@ GAP_THRESHOLD = 1e-3
 WHITNEY_DISTANCE = 1e-6
 # dimension of the negative control's random plane
 CONTROL_PLANE_DIM = 2
+# trials of a Whitney estimate built as one stack, and trials whose
+# (trials length, d, n, n) tangent bases are held at once: memory bounds
+TRIAL_CHUNK = 25
+GAP_CHUNK = 4
 
 # witness distance of the frontier checks (their approximant step,
 # FRONTIER_DELTA, is the sampler's)
@@ -163,29 +168,42 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
     """Estimate the Whitney (B) secant-tangent gaps at y against stratum j.
 
     Runs `trials` independent approach sequences (sequence_toward at its
-    default rate and length), measures the gap of the moving-base secant
-    (x_k to y_k) and the fixed-base secant (x_k to y) against the tangent
-    space of the rank-j stratum at x_k, and aggregates per-step maxima.
-    Passes when the terminal distance reaches WHITNEY_DISTANCE and both
-    terminal gaps are at most GAP_THRESHOLD.
+    default rate and length, trial t at index t), measures the gap of the
+    moving-base secant (x_k to y_k) and the fixed-base secant (x_k to y)
+    against the tangent space of the rank-j stratum at x_k, and aggregates
+    per-step maxima. Passes when the terminal distance reaches
+    WHITNEY_DISTANCE and both terminal gaps are at most GAP_THRESHOLD.
+
+    The trials are built TRIAL_CHUNK at a time as one stack, their tangent
+    bases and gaps GAP_CHUNK at a time, so every gap and pair is a
+    trial-by-trial loop's, bit for bit, and so is the error of the first
+    failing trial (a chunk's construction errors before its secants').
     """
     base = _sequence_base(y, j, SEQUENCE_RATE)
     label_j = base[1]
-    gaps_b = np.zeros((trials, SEQUENCE_LENGTH))
-    gaps_a = np.zeros((trials, SEQUENCE_LENGTH))
-    dists = np.zeros((trials, SEQUENCE_LENGTH))
+    n, length = y.dim, SEQUENCE_LENGTH
+    gaps = np.zeros((trials, length, 2))  # the moving base, then the fixed base
+    dists = np.zeros((trials, length))
     terminal_pairs = []
-    for t in range(trials):
-        xs, ys = _sequence_stacks(y, j, base, SEQUENCE_RATE, SEQUENCE_LENGTH, seed, t)
-        # the last pair alone, not views that keep the stacks alive
-        terminal_pairs.append(tuple(_validated_states(np.array([xs[-1], ys[-1]]), y.alg, y.tol)))
-        # per step, the moving base y_k then the fixed base y: the order in
-        # which a step-by-step loop would meet CoincidentPoints
-        ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=1)
-        secants = secant_direction_stack(xs[:, None], ends)
-        gaps = gap_line_space_stack(secants, tangent_basis_stack(xs, label_j)[:, None])
-        gaps_b[t], gaps_a[t] = gaps[:, 0], gaps[:, 1]
-        dists[t] = linalg.hs_norm(xs - y.matrix)
+    for at in range(0, trials, TRIAL_CHUNK):
+        chunk = range(trials)[at : at + TRIAL_CHUNK]
+        stacks = _sequence_stacks(y, j, base, SEQUENCE_RATE, length, seed, chunk)
+        xs, ys = (m.reshape(len(chunk), length, n, n) for m in stacks)
+        # the last pairs alone, not views that keep the stacks alive
+        terminal_pairs += zip(*(_validated_states(m[:, -1].copy(), y.alg, y.tol) for m in (xs, ys)))
+        # per trial and step, the moving base y_k then the fixed base y: the
+        # order in which a trial-by-trial loop would meet CoincidentPoints
+        ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=2)
+        secants = secant_direction_stack(xs[:, :, None], ends)
+        dists[chunk] = linalg.hs_norm(xs - y.matrix)
+        for sub in range(0, len(chunk), GAP_CHUNK):
+            part = slice(sub, sub + GAP_CHUNK)
+            bases = tangent_basis_stack(xs[part].reshape(-1, n, n), label_j)[:, None]
+            part_gaps = gap_line_space_stack(secants[part].reshape(-1, 2, n, n), bases)
+            gaps[chunk[part]] = part_gaps.reshape(-1, length, 2)
+        # so that they are not held through the next chunk's build
+        del stacks, xs, ys, ends, secants, bases
+    gaps_b, gaps_a = gaps[..., 0], gaps[..., 1]
     max_d = dists.max(axis=0)
     max_b = gaps_b.max(axis=0)
     max_a = gaps_a.max(axis=0)
@@ -303,18 +321,20 @@ def _frontier_sources(i: StratumLabel, samples: int, seed: int):
 
     Attempt 0 of every point is drawn, validated and classified as one
     stack. Only the points it leaves off rank i go through sample_algebra's
-    resample loop, and all of them do when the stacked checks refuse.
+    resample loop, from attempt 1 on, for attempt 0 is known to miss. All
+    points go through it from attempt 0 when the stacked checks refuse.
     """
     hs = _algebra_stack(i.alg, seed, i.per_block, range(samples), 0)
     try:
         hs = validate_stack(hs, i.alg)
         redraw = np.flatnonzero((classify_stack(hs, i.alg) != i.per_block).any(axis=1))
+        first = 1
     except StratumLabError:
-        redraw = range(samples)
+        redraw, first = range(samples), 0
     if len(redraw):
         hs = hs.copy()
         for s in redraw:
-            hs[s] = sample_algebra(i.alg, seed, i.per_block, s).matrix
+            hs[s] = _resampled(i.alg, seed, i.per_block, (4, s), first).matrix
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
     return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)
 

@@ -76,8 +76,9 @@ from stratumlab.verify import (
     suite_join,
     suite_orbit_census,
     suite_projector_equiv,
+    suite_whitney,
 )
-from stratumlab import charts, verify, whitney
+from stratumlab import charts, sampler, verify, whitney
 from stratumlab.whitney import (
     _frontier_sources,
     gap_line_space,
@@ -359,13 +360,31 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
         assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
     stack = whitney._algebra_stack
     i = labels[0]
-    # a point off rank i at attempt 0 is redrawn alone, by the resample loop
+    # a point off rank i at attempt 0 is redrawn alone, by the resample
+    # loop from attempt 1 on: its attempt-0 stream is read once, by the
+    # stacked draw, and the redrawn point is sample_algebra's
+    real_draws, reads = sampler._draws, []
+
+    def off_rank_at_3(alg, ranks, seed, paths):
+        paths = list(paths)
+        reads.extend(paths)
+        ms = real_draws(alg, ranks, seed, paths)
+        ms[[p == (4, 3, 0) for p in paths]] = maximally_mixed(alg).matrix
+        return ms
+
+    monkeypatch.setattr(sampler, "_draws", off_rank_at_3)
+    want = draws(i)
+    assert np.array_equal(want[3], stack(i.alg, 4, i.per_block, [3], 1)[0])
+    reads.clear()
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0], want)
+    assert sorted(reads) == sorted([(4, s, 0) for s in range(15)] + [(4, 3, 1)])
+    monkeypatch.setattr(sampler, "_draws", real_draws)
+    # every point is redrawn from attempt 0 when the stacked validation or
+    # audit refuses: point 3's stand-in would be redrawn at attempt 1
     off = stack(i.alg, 4, i.per_block, range(15), 0).copy()
     off[3] = maximally_mixed(i.alg).matrix
-    monkeypatch.setattr(whitney, "_algebra_stack", lambda *args: off)
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
-    # every point is redrawn when the stacked validation or audit refuses
     off[5] = np.nan
+    monkeypatch.setattr(whitney, "_algebra_stack", lambda *args: off)
     assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
     monkeypatch.setattr(whitney, "_algebra_stack", stack)
 
@@ -707,11 +726,17 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         # an odd node count: the halved rule is not a slice of the full one
         (suite_projector_equiv, {"samples": 60, "nodes": 17}, 5,
          "2d9be4bee2d441cce4fd975728403ec80017839584101622f9acd7f5da85b08a"),
+        # 50 trials: the sequence draws go through the stream port
+        (suite_whitney, {"max_dim": 4, "trials": 50}, 0,
+         "ba98a0bd5287842d4bdf789914f32f565f05add5089f3bce9e1c005556099419"),
+        (suite_whitney, {"max_dim": 4, "trials": 50}, 20201104,
+         "f5929e801c40d9fe06698c61d7375044965210ee585c90dcc395ca19ab5bb72c"),
     ),
 )
 def test_stacked_suites_golden(suite, kwargs, seed, digest):
     # computed from the per-draw census, the per-state join round trips, the
-    # per-state frontier approximants and the per-sample projector routes
+    # per-state frontier approximants, the per-sample projector routes and
+    # the per-trial approach sequences
     report = suite(seed=seed, **kwargs)
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
 

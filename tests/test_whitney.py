@@ -412,3 +412,110 @@ def test_sequence_toward_raises_the_first_failing_steps_error(monkeypatch):
     assert _raised(stacked) == (
         RuntimeError, "tangent retraction kept overshooting the step budget"
     )
+
+
+@pytest.mark.parametrize("nij", [(2, 1, 2), (3, 1, 3), (4, 2, 3)])
+@pytest.mark.parametrize("trials", [1, 11, 12, 30])
+def test_sequence_stacks_are_the_per_index_sequences(nij, trials):
+    # below and from STREAM_PORT_ROWS on, the two stream routes
+    n, i, j = nij
+    y = sample_rank(n, i, seed=42, index=n)
+    indices = [7 + 3 * t for t in range(trials)]
+    base = sampler._sequence_base(y, j, 0.5)
+    xs, ys = sampler._sequence_stacks(y, j, base, 0.5, 22, 42, indices)
+    assert xs.shape == ys.shape == (22 * trials, n, n)
+    for t, index in enumerate(indices):
+        seq = sequence_toward(y, j, seed=42, index=index)
+        assert np.array_equal(xs[22 * t : 22 * t + 22], [x.matrix for x, _ in seq])
+        assert np.array_equal(ys[22 * t : 22 * t + 22], [yk.matrix for _, yk in seq])
+
+
+def _reference_estimate(y, j, trials, seed):
+    """The trial-by-trial loop of whitney_b_estimate: one sequence_toward
+    per trial, and per step the gaps of its two secants against the
+    tangent basis at x_k. Returns the per-step (k, distance, gap) maxima of
+    the moving and the fixed base, the slope and the terminal pairs."""
+    label_j = StratumLabel(y.alg, (j,))
+    gaps_b, gaps_a, dists, terminal = [], [], [], []
+    for t in range(trials):
+        seq = sequence_toward(y, j, seed=seed, index=t)
+        terminal.append(seq[-1])
+        for x, yk in seq:
+            basis = tangent_basis(x, label=label_j)
+            gaps_b.append(gap_line_space(secant_direction(x.matrix, yk.matrix), basis))
+            gaps_a.append(gap_line_space(secant_direction(x.matrix, y.matrix), basis))
+            dists.append(linalg.hs_norm(x.matrix - y.matrix))
+    gaps_b, gaps_a, dists = (np.reshape(v, (trials, 22)) for v in (gaps_b, gaps_a, dists))
+    keep = (gaps_b > whitney.SLOPE_FIT_FLOOR).ravel()
+    slope = np.polyfit(np.log10(dists.ravel()[keep]), np.log10(gaps_b.ravel()[keep]), 1)[0]
+    steps = range(1, 23)
+    pairs = tuple(zip(steps, dists.max(axis=0).tolist(), gaps_b.max(axis=0).tolist()))
+    fixed = tuple(zip(steps, dists.max(axis=0).tolist(), gaps_a.max(axis=0).tolist()))
+    return pairs, fixed, float(slope), terminal
+
+
+@pytest.mark.parametrize("nij", [(3, 1, 2), (4, 2, 3)])
+def test_whitney_estimate_is_the_trial_loop(nij):
+    n, i, j = nij
+    y = sample_rank(n, i, seed=43, index=n)
+    rep = whitney_b_estimate(y, j, trials=30, seed=43)
+    pairs, fixed, slope, terminal = _reference_estimate(y, j, 30, 43)
+    assert rep.pairs == pairs and rep.pairs_fixed_base == fixed
+    assert rep.slope == slope
+    assert len(rep.terminal_pairs) == 30
+    for (x, yk), (x_ref, yk_ref) in zip(rep.terminal_pairs, terminal):
+        assert np.array_equal(x.matrix, x_ref.matrix)
+        assert np.array_equal(yk.matrix, yk_ref.matrix)
+        assert not x.matrix.flags.writeable and not yk.matrix.flags.writeable
+
+
+def test_whitney_estimate_raises_the_first_failing_trials_error(monkeypatch):
+    y = sample_rank(3, 1, seed=44)
+    late = whitney.TRIAL_CHUNK + 2  # a trial of the second chunk
+    trials = late + 3
+    seqs = [sequence_toward(y, 2, seed=44, index=t) for t in range(trials)]
+    # (trial, step, point): trial 3 fails first at step 15's y_k, then at
+    # step 18's x_k; trial 20 of its chunk and trial late of the next fail
+    # at earlier steps
+    marks = [
+        (seqs[t][k][point].matrix, f"trial {t}, step {k}, point {point}")
+        for t, k, point in ((3, 15, 1), (3, 18, 0), (20, 2, 0), (late, 1, 1))
+    ]
+    audit = sampler._audit
+
+    def refuse_marked(xs, target, tol):
+        for m in xs:
+            for mark, name in marks:
+                if np.array_equal(m, mark):
+                    raise RuntimeError(name)
+        return audit(xs, target, tol)
+
+    monkeypatch.setattr(sampler, "_audit", refuse_marked)
+    stacked = lambda: whitney_b_estimate(y, 2, trials=trials, seed=44)
+    looped = lambda: _reference_estimate(y, 2, trials, 44)
+    assert _raised(stacked) == _raised(looped) == (RuntimeError, "trial 3, step 15, point 1")
+    # with trial 3 mended, the first failure is trial 20's
+    marks[:2] = []
+    assert _raised(stacked) == _raised(looped) == (RuntimeError, "trial 20, step 2, point 0")
+    # and with trial 20 mended too, the second chunk's
+    del marks[0]
+    assert _raised(stacked) == _raised(looped) == (RuntimeError, f"trial {late}, step 1, point 1")
+
+
+def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
+    y = sample_rank(3, 1, seed=45)
+    real, reads = sampler._uniform_rows, []
+
+    def counted(seed, paths, length):
+        paths = list(paths)
+        reads.append((paths[0][0], len(paths)))
+        return real(seed, paths, length)
+
+    monkeypatch.setattr(sampler, "_uniform_rows", counted)
+    whitney_b_estimate(y, 2, trials=50, seed=45)
+    chunks = -(-50 // whitney.TRIAL_CHUNK)
+    # per chunk, one read of the sequence streams and one of the rotations'
+    sizes = [min(whitney.TRIAL_CHUNK, 50 - at) for at in range(0, 50, whitney.TRIAL_CHUNK)]
+    assert [rows for path, rows in reads if path == 5] == sizes
+    assert [rows for path, rows in reads if path == 2] == sizes
+    assert len(sizes) == chunks
