@@ -32,7 +32,7 @@ from .errors import (
     NotInChartDomain,
 )
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
-from .strata import numerical_rank, rank_from_eigenvalues
+from .strata import rank_from_eigenvalues
 
 MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
 # an eigenvalue within CONTOUR_GUARD times the split threshold or contour
@@ -70,15 +70,18 @@ class ChartConfig:
             )
 
 
-def spectral_gap(f: DensityMatrix) -> float:
-    """Smallest positive eigenvalue of f (gray-zone rank protocol at f.tol).
-
-    Raises ValueError when f.tol declares every eigenvalue zero.
-    """
+def _center_rank(f: DensityMatrix) -> tuple[np.ndarray, int]:
+    """f's ascending eigenvalues and rank at f.tol, refusing rank 0."""
     w = f.eigenvalues()
-    i = rank_from_eigenvalues(w, f.tol)
-    if i == 0:
+    if not (i := rank_from_eigenvalues(w, f.tol)):
         raise ValueError(f"tolerance {f.tol:.6g} declares every eigenvalue of the center zero")
+    return w, i
+
+
+def spectral_gap(f: DensityMatrix) -> float:
+    """Smallest positive eigenvalue of f (gray-zone rank protocol at f.tol);
+    ValueError when f.tol declares every eigenvalue zero."""
+    w, i = _center_rank(f)
     return float(w[f.dim - i])
 
 
@@ -171,6 +174,8 @@ def chart_forward(
         not leave exactly rank(f) large eigenvalues.
     AlphaTooLarge
         If the small-spectrum weight is >= 1/2.
+    ValueError
+        If f.tol declares every eigenvalue of the center zero.
     """
     if f.alg != g.alg:
         raise ValueError("center and point belong to different algebras")
@@ -183,7 +188,7 @@ def chart_forward(
             f"eigenvalue {inside[0]:.6g} inside the forbidden band "
             f"[{cfg.epsilon:.6g}, {cfg.gap_a - cfg.epsilon:.6g}]"
         )
-    i = numerical_rank(f)
+    i = _center_rank(f)[1]
     n = f.dim
     n_small = int(np.count_nonzero(w < cfg.epsilon))
     if n_small != n - i:

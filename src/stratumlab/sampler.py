@@ -26,16 +26,17 @@ in order:
   (8, i)           margin split       n: n_small small eigenvalues, then
                                       the large ones
 
-attempt counts the resamples of a rank audit. sample_unitary's index is
+attempt counts the resamples of a rank audit, which one loop makes for
+every rank-audited stack (_resampled_stack). sample_unitary's index is
 1000 + i for sequence i, 2000 + 16 i + b for block b of approximant i,
 3000 + i for margin split i and i * blocks + b in sample_block_unitary.
 
 Draws of one ensemble are (B, n, n) stacks, one row per draw, and every
-row is bit for bit the matrix a lone draw gives (sample_hs, sample_algebra
-and sample_unitary are one-draw stacks). Sequence steps and approximants
-are one construction, a point plus delta times a state on its kernel
-(sequence_toward and approach_state are the one-index stacks). Every drawn
-state is validated at states.DEFAULT_TOL.
+row is bit for bit the matrix a lone draw gives (sample_hs, sample_rank,
+sample_algebra and sample_unitary are one-draw stacks). Sequence steps and
+approximants are one construction, a point plus delta times a state on its
+kernel (sequence_toward and approach_state are the one-index stacks). Every
+drawn state is validated at states.DEFAULT_TOL.
 
 The Hilbert-Schmidt ensemble is rho = G G^dagger / Tr(G G^dagger) with G a
 square complex Ginibre matrix; rank-constrained versions use rectangular G.
@@ -51,8 +52,9 @@ import operator
 import numpy as np
 
 from . import linalg
-from .errors import AmbiguousRank, StratumLabError
+from .errors import StratumLabError
 from .states import (
+    DEFAULT_TOL,
     AlgebraDescriptor,
     DensityMatrix,
     _validated_states,
@@ -60,7 +62,8 @@ from .states import (
     validate_density,
     validate_stack,
 )
-from .strata import StratumLabel, classify, classify_stack, retract_stack, tangent_basis
+from .strata import StratumLabel, _stack_decision, classify, classify_stack, retract_stack
+from .strata import tangent_basis
 
 MAX_RESAMPLE = 100
 
@@ -70,9 +73,10 @@ SEQUENCE_LENGTH = 22
 # step of an approximant: approach_state's default, and the frontier checks'
 FRONTIER_DELTA = 4e-7
 
-# calls of fewer rows read one numpy generator per row: on a 2-core x86
-# host the port below costs about 230 us per call plus 1-2 us per row, one
-# generator about 25 us per row, and the two meet at 10 to 12 rows
+# calls of fewer rows read one numpy generator per row, 14-18 us each on a
+# 2-core x86 host; the port below costs about 55 ns per double, so it wins on
+# many short rows (1000 x 8: 0.88 against 15.6 ms) and loses on long ones
+# (25 x 618: 0.78 against 0.45 ms; 1 row: 160-215 us; timeit, best of 5-7)
 STREAM_PORT_ROWS = 12
 # rows per call of the port: bounds its (rows, length) uint64 temporaries,
 # which for a whole 10,000-draw ensemble would raise the peak memory
@@ -349,30 +353,38 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
 
 
-def _resampled(alg: AlgebraDescriptor, seed: int, ranks, path: tuple, first=0) -> DensityMatrix:
-    """The first draw of the (seed, *path, attempt) streams, attempt =
-    first, first + 1, ..., whose per-block ranks are ranks under the
-    gray-zone protocol (the measure-zero failures resample); with
-    ranks=None, attempt first (attempts known to miss are not redrawn)."""
-    for attempt in range(first, MAX_RESAMPLE):
-        rho = validate_density(_draws(alg, ranks, seed, [(*path, attempt)])[0], alg)
-        try:
-            if ranks is None or classify(rho).per_block == ranks:
-                return rho
-        except AmbiguousRank:
-            continue
+def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices) -> np.ndarray:
+    """The validated (B, n, n) stack of the draws of alg, one per index of
+    the sequence indices: row b the first draw of the (seed, *head,
+    indices[b], attempt) streams, attempt = 0, 1, ..., whose per-block ranks
+    are ranks (gray-zone protocol), or attempt 0 with ranks=None. Each attempt
+    is drawn and validated as one stack; only the rows whose rank decision
+    misses are redrawn, together, MAX_RESAMPLE attempts in all."""
+    todo = np.arange(len(indices))
+    for attempt in range(MAX_RESAMPLE):
+        paths = [(*head, indices[k], attempt) for k in todo]
+        ms = validate_stack(_draws(alg, ranks, seed, paths), alg)
+        if ranks is None:
+            return ms
+        if attempt:
+            hs[todo] = ms
+        else:
+            hs = ms.copy()
+        got, gray = _stack_decision(ms, alg, DEFAULT_TOL)
+        todo = todo[(got != ranks).any(axis=1) | ~np.isnan(gray).all(axis=(1, 2))]
+        if not todo.size:
+            hs.flags.writeable = False
+            return hs
     raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
 
 
 def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
-    """Random rank-r state of M_n(C) from an n x r Ginibre factor.
-
-    The rank is audited with the gray-zone protocol; the measure-zero
-    failure event triggers a resample (fresh sub-stream, bounded retries).
-    """
+    """Random rank-r state of M_n(C) from an n x r Ginibre factor, its rank
+    audited and the measure-zero failures resampled (_resampled_stack)."""
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
-    return _resampled(full_algebra(n), seed, (r,), (1, index))
+    alg = full_algebra(n)
+    return _validated_states(_resampled_stack(alg, seed, (r,), (1,), [index]), alg, DEFAULT_TOL)[0]
 
 
 def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
@@ -406,15 +418,6 @@ def sample_hermitian(n: int, seed: int, index: int = 0) -> np.ndarray:
     return h / linalg.hs_norm(h)
 
 
-def _algebra_stack(
-    alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None, indices, attempt: int
-) -> np.ndarray:
-    """The unvalidated (B, n, n) stack of the matrices of sample_algebra's
-    draw number attempt, one per index; with ranks=None the first attempt
-    is the draw."""
-    return _draws(alg, ranks, seed, ((4, index, attempt) for index in indices))
-
-
 def sample_algebra(
     alg: AlgebraDescriptor, seed: int, ranks: tuple[int, ...] | None = None, index: int = 0
 ) -> DensityMatrix:
@@ -423,11 +426,11 @@ def sample_algebra(
     With ranks=None each block gets a full Ginibre factor (the HS ensemble of
     the algebra, block weights arising from the block traces). Otherwise
     block b gets an n_b x ranks[b] factor (zero when ranks[b] = 0) and the
-    per-block ranks are audited, resampling on the measure-zero failures.
+    per-block ranks are audited as sample_rank's.
     """
     if ranks is not None:
         ranks = StratumLabel(alg, ranks).per_block
-    return _resampled(alg, seed, ranks, (4, index))
+    return _validated_states(_resampled_stack(alg, seed, ranks, (4,), [index]), alg, DEFAULT_TOL)[0]
 
 
 def _kernel_frames(ms: np.ndarray, label: StratumLabel) -> dict[int, np.ndarray]:

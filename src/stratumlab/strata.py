@@ -9,8 +9,8 @@ tangent directions in the eigenframe form one trace-free family over the
 range positions of all blocks: one trace constraint, not one per block.
 
 Rank decisions follow a strict tolerance protocol: eigenvalues must stay out
-of the gray zone (tol/10, 10 tol), otherwise the classification refuses to
-answer rather than guessing.
+of a gray zone around tol (_rank_decision), otherwise the classification
+refuses to answer rather than guessing.
 """
 
 from __future__ import annotations
@@ -32,31 +32,28 @@ from .states import (
 )
 
 
-def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
-    """Count eigenvalues above tol, enforcing the gray-zone protocol.
-
-    Any value inside the open interval (tol/10, 10 tol) makes the count a
-    coin flip, so AmbiguousRank is raised instead, naming the first such
-    value in row-major order. Works on singular values too.
-
-    Counts over the last axis: an int for a 1-d w, an integer array of
-    w.shape[:-1] otherwise. Raises ValueError unless tol is finite and > 0.
-    """
+def _rank_decision(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The count of the values w above tol over its last axis, and the mask
+    of the values in the gray zone (tol/10, 10 tol), where it is a coin flip."""
     _require_tol(tol)
+    return (w > tol).sum(axis=-1), (w > tol / 10.0) & (w < 10.0 * tol)
+
+
+def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
+    """Count eigenvalues (or singular values) above tol over the last axis:
+    an int for a 1-d w, an integer array of w.shape[:-1] otherwise. Raises
+    AmbiguousRank for the first value in the gray zone, in row-major order,
+    and ValueError unless tol is finite and > 0."""
     w = np.asarray(w, dtype=float)
-    in_zone = (w > tol / 10.0) & (w < 10.0 * tol)
-    if np.count_nonzero(in_zone):
-        raise AmbiguousRank(float(w[in_zone][0]), tol)
-    above = w > tol
-    return int(np.count_nonzero(above)) if w.ndim <= 1 else above.sum(axis=-1)
+    counts, gray = _rank_decision(w, tol)
+    if np.count_nonzero(gray):
+        raise AmbiguousRank(float(w[gray][0]), tol)
+    return int(counts) if w.ndim <= 1 else counts
 
 
 def numerical_rank(rho: DensityMatrix) -> int:
     """Rank of a density matrix under the gray-zone protocol at rho.tol,
-    clamped to >= 1.
-
-    The clamp is sound: a trace-one PSD matrix cannot vanish.
-    """
+    clamped to >= 1 (a trace-one PSD matrix cannot vanish)."""
     return max(1, rank_from_eigenvalues(rho.eigenvalues(), rho.tol))
 
 
@@ -85,21 +82,32 @@ class StratumLabel:
         return sum(self.per_block)
 
 
+def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol: float):
+    """The rank decision on each matrix of a validated (B, n, n) stack of
+    alg: its (B, num_blocks) per-block ranks, and its (B, num_blocks, m)
+    block eigenvalues in the gray zone, which leave them undecided, NaN
+    elsewhere."""
+    spectra = linalg.block_eigvalsh(hs, alg.block_sizes)
+    # zero padding lies below the gray zone, so it neither counts nor refuses
+    w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
+    for b, wb in enumerate(spectra):
+        w[:, b, : wb.shape[1]] = wb
+    ranks, gray = _rank_decision(w, tol)
+    return ranks, np.where(gray, w, np.nan)
+
+
 def classify_stack(
     hs: np.ndarray, alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Per-block ranks of a validated (B, n, n) stack of density matrices of
     alg (as validate_stack returns it), as a (B, num_blocks) integer array.
-
-    Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
-    zone, naming the value a per-state loop would meet first.
-    """
-    spectra = linalg.block_eigvalsh(hs, alg.block_sizes)
-    # zero padding is below tol / 10, so it neither counts nor refuses
-    w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
-    for b, wb in enumerate(spectra):
-        w[:, b, : wb.shape[1]] = wb
-    return rank_from_eigenvalues(w, tol)
+    Raises AmbiguousRank for the first matrix _stack_decision leaves
+    undecided, naming the value a per-state loop would meet first."""
+    ranks, gray = _stack_decision(hs, alg, tol)
+    undecided = gray[~np.isnan(gray)]
+    if undecided.size:
+        raise AmbiguousRank(float(undecided[0]), tol)
+    return ranks
 
 
 def classify(rho: DensityMatrix) -> StratumLabel:

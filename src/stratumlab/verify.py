@@ -19,7 +19,7 @@ from .errors import EigenvalueOnContour
 from .joins import JOIN_RANK_NOTE, _join_stack, _split_stack, convex_split, join_piece_label
 from .joins import join_state, make_join_point
 from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim_stack, orbit_signature_stack
-from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _hs_stack, _uniform_rows
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack, _uniform_rows
 from .sampler import _unitary_stack, sample_rank
 from .states import (
     DEFAULT_TOL,
@@ -213,8 +213,8 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
         for s in (1, 2):
             visit((0.6, 0.4), (factor_states[r], factor_states[s]))
     # random interior samples all land in a known piece
-    hs = _algebra_stack(TETRAHEDRON, seed, None, range(5000, 5000 + samples), 0)
-    for rho in _validated_states(validate_stack(hs, TETRAHEDRON), TETRAHEDRON, DEFAULT_TOL):
+    hs = _resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5000 + samples))
+    for rho in _validated_states(hs, TETRAHEDRON, DEFAULT_TOL):
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         if lab.piece_name not in EXPECTED_TETRAHEDRON_PIECES:
             raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
@@ -228,7 +228,7 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
     max_err = 0.0
     for sizes, split in cases:
         alg = AlgebraDescriptor(sizes)
-        rhos = validate_stack(_algebra_stack(alg, seed, None, range(samples), 0), alg)
+        rhos = _resampled_stack(alg, seed, None, (4,), range(samples))
         weights, comps, _ = _split_stack(rhos, alg, split)
         back = _join_stack(weights, comps, alg)
         max_err = max(max_err, linalg.hs_norm(back - rhos).max())
@@ -268,17 +268,15 @@ def suite_orbit_census(
     # algebra, draw, constructed states, generic and other signature, and the
     # orbit dimension the first 50 draws share (None: unchecked)
     table = (
-        (m2, lambda: _hs_stack(2, seed, range(draws)), [maximally_mixed(m2)],
+        (m2, lambda: validate_stack(_hs_stack(2, seed, range(draws)), m2), [maximally_mixed(m2)],
          ((1, 1),), ((2,),), 2),
-        (cm2, lambda: _algebra_stack(cm2, seed, None, range(draws), 0),
+        (cm2, lambda: _resampled_stack(cm2, seed, None, (4,), range(draws)),
          [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))],
          ((1,), (1, 1)), ((1,), (2,)), None),
     )
     reports = []
     for alg, draw, constructed, generic, other, generic_dim in table:
-        # the draws, then the constructed states (which validate unchanged);
-        # the raw stacks are not kept past validation
-        hs = validate_stack(np.concatenate([draw(), [c.matrix for c in constructed]]), alg)
+        hs = np.concatenate([draw(), [c.matrix for c in constructed]])
         sigs = orbit_signature_stack(hs, alg, cluster_tol)
         dims = orbit_dim_stack(hs, alg).tolist()
         counts = Counter(sig.per_block for sig in sigs)

@@ -20,11 +20,11 @@ componentwise per-block rank order: comparable pairs are witnessed by
 constructed approximants, incomparable pairs by the Eckart-Young distance
 floor (a rank-(j) matrix cannot approximate a rank-(i > j) block closer than
 the norm of the dropped eigenvalue tail). A source label's sampled points
-are drawn one by one and then stacked; their kernel frames, Haar rotations
-and block spectra are derived once and shared by every target. Each
-comparable target gets one stack of approximants (the approach_state of
-each point, bit for bit), validated and audited once; each incomparable
-target reads its floors off the shared spectra.
+are drawn as one stack by sample_algebra's resample loop; their kernel
+frames, Haar rotations and block spectra are derived once and shared by
+every target. Each comparable target gets one stack of approximants (the
+approach_state of each point, bit for bit), validated and audited once;
+each incomparable target reads its floors off the shared spectra.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CoincidentPoints, StratumLabError
-from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _algebra_stack, _approach_base
-from .sampler import _approach_stack, _box_muller, _sequence_base, _sequence_stacks
-from .sampler import _resampled, _uniform_rows
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states, validate_stack
-from .strata import StratumLabel, classify_stack, frontier_leq, tangent_basis_stack
+from .errors import CoincidentPoints
+from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
+from .sampler import _approach_stack, _box_muller, _resampled_stack, _sequence_base
+from .sampler import _sequence_stacks, _uniform_rows
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
+from .strata import StratumLabel, frontier_leq, tangent_basis_stack
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -316,25 +316,10 @@ class FrontierReport:
 
 def _frontier_sources(i: StratumLabel, samples: int, seed: int):
     """The sampled rank-i points of a frontier check, point s the draw
-    sample_algebra(i.alg, seed, i.per_block, s), with what every target
-    shares: their approach base and block spectra.
-
-    Attempt 0 of every point is drawn, validated and classified as one
-    stack. Only the points it leaves off rank i go through sample_algebra's
-    resample loop, from attempt 1 on, for attempt 0 is known to miss. All
-    points go through it from attempt 0 when the stacked checks refuse.
-    """
-    hs = _algebra_stack(i.alg, seed, i.per_block, range(samples), 0)
-    try:
-        hs = validate_stack(hs, i.alg)
-        redraw = np.flatnonzero((classify_stack(hs, i.alg) != i.per_block).any(axis=1))
-        first = 1
-    except StratumLabError:
-        redraw, first = range(samples), 0
-    if len(redraw):
-        hs = hs.copy()
-        for s in redraw:
-            hs[s] = _resampled(i.alg, seed, i.per_block, (4, s), first).matrix
+    sample_algebra(i.alg, seed, i.per_block, s) from one call of its
+    resample loop, with what every target shares: their approach base and
+    block spectra."""
+    hs = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
     return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)
 

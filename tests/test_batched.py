@@ -57,7 +57,6 @@ from stratumlab.joins import (
 )
 from stratumlab.sampler import (
     FRONTIER_DELTA,
-    _algebra_stack,
     _approach_base,
     _approach_stack,
     _uniform_rows,
@@ -78,7 +77,7 @@ from stratumlab.verify import (
     suite_projector_equiv,
     suite_whitney,
 )
-from stratumlab import charts, sampler, verify, whitney
+from stratumlab import charts, sampler, verify
 from stratumlab.whitney import (
     _frontier_sources,
     gap_line_space,
@@ -358,41 +357,50 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
               for sizes, ranks in (((1, 2), (1, 1)), ((3,), (2,)), ((2, 2), (0, 2)))]
     for i in labels:
         assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
-    stack = whitney._algebra_stack
+    # a point whose ranks the per-row decision leaves undecided is redrawn
+    # alone, from attempt 1, and is still the sample_algebra draw
     i = labels[0]
-    # a point off rank i at attempt 0 is redrawn alone, by the resample
-    # loop from attempt 1 on: its attempt-0 stream is read once, by the
-    # stacked draw, and the redrawn point is sample_algebra's
+
+    def attempt(s, k):
+        """Point s's validated draw number k."""
+        return validate_stack(sampler._draws(i.alg, i.per_block, 4, [(4, s, k)]), i.alg)[0]
+
+    decide, undecided = sampler._stack_decision, attempt(5, 0)
+
+    def undecided_at_5(hs, alg, tol):
+        ranks, gray = decide(hs, alg, tol)
+        gray[(hs == undecided).all(axis=(1, 2)), 0, 0] = tol
+        return ranks, gray
+
+    monkeypatch.setattr(sampler, "_stack_decision", undecided_at_5)
+    want = draws(i)
+    assert np.array_equal(want[5], attempt(5, 1))
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0], want)
+
+
+def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
+    # in one stack, point 3's attempt 0 has an eigenvalue in the gray zone
+    # and point 7's is off rank: every attempt-0 stream is read once, attempt
+    # 1 only for those two points, and each point is sample_algebra's
+    i = StratumLabel(AlgebraDescriptor((1, 2)), (1, 1))
+    gray = np.diag([0.5, 5e-9, 0.5 - 5e-9]).astype(complex)
+    with pytest.raises(AmbiguousRank):
+        classify(validate_density(gray, i.alg))
     real_draws, reads = sampler._draws, []
 
-    def off_rank_at_3(alg, ranks, seed, paths):
+    def missing_at_3_and_7(alg, ranks, seed, paths):
         paths = list(paths)
         reads.extend(paths)
         ms = real_draws(alg, ranks, seed, paths)
-        ms[[p == (4, 3, 0) for p in paths]] = maximally_mixed(alg).matrix
+        ms[[p == (4, 3, 0) for p in paths]] = gray
+        ms[[p == (4, 7, 0) for p in paths]] = maximally_mixed(alg).matrix
         return ms
 
-    monkeypatch.setattr(sampler, "_draws", off_rank_at_3)
-    want = draws(i)
-    assert np.array_equal(want[3], stack(i.alg, 4, i.per_block, [3], 1)[0])
-    reads.clear()
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0], want)
-    assert sorted(reads) == sorted([(4, s, 0) for s in range(15)] + [(4, 3, 1)])
-    monkeypatch.setattr(sampler, "_draws", real_draws)
-    # every point is redrawn from attempt 0 when the stacked validation or
-    # audit refuses: point 3's stand-in would be redrawn at attempt 1
-    off = stack(i.alg, 4, i.per_block, range(15), 0).copy()
-    off[3] = maximally_mixed(i.alg).matrix
-    off[5] = np.nan
-    monkeypatch.setattr(whitney, "_algebra_stack", lambda *args: off)
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
-    monkeypatch.setattr(whitney, "_algebra_stack", stack)
-
-    def refuse(*args):
-        raise AmbiguousRank(1e-7, 1e-7)
-
-    monkeypatch.setattr(whitney, "classify_stack", refuse)
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
+    monkeypatch.setattr(sampler, "_draws", missing_at_3_and_7)
+    hs = _frontier_sources(i, 15, 4)[0]
+    assert sorted(reads) == sorted([(4, s, 0) for s in range(15)] + [(4, 3, 1), (4, 7, 1)])
+    want = [sample_algebra(i.alg, 4, ranks=i.per_block, index=s).matrix for s in range(15)]
+    assert np.array_equal(hs, want)
 
 
 def _reference_frontier_witnesses(i, j, samples, seed):
@@ -673,7 +681,7 @@ def _reference_join_state(alg, split, weights, components, tol=1e-9):
 )
 def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
     alg = AlgebraDescriptor(sizes)
-    ms = [_algebra_stack(alg, 21, ranks, range(12), 0) for ranks in rank_draws]
+    ms = [sampler._draws(alg, ranks, 21, [(4, s, 0) for s in range(12)]) for ranks in rank_draws]
     # a weight under the drop tolerance, and one just above it whose
     # component tolerance 2 tol / w is far looser than tol
     for weight in (1e-13, 1e-6):

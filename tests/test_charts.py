@@ -90,6 +90,18 @@ def test_chart_domain_rejections():
         chart_forward(f, g_split, cfg)
 
 
+def test_chart_forward_refuses_a_center_of_rank_zero():
+    # at tol = 1e300 both eigenvalues of diag(0, 1) count as zero, so the
+    # center has no rank; chart_forward refuses it as spectral_gap does
+    f = validate_density(np.diag([0.0, 1.0]).astype(complex), full_algebra(2), tol=1e300)
+    cfg = chart_config_for(_diag_state([0.0, 1.0]))
+    g = _diag_state([0.01, 0.99])
+    assert in_chart_domain(f, g, cfg)
+    for call in (lambda: spectral_gap(f), lambda: chart_forward(f, g, cfg)):
+        with pytest.raises(ValueError, match="declares every eigenvalue of the center zero"):
+            call()
+
+
 def test_forbidden_band_fails_closed():
     cfg = ChartConfig(gap_a=0.5, epsilon=0.125, contour_radius=0.25)
     # the band is closed at both edges, and NaN is neither small nor large

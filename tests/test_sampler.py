@@ -22,14 +22,13 @@ from stratumlab import (
     sequence_toward,
     validate_density,
 )
-from stratumlab import strata
-from stratumlab.errors import AmbiguousRank
+from stratumlab import sampler
 from stratumlab.sampler import (
     MAX_RESAMPLE,
     STREAM_CHUNK_ROWS,
     STREAM_PORT_ROWS,
-    _algebra_stack,
     _box_muller,
+    _draws,
     _ginibre_stack,
     _hs_stack,
     _polar_normal,
@@ -130,8 +129,8 @@ def _reference_rank_matrix(n, r, seed, index, attempt):
 
 
 def _reference_algebra_matrix(alg, seed, ranks, index, attempt):
-    """The per-draw construction of sample_algebra's matrix that
-    _algebra_stack replaced."""
+    """The per-draw construction of sample_algebra's matrix number attempt,
+    which the stacked _draws replaced."""
     rng = _stream(seed, 4, index, attempt)
     blocks = []
     for b, nb in enumerate(alg.block_sizes):
@@ -165,7 +164,7 @@ def test_stacked_draws_match_per_draw_loops(seed):
     for sizes, ranks in cases:
         alg = AlgebraDescriptor(sizes)
         for attempt in (0, 3):
-            ms = _algebra_stack(alg, seed, ranks, indices, attempt)
+            ms = _draws(alg, ranks, seed, [(4, index, attempt) for index in indices])
             for m, index in zip(ms, indices):
                 assert np.array_equal(m, _reference_algebra_matrix(alg, seed, ranks, index, attempt))
     # the (1, index, attempt) streams: every draw here is clean at attempt 0
@@ -406,20 +405,21 @@ def test_validation_of_returned_samples():
 
 
 def _refuse_first_ranks(monkeypatch, times):
-    """Make strata.rank_from_eigenvalues refuse (AmbiguousRank) its first
-    `times` calls, in place of any earlier patch; return the list that
-    records every call."""
+    """Make the sampler's rank decision leave every row undecided (a
+    gray-zone eigenvalue) in its first `times` calls, in place of any
+    earlier patch; return the list that records every call's stack."""
     monkeypatch.undo()
-    original = strata.rank_from_eigenvalues
+    original = sampler._stack_decision
     seen = []
 
-    def patched(w, tol):
-        seen.append(w)
+    def patched(hs, alg, tol):
+        seen.append(hs)
+        ranks, gray = original(hs, alg, tol)
         if len(seen) <= times:
-            raise AmbiguousRank(5 * tol, tol)
-        return original(w, tol)
+            gray = np.full(gray.shape, 5 * tol)
+        return ranks, gray
 
-    monkeypatch.setattr(strata, "rank_from_eigenvalues", patched)
+    monkeypatch.setattr(sampler, "_stack_decision", patched)
     return seen
 
 
