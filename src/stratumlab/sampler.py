@@ -57,12 +57,12 @@ from .states import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     DensityMatrix,
+    _validate_with_spectra,
     _validated_states,
     full_algebra,
     validate_density,
-    validate_stack,
 )
-from .strata import StratumLabel, _stack_decision, classify, classify_stack, retract_stack
+from .strata import StratumLabel, _classified, _retract_with_spectra, _stack_decision, classify
 from .strata import tangent_basis
 
 MAX_RESAMPLE = 100
@@ -363,14 +363,14 @@ def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indi
     todo = np.arange(len(indices))
     for attempt in range(MAX_RESAMPLE):
         paths = [(*head, indices[k], attempt) for k in todo]
-        ms = validate_stack(_draws(alg, ranks, seed, paths), alg)
+        ms, spectra = _validate_with_spectra(_draws(alg, ranks, seed, paths), alg, DEFAULT_TOL)
         if ranks is None:
             return ms
         if attempt:
             hs[todo] = ms
         else:
             hs = ms.copy()
-        got, gray = _stack_decision(ms, alg, DEFAULT_TOL)
+        got, gray = _stack_decision(ms, alg, DEFAULT_TOL, spectra)
         todo = todo[(got != ranks).any(axis=1) | ~np.isnan(gray).all(axis=(1, 2))]
         if not todo.size:
             hs.flags.writeable = False
@@ -465,11 +465,11 @@ def _kernel_mixture(alg: AlgebraDescriptor, frames, rotations, raises, u: np.nda
     return sigma
 
 
-def _audit(xs: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
+def _audit(xs: np.ndarray, spectra: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
     """Return a validated (B, n, n) stack of constructed points, refusing it
     unless every one classifies as target (AmbiguousRank in the gray zone,
-    else RuntimeError)."""
-    got = classify_stack(xs, target.alg, tol)
+    else RuntimeError), reading the spectra _validate_with_spectra gave."""
+    got = _classified(xs, target.alg, tol, spectra)
     wrong = np.flatnonzero((got != target.per_block).any(axis=1))
     if wrong.size:
         raise RuntimeError(
@@ -482,7 +482,8 @@ def _audit(xs: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
 def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float) -> np.ndarray:
     """The validated stack (1 - delta) hs + delta sigma, audited to classify
     as target: the one step of sequence_toward's x_k and approach_state."""
-    return _audit(validate_stack((1.0 - delta) * hs + delta * sigma, target.alg, tol), target, tol)
+    xs, spectra = _validate_with_spectra((1.0 - delta) * hs + delta * sigma, target.alg, tol)
+    return _audit(xs, spectra, target, tol)
 
 
 def _first_failure(build, rows: int):
@@ -512,13 +513,16 @@ def _approach_steps(
     tol = y.tol
     xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, tol)
     ys = np.empty_like(xs)
+    spectra = np.empty(xs.shape[:2])
     steps = 0.5 * deltas
     todo = np.arange(len(deltas))
     for _ in range(30):
-        ms, lead = retract_stack(y.matrix + steps[todo, None, None] * h[todo], label_i, tol)
+        hs = y.matrix + steps[todo, None, None] * h[todo]
+        ms, w, lead = _retract_with_spectra(hs, label_i, tol)
         done = lead > 0
         close = linalg.hs_norm(ms - y.matrix) <= deltas[todo[done]]
         ys[todo[done][close]] = ms[close]
+        spectra[todo[done][close]] = w[close]
         done[done] = close
         todo = todo[~done]
         if not todo.size:
@@ -527,7 +531,7 @@ def _approach_steps(
     else:
         raise RuntimeError("tangent retraction kept overshooting the step budget")
     ys.flags.writeable = False
-    return xs, _audit(ys, label_i, tol)
+    return xs, _audit(ys, spectra, label_i, tol)
 
 
 def _sequence_base(y: DensityMatrix, j: int, rate: float):

@@ -159,6 +159,12 @@ def validate_stack(
         with the violation magnitude: the error a loop of validate_density
         over the stack would raise.
     """
+    return _validate_with_spectra(ms, alg, tol)[0]
+
+
+def _validate_with_spectra(ms: np.ndarray, alg: AlgebraDescriptor, tol: float | np.ndarray):
+    """validate_stack, and the (B, n) ascending eigvalsh of each matrix it
+    returns: its positivity check's, for consumers not to decompose again."""
     _require_tol(tol)
     ms = np.asarray(ms, dtype=complex)
     n = alg.dim
@@ -194,13 +200,13 @@ def validate_stack(
                 f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
             )
         raise TraceNotOne("trace differs from 1", magnitude=float(tr_dev[b]))
-    w_min = np.linalg.eigvalsh(h)[:, 0]
-    ok = w_min >= -tol
+    w = np.linalg.eigvalsh(h)
+    ok = w[:, 0] >= -tol
     if np.count_nonzero(ok) != len(ok):
         b = int(np.argmin(ok))
-        raise NotPositive("matrix has a negative eigenvalue", magnitude=-float(w_min[b]))
+        raise NotPositive("matrix has a negative eigenvalue", magnitude=-float(w[b, 0]))
     h.flags.writeable = False
-    return h
+    return h, w
 
 
 def validate_density(

@@ -27,8 +27,8 @@ from .states import (
     AlgebraDescriptor,
     DensityMatrix,
     _require_tol,
+    _validate_with_spectra,
     _validated_states,
-    validate_stack,
 )
 
 
@@ -52,9 +52,11 @@ def rank_from_eigenvalues(w: np.ndarray, tol: float) -> int | np.ndarray:
 
 
 def numerical_rank(rho: DensityMatrix) -> int:
-    """Rank of a density matrix under the gray-zone protocol at rho.tol,
-    clamped to >= 1 (a trace-one PSD matrix cannot vanish)."""
-    return max(1, rank_from_eigenvalues(rho.eigenvalues(), rho.tol))
+    """Rank of a density matrix under the gray-zone protocol at rho.tol;
+    ValueError when rho.tol declares every eigenvalue zero (rank 0)."""
+    if not (i := rank_from_eigenvalues(rho.eigenvalues(), rho.tol)):
+        raise ValueError(f"tolerance {rho.tol:.6g} declares every eigenvalue of the state zero")
+    return i
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,14 @@ class StratumLabel:
         return sum(self.per_block)
 
 
-def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol: float):
+def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol: float, spectrum=None):
     """The rank decision on each matrix of a validated (B, n, n) stack of
     alg: its (B, num_blocks) per-block ranks, and its (B, num_blocks, m)
     block eigenvalues in the gray zone, which leave them undecided, NaN
-    elsewhere."""
-    spectra = linalg.block_eigvalsh(hs, alg.block_sizes)
+    elsewhere. Per block one eigvalsh, or for one block the spectrum that
+    _validate_with_spectra returned with hs, if given: the same bits."""
+    one_block = spectrum is not None and alg.num_blocks == 1
+    spectra = [spectrum] if one_block else linalg.block_eigvalsh(hs, alg.block_sizes)
     # zero padding lies below the gray zone, so it neither counts nor refuses
     w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
     for b, wb in enumerate(spectra):
@@ -103,7 +107,12 @@ def classify_stack(
     alg (as validate_stack returns it), as a (B, num_blocks) integer array.
     Raises AmbiguousRank for the first matrix _stack_decision leaves
     undecided, naming the value a per-state loop would meet first."""
-    ranks, gray = _stack_decision(hs, alg, tol)
+    return _classified(hs, alg, tol)
+
+
+def _classified(hs: np.ndarray, alg: AlgebraDescriptor, tol: float, spectrum=None) -> np.ndarray:
+    """classify_stack, its decision reading spectrum as _stack_decision does."""
+    ranks, gray = _stack_decision(hs, alg, tol, spectrum)
     undecided = gray[~np.isnan(gray)]
     if undecided.size:
         raise AmbiguousRank(float(undecided[0]), tol)
@@ -196,7 +205,8 @@ def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
 
     Item b is W_b T W_b^dagger, T the fixed template of the stratum and W_b
     the block-diagonal gauge-fixed eigenframe of hs[b]; the frames of all
-    items come from one stacked eigh_fixed per block.
+    items come from one stacked eigh_fixed per block (validation's eigvalsh
+    gives no frames); then W_b [T_1 ... T_d], as d row blocks, times W_b^dagger.
     """
     hs = np.asarray(hs, dtype=complex)
     n = label.alg.dim
@@ -207,7 +217,10 @@ def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
         # an unoccupied block has no tangent directions; any frame will do
         frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
     template = _tangent_template(label.alg.block_sizes, label.per_block)
-    return frame[:, None] @ template @ frame.conj().swapaxes(1, 2)[:, None]
+    b, d = len(hs), len(template)
+    rows = (frame @ template.transpose(1, 0, 2).reshape(n, d * n)).reshape(b, n, d, n)
+    rows = rows.transpose(0, 2, 1, 3).reshape(b, d * n, n)
+    return (rows @ frame.conj().swapaxes(1, 2)).reshape(b, d, n, n)
 
 
 def tangent_basis(rho: DensityMatrix, *, label: StratumLabel | None = None) -> np.ndarray:
@@ -257,6 +270,12 @@ def retract_stack(
         is not positive (else of its last occupied block): the item is
         retracted exactly when lead > 0.
     """
+    ms, _, lead = _retract_with_spectra(hs, label, tol)
+    return ms, lead
+
+
+def _retract_with_spectra(hs: np.ndarray, label: StratumLabel, tol: float):
+    """retract_stack, with ms's spectra (_validate_with_spectra): (ms, spectra, lead)."""
     hs = np.asarray(hs, dtype=complex)
     n = label.alg.dim
     if hs.ndim != 3 or hs.shape[1:] != (n, n):
@@ -273,7 +292,7 @@ def retract_stack(
         m[:, sl, sl] = (top_v * top_w[:, None, :]) @ top_v.conj().swapaxes(1, 2)
     m = m[lead > 0]
     m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    return validate_stack(linalg.hermitian_part(m), label.alg, tol), lead
+    return *_validate_with_spectra(linalg.hermitian_part(m), label.alg, tol), lead
 
 
 def retract_to_stratum(

@@ -10,6 +10,7 @@ split and join stacks of the join suite.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -367,8 +368,8 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
 
     decide, undecided = sampler._stack_decision, attempt(5, 0)
 
-    def undecided_at_5(hs, alg, tol):
-        ranks, gray = decide(hs, alg, tol)
+    def undecided_at_5(hs, alg, tol, spectrum=None):
+        ranks, gray = decide(hs, alg, tol, spectrum)
         gray[(hs == undecided).all(axis=(1, 2)), 0, 0] = tol
         return ranks, gray
 
@@ -530,6 +531,32 @@ def test_tangent_basis_stack_matches_per_state(sizes, ranks):
     for b, rho in enumerate(states):
         assert np.array_equal(bases[b], tangent_basis(rho, label=label))
         assert np.array_equal(bases[b], _reference_tangent_basis(rho, label))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(n,) for n in range(1, 7)] + [(1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 1, 1, 1)]
+)
+def test_tangent_basis_stack_is_the_template_product(sizes):
+    # every label, on stacks of 0, 1 and 88 points, against W T W^dagger
+    # formed per point and per template matrix; (1) and single occupied
+    # blocks of (1, 1, 1, 1) have d = 0. The two ways of grouping the
+    # products may round differently under another BLAS kernel, so they
+    # are held within 1e-15 here and bit for bit by the goldens
+    alg = AlgebraDescriptor(sizes)
+    for ranks in itertools.product(*(range(nb + 1) for nb in sizes)):
+        if not any(ranks):
+            continue
+        label = StratumLabel(alg, ranks)
+        hs = sampler._resampled_stack(alg, 47, ranks, (4,), range(88))
+        frame = np.zeros_like(hs)
+        for sl, nb, ib in zip(alg.block_slices(), sizes, ranks):
+            frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
+        template = _tangent_template(sizes, ranks)
+        want = frame[:, None] @ template @ frame.conj().swapaxes(1, 2)[:, None]
+        for b in (0, 1, 88):
+            got = tangent_basis_stack(hs[:b], label)
+            assert got.shape == (b, stratum_dim_label(label), alg.dim, alg.dim)
+            assert np.abs(got - want[:b]).max(initial=0.0) <= 1e-15
 
 
 def _reference_retract(h, label, tol=1e-9):

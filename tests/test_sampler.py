@@ -412,9 +412,9 @@ def _refuse_first_ranks(monkeypatch, times):
     original = sampler._stack_decision
     seen = []
 
-    def patched(hs, alg, tol):
+    def patched(hs, alg, tol, spectrum=None):
         seen.append(hs)
-        ranks, gray = original(hs, alg, tol)
+        ranks, gray = original(hs, alg, tol, spectrum)
         if len(seen) <= times:
             gray = np.full(gray.shape, 5 * tol)
         return ranks, gray

@@ -57,6 +57,12 @@ def test_numerical_rank_and_classify():
     assert classify(rho).per_block == (1, 1)
     full = validate_density(np.diag([0.2, 0.3, 0.5]).astype(complex), alg)
     assert classify(full).per_block == (1, 2)
+    # a tolerance above every eigenvalue counts none of them: rank 0, which
+    # no trace-one matrix has, is refused rather than read as rank 1
+    coarse = validate_density(np.diag([0.0, 1.0]).astype(complex), full_algebra(2), 1e300)
+    assert rank_from_eigenvalues(coarse.eigenvalues(), coarse.tol) == 0
+    with pytest.raises(ValueError, match="declares every eigenvalue of the state zero"):
+        numerical_rank(coarse)
 
 
 def test_stratum_label_validation():

@@ -399,15 +399,16 @@ def test_sequence_toward_raises_the_first_failing_steps_error(monkeypatch):
     # now every retraction of a step shorter than 1e-4 leaves the stratum,
     # so step 13 runs out of halvings long before the gray zone: the
     # step-by-step loop raises the overshoot, not the later audit
-    retract = strata.retract_stack
+    retract = strata._retract_with_spectra
 
-    def refuse_short_steps(hs, label, tol=1e-9):
-        ms, lead = retract(hs, label, tol)
+    def refuse_short_steps(hs, label, tol):
+        ms, spectra, lead = retract(hs, label, tol)
         short = linalg.hs_norm(hs - y.matrix) < 1e-4
-        return ms[~short[lead > 0]], np.where(short, -1.0, lead)
+        kept = ~short[lead > 0]
+        return ms[kept], spectra[kept], np.where(short, -1.0, lead)
 
-    monkeypatch.setattr(strata, "retract_stack", refuse_short_steps)
-    monkeypatch.setattr(sampler, "retract_stack", refuse_short_steps)
+    monkeypatch.setattr(strata, "_retract_with_spectra", refuse_short_steps)
+    monkeypatch.setattr(sampler, "_retract_with_spectra", refuse_short_steps)
     assert _raised(stacked) == _raised(stepwise)
     assert _raised(stacked) == (
         RuntimeError, "tangent retraction kept overshooting the step budget"
@@ -483,12 +484,12 @@ def test_whitney_estimate_raises_the_first_failing_trials_error(monkeypatch):
     ]
     audit = sampler._audit
 
-    def refuse_marked(xs, target, tol):
+    def refuse_marked(xs, spectra, target, tol):
         for m in xs:
             for mark, name in marks:
                 if np.array_equal(m, mark):
                     raise RuntimeError(name)
-        return audit(xs, target, tol)
+        return audit(xs, spectra, target, tol)
 
     monkeypatch.setattr(sampler, "_audit", refuse_marked)
     stacked = lambda: whitney_b_estimate(y, 2, trials=trials, seed=44)
@@ -500,6 +501,31 @@ def test_whitney_estimate_raises_the_first_failing_trials_error(monkeypatch):
     # and with trial 20 mended too, the second chunk's
     del marks[0]
     assert _raised(stacked) == _raised(looped) == (RuntimeError, f"trial {late}, step 1, point 1")
+
+
+def test_whitney_estimate_decomposes_each_constructed_point_once(monkeypatch):
+    # validation's eigvalsh is the only one each x_k and each kept
+    # retraction gets: the rank audits read its spectra
+    y = sample_rank(3, 1, seed=46)
+    eigvalsh, retract = np.linalg.eigvalsh, sampler._retract_with_spectra
+    rows = {"eigvalsh": 0, "retracted": 0}
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        rows["eigvalsh"] += len(a) if a.ndim == 3 else 1
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_retract(hs, label, tol):
+        out = retract(hs, label, tol)
+        rows["retracted"] += len(out[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(sampler, "_retract_with_spectra", counted_retract)
+    whitney_b_estimate(y, 2, trials=30, seed=46)
+    assert rows["retracted"] >= 30 * 22
+    # one row per x_k, one per retraction attempt that validation kept,
+    # and one for y's own label
+    assert rows["eigvalsh"] == 30 * 22 + rows["retracted"] + 1
 
 
 def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
