@@ -209,18 +209,19 @@ class JoinPieceLabel:
 
     @property
     def piece_name(self) -> str:
-        """Short name of the piece: for two summands R2 (first factor only),
-        S1 (second only) or R2xS1xI (both); otherwise the support pattern."""
-        if self.support == (True, False):
-            return f"R{self.factor_ranks[0]}"
-        if self.support == (False, True):
-            return f"S{self.factor_ranks[0]}"
-        if self.support == (True, True):
-            return f"R{self.factor_ranks[0]}xS{self.factor_ranks[1]}xI"
-        present = "+".join(
-            f"{j}:r{r}" for j, r in zip(np.nonzero(self.support)[0], self.factor_ranks)
-        )
-        return f"J[{present}]"
+        return _piece_name(self.support, self.factor_ranks)
+
+
+def _piece_name(support: tuple[bool, ...], factor_ranks: tuple[int, ...]) -> str:
+    """Name of the join piece of a support pattern and its factors' total ranks:
+    R2 (first only), S1 (second only), R2xS1xI (both); else the support pattern."""
+    if support == (True, False):
+        return f"R{factor_ranks[0]}"
+    if support == (False, True):
+        return f"S{factor_ranks[0]}"
+    if support == (True, True):
+        return f"R{factor_ranks[0]}xS{factor_ranks[1]}xI"
+    return "J[" + "+".join(f"{j}:r{r}" for j, r in zip(np.nonzero(support)[0], factor_ranks)) + "]"
 
 
 def join_piece_label(p: JoinPoint) -> JoinPieceLabel:

@@ -26,7 +26,7 @@ from .strata import rank_from_eigenvalues
 
 DEFAULT_CLUSTER_TOL = 1e-8
 # largest block orbit_dim_stack accepts: a block of size n costs a B n^4
-# complex tensor and the SVD of an n^2 x n^2 matrix per item
+# complex tensor and the Hermitian eigenvalues of an n^2 x n^2 orbit map per item
 ORBIT_DIM_MAX_BLOCK = 32
 
 
@@ -158,8 +158,11 @@ def orbit_dim_stack(
     map has the singular values of the complex map vec(X) -> (I (x) rho_b^T -
     rho_b (x) I) vec(X) on each block b (row-major vec): the complex map is
     its complexification, and [X, rho] is Hermitian for anti-Hermitian X.
-    The singular values of all blocks, descending, are thresholded with the
-    gray-zone protocol; the route never looks at the eigenvalue clustering.
+    That map is Hermitian for Hermitian rho_b (and built exactly so), so its
+    singular values are the absolute values of its Hermitian eigenvalues,
+    which the route takes (a block of size 1 has the zero map: one exact 0).
+    Those of all blocks, descending, are thresholded with the gray-zone
+    protocol; the route never looks at rho's spectrum or its clustering.
     Equals dim U(A) - isotropy_dim whenever clustering is clean.
 
     Raises
@@ -170,11 +173,11 @@ def orbit_dim_stack(
     largest = max(alg.block_sizes)
     if largest > ORBIT_DIM_MAX_BLOCK:
         raise DimensionTooLarge(
-            f"refusing the SVD of a {largest ** 2} x {largest ** 2} orbit map for a "
-            f"block of size {largest} > {ORBIT_DIM_MAX_BLOCK}"
+            f"refusing the Hermitian eigenvalues of a {largest ** 2} x {largest ** 2} orbit"
+            f" map for a block of size {largest} > {ORBIT_DIM_MAX_BLOCK}"
         )
-    sv = []
-    for sl, n in zip(alg.block_slices(), alg.block_sizes):
+    sv = [np.zeros((len(hs), alg.block_sizes.count(1)))]  # one exact 0 per block of size 1
+    for sl, n in ((sl, n) for sl, n in zip(alg.block_slices(), alg.block_sizes) if n > 1):
         rho = hs[:, sl, sl]
         # ad[:, i, j, k, l] = delta_ik rho[l, j] - rho[i, k] delta_jl, built in
         # place: the stack can be large
@@ -182,7 +185,7 @@ def orbit_dim_stack(
         for i in range(n):
             ad[:, i, :, i, :] += rho.swapaxes(1, 2)
             ad[:, :, i, :, i] -= rho
-        sv.append(np.linalg.svd(ad.reshape(len(hs), n * n, n * n), compute_uv=False))
+        sv.append(np.abs(np.linalg.eigvalsh(ad.reshape(len(hs), n * n, n * n))))
     sv = np.concatenate(sv, axis=1)
     return rank_from_eigenvalues(-np.sort(-sv, axis=1), tol)
 

@@ -353,28 +353,28 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
 
 
-def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices) -> np.ndarray:
+def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices):
     """The validated (B, n, n) stack of the draws of alg, one per index of
-    the sequence indices: row b the first draw of the (seed, *head,
-    indices[b], attempt) streams, attempt = 0, 1, ..., whose per-block ranks
-    are ranks (gray-zone protocol), or attempt 0 with ranks=None. Each attempt
-    is drawn and validated as one stack; only the rows whose rank decision
-    misses are redrawn, together, MAX_RESAMPLE attempts in all."""
+    the sequence indices, and its (B, n) eigvalsh from _validate_with_spectra.
+    Row b is the first draw of the (seed, *head, indices[b], attempt) streams,
+    attempt = 0, 1, ..., whose per-block ranks are ranks (gray-zone protocol),
+    or attempt 0 with ranks=None. Each attempt is drawn and validated as one
+    stack; only rows whose decision misses are redrawn, MAX_RESAMPLE tries in all."""
     todo = np.arange(len(indices))
     for attempt in range(MAX_RESAMPLE):
         paths = [(*head, indices[k], attempt) for k in todo]
         ms, spectra = _validate_with_spectra(_draws(alg, ranks, seed, paths), alg, DEFAULT_TOL)
         if ranks is None:
-            return ms
+            return ms, spectra
         if attempt:
-            hs[todo] = ms
+            hs[todo], w[todo] = ms, spectra
         else:
-            hs = ms.copy()
+            hs, w = ms.copy(), spectra
         got, gray = _stack_decision(ms, alg, DEFAULT_TOL, spectra)
         todo = todo[(got != ranks).any(axis=1) | ~np.isnan(gray).all(axis=(1, 2))]
         if not todo.size:
             hs.flags.writeable = False
-            return hs
+            return hs, w
     raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
 
 
@@ -384,7 +384,8 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
     alg = full_algebra(n)
-    return _validated_states(_resampled_stack(alg, seed, (r,), (1,), [index]), alg, DEFAULT_TOL)[0]
+    hs, _ = _resampled_stack(alg, seed, (r,), (1,), [index])
+    return _validated_states(hs, alg, DEFAULT_TOL)[0]
 
 
 def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
@@ -430,7 +431,8 @@ def sample_algebra(
     """
     if ranks is not None:
         ranks = StratumLabel(alg, ranks).per_block
-    return _validated_states(_resampled_stack(alg, seed, ranks, (4,), [index]), alg, DEFAULT_TOL)[0]
+    hs, _ = _resampled_stack(alg, seed, ranks, (4,), [index])
+    return _validated_states(hs, alg, DEFAULT_TOL)[0]
 
 
 def _kernel_frames(ms: np.ndarray, label: StratumLabel) -> dict[int, np.ndarray]:

@@ -84,12 +84,12 @@ class StratumLabel:
         return sum(self.per_block)
 
 
-def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol: float, spectrum=None):
+def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol, spectrum=None):
     """The rank decision on each matrix of a validated (B, n, n) stack of
     alg: its (B, num_blocks) per-block ranks, and its (B, num_blocks, m)
     block eigenvalues in the gray zone, which leave them undecided, NaN
-    elsewhere. Per block one eigvalsh, or for one block the spectrum that
-    _validate_with_spectra returned with hs, if given: the same bits."""
+    elsewhere, at tol or (B, 1, 1) per-row tols. Per block one eigvalsh, or
+    for one block _validate_with_spectra's spectrum of hs, if given: same bits."""
     one_block = spectrum is not None and alg.num_blocks == 1
     spectra = [spectrum] if one_block else linalg.block_eigvalsh(hs, alg.block_sizes)
     # zero padding lies below the gray zone, so it neither counts nor refuses

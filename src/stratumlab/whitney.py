@@ -318,10 +318,10 @@ def _frontier_sources(i: StratumLabel, samples: int, seed: int):
     """The sampled rank-i points of a frontier check, point s the draw
     sample_algebra(i.alg, seed, i.per_block, s) from one call of its
     resample loop, with what every target shares: their approach base and
-    block spectra."""
-    hs = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
+    block spectra, for one block validation's own eigvalsh (the same bits)."""
+    hs, w = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
-    return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes)
+    return hs, base, [w] if i.alg.num_blocks == 1 else linalg.block_eigvalsh(hs, i.alg.block_sizes)
 
 
 def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierReport:

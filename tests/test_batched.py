@@ -14,6 +14,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratumlab import (
     AlgebraDescriptor,
@@ -53,6 +55,7 @@ from stratumlab.joins import (
     _join_stack,
     _split_stack,
     convex_split,
+    join_piece_label,
     join_state,
     summand_algebras,
 )
@@ -63,6 +66,7 @@ from stratumlab.sampler import (
     _uniform_rows,
     approach_state,
 )
+from stratumlab.states import DEFAULT_TOL, _validated_states
 from stratumlab.strata import (
     _tangent_template,
     rank_from_eigenvalues,
@@ -72,6 +76,8 @@ from stratumlab.strata import (
 )
 from stratumlab.verify import (
     DEFAULT_FRONTIER_ALGEBRAS,
+    TETRAHEDRON,
+    TETRAHEDRON_SPLIT,
     suite_frontier,
     suite_join,
     suite_orbit_census,
@@ -199,6 +205,44 @@ def test_stack_matches_per_state(sizes):
         assert sigs[b].per_block == old_sig
         assert dims[b] == orbit_dim(rho) == _reference_orbit_dim(rho)
         assert dims[b] + sum(m * m for p in old_sig for m in p) == alg.unitary_group_dim
+
+
+@st.composite
+def near_degenerate_states(draw):
+    """A state of a direct sum of total size 2 to 6 (blocks in random order)
+    whose block of size >= 2 has one eigenvalue pair 10^U(-12, -5) apart,
+    across the gray zone (tol/10, 10 tol) of the orbit map's values; the
+    other eigenvalues are random, some zero; rotated by a block unitary."""
+    pair_size = draw(st.integers(2, 6))
+    rest = []
+    for size in draw(st.lists(st.integers(1, 4), max_size=4)):
+        if pair_size + sum(rest) + size <= 6:
+            rest.append(size)
+    at = draw(st.integers(0, len(rest)))
+    alg = AlgebraDescriptor(tuple(rest[:at] + [pair_size] + rest[at:]))
+    levels = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=alg.dim, max_size=alg.dim)))
+    first = sum(rest[:at]) + draw(st.integers(0, pair_size - 2))
+    levels[first : first + 2] = draw(st.floats(0.05, 1.0))
+    levels /= levels.sum()
+    gap = 10.0 ** draw(st.floats(-12.0, -5.0))
+    levels[first : first + 2] += (-gap / 2, gap / 2)
+    u = sample_block_unitary(alg, draw(st.integers(0, 2**31 - 1)))
+    return validate_density((u * levels) @ u.conj().T, alg)
+
+
+def _dim_or_refusal(route, rho):
+    try:
+        return route(rho)
+    except AmbiguousRank:
+        return "refused"
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_degenerate_states())
+def test_orbit_map_eigenvalues_match_the_svd_oracle(rho):
+    # |eigvalsh| of the Hermitian orbit map against the SVD of the real map
+    assert _dim_or_refusal(orbit_dim, rho) == _dim_or_refusal(_reference_orbit_dim, rho)
 
 
 def test_stack_of_none_and_shape_errors():
@@ -404,6 +448,28 @@ def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
     assert np.array_equal(hs, want)
 
 
+@pytest.mark.parametrize("sizes, ranks", (((3,), (2,)), ((4,), (4,)), ((1, 2), (1, 1))))
+def test_frontier_source_spectra_are_block_eigvalsh(monkeypatch, sizes, ranks):
+    # a one-block label hands on validation's eigvalsh, resampled rows
+    # included: the bits block_eigvalsh gives the assembled stack
+    i = StratumLabel(AlgebraDescriptor(sizes), ranks)
+    decide, calls = sampler._stack_decision, []
+
+    def rows_2_and_5_miss_once(hs, alg, tol, spectrum=None):
+        ranks, gray = decide(hs, alg, tol, spectrum)
+        if not calls:
+            gray[[2, 5], 0, 0] = tol
+        calls.append(len(hs))
+        return ranks, gray
+
+    monkeypatch.setattr(sampler, "_stack_decision", rows_2_and_5_miss_once)
+    hs, _, spectra = _frontier_sources(i, 15, 4)
+    assert calls == [15, 2]
+    want = linalg.block_eigvalsh(hs, i.alg.block_sizes)
+    assert len(spectra) == len(want)
+    assert all(np.array_equal(w, v) for w, v in zip(spectra, want))
+
+
 def _reference_frontier_witnesses(i, j, samples, seed):
     """Per point: the distance of approach_state from it, or the
     Eckart-Young floor from its blocks' own eigvalsh."""
@@ -547,7 +613,7 @@ def test_tangent_basis_stack_is_the_template_product(sizes):
         if not any(ranks):
             continue
         label = StratumLabel(alg, ranks)
-        hs = sampler._resampled_stack(alg, 47, ranks, (4,), range(88))
+        hs = sampler._resampled_stack(alg, 47, ranks, (4,), range(88))[0]
         frame = np.zeros_like(hs)
         for sl, nb, ib in zip(alg.block_slices(), sizes, ranks):
             frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
@@ -737,6 +803,76 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         ref_back = _reference_join_state(alg, split, ref_weights, ref_comps)
         assert np.array_equal(back[b], ref_back.matrix)
     assert dropped >= 13  # every zero-rank draw and the sub-WEIGHT_DROP_TOL weight
+
+
+def _reference_tetrahedron_loop(hs):
+    """The per-state loop the tetrahedron piece census ran on its samples."""
+    for rho in _validated_states(hs, TETRAHEDRON, DEFAULT_TOL):
+        lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
+        if lab.piece_name not in verify.EXPECTED_TETRAHEDRON_PIECES:
+            raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
+
+
+# diagonals of tetrahedron states: a component whose second entry is in the
+# gray zone of its tolerance max(tol, 2 tol / w), in the first summand, in
+# both (where the first summand's value must be named), and in neither
+GRAY_FIRST = (0.5 - 5e-9, 5e-9, 0.25, 0.25)
+GRAY_BOTH = (0.5 - 5e-9, 5e-9, 0.5 - 1e-8, 1e-8)
+R1_S2 = (1 / 3, 0.0, 1 / 3, 1 / 3)
+R2_S1 = (0.25, 0.25, 0.5, 0.0)
+# at weight 1e-3 the second entry is 5e-9 of the component: clear of the
+# component's gray zone, though inside the gray zone of tol itself
+LOOSE = (1e-3 - 5e-12, 5e-12, 0.5, 0.5 - 1e-3)
+
+
+@pytest.mark.parametrize("seed", (0, 20201104))
+def test_tetrahedron_pieces_are_the_per_state_labels(seed):
+    drawn = sampler._resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5200))[0]
+    edges = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.7, 0.3), (0.3, 0.0, 0.7, 0.0), R1_S2, R2_S1]
+    edges += [LOOSE, (1.0 - 1e-13, 0.0, 1e-13, 0.0), (0.5, 0.5 - 1e-6, 1e-6, 0.0)]
+    hs = validate_stack(np.concatenate([drawn, [np.diag(d) for d in edges]]), TETRAHEDRON)
+    names, ranks = verify._tetrahedron_pieces(hs)
+    assert len(names) == len(hs) and ranks.shape == (len(hs), 2)
+    for b, rho in enumerate(_validated_states(hs, TETRAHEDRON, DEFAULT_TOL)):
+        lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
+        assert names[b] == lab.piece_name
+        assert ranks[b][list(lab.support)].tolist() == list(lab.factor_ranks)
+        assert not ranks[b][[not on for on in lab.support]].any()
+    assert set(names[len(drawn) :]) == {"R1", "S2", "R1xS1xI", "R1xS2xI", "R2xS1xI"}
+    # LOOSE: rank 1 at its component's tolerance, a refusal at tol itself
+    assert ranks[len(drawn) + 5].tolist() == [1, 2]
+    with pytest.raises(AmbiguousRank):
+        classify(validate_density(np.diag([1.0 - 5e-9, 5e-9]), AlgebraDescriptor((1, 1))))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    (
+        ([R1_S2, GRAY_FIRST], AssertionError),
+        ([GRAY_FIRST, R1_S2], AmbiguousRank),
+        ([R2_S1, R1_S2], AssertionError),
+        ([R1_S2, R2_S1], AssertionError),
+        ([GRAY_BOTH, GRAY_FIRST], AmbiguousRank),
+        ([LOOSE, R2_S1, GRAY_BOTH], AssertionError),
+        (["drawn"], AssertionError),
+    ),
+)
+def test_tetrahedron_piece_census_raises_the_loops_first_error(monkeypatch, rows, error):
+    # R1xS2xI and R2xS1xI taken out of the table; the drawn samples land in
+    # R2xS2xI, which the last case takes out instead
+    drawn = sampler._resampled_stack(TETRAHEDRON, 0, None, (4,), range(5000, 5200))[0]
+    pieces = dict(verify.EXPECTED_TETRAHEDRON_PIECES)
+    for name in ("R2xS2xI",) if rows == ["drawn"] else ("R1xS2xI", "R2xS1xI"):
+        del pieces[name]
+    monkeypatch.setattr(verify, "EXPECTED_TETRAHEDRON_PIECES", pieces)
+    made = [np.diag(d) for d in rows if d != "drawn"]
+    hs = validate_stack(np.concatenate([drawn[:3], made]), TETRAHEDRON) if made else drawn
+    with pytest.raises(error) as loop_error:
+        _reference_tetrahedron_loop(hs)
+    monkeypatch.setattr(verify, "_resampled_stack", lambda *args: (hs, None))
+    with pytest.raises(error) as stack_error:
+        verify._tetrahedron_piece_census(0, len(hs))
+    assert str(stack_error.value) == str(loop_error.value)
 
 
 @pytest.mark.parametrize(
