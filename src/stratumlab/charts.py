@@ -15,8 +15,9 @@ eigendecomposition, and contour_quadrature, which integrates the resolvent
 around a circle with the trapezoid rule (exponentially convergent;
 Trefethen & Weideman, SIAM Rev. 2014) from one set of node resolvents.
 Each route runs on (B, n, n) stacks, each item bit for bit its per-matrix
-call, and the contour stack sums every other node of the same resolvents,
-which for an even node count is the halved rule exactly.
+call; the contour stack inverts one node at a time, adds the terms in node
+order and sums every other node of the same resolvents, which for an even
+node count is the halved rule exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
 # an eigenvalue within CONTOUR_GUARD times the split threshold or contour
 # radius of it makes the split unstable, and is refused
 CONTOUR_GUARD = 1e-3
-CONTOUR_CHUNK = 8  # stack items whose (chunk, nodes, n, n) resolvents are held at once
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def _in_band(w: np.ndarray, cfg: ChartConfig) -> np.ndarray:
 
 
 def in_chart_domain(f: DensityMatrix, g: DensityMatrix, cfg: ChartConfig) -> bool:
-    """Whether g's spectrum splits below epsilon / above gap - epsilon."""
-    if g.dim != f.dim:
-        raise ValueError("center and point live in different ambient spaces")
-    return not _in_band(g.eigenvalues(), cfg).any()
+    """Whether g's spectrum splits below epsilon / above gap - epsilon; f, g share one algebra."""
+    if f.alg != g.alg:
+        raise ValueError("center and point belong to different algebras")
+    return not np.count_nonzero(_in_band(g.eigenvalues(), cfg))
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class ChartPoint:
             raise ValueError("frames do not match the algebra's ambient dimension")
         # the two frames side by side are one orthonormal frame exactly when
         # each is orthonormal and they are orthogonal to each other
-        linalg.check_frame(np.hstack([self.frame_kernel, self.frame_range]))
+        linalg.check_frame(np.concatenate([self.frame_kernel, self.frame_range], axis=-1))
         d = self.frame_kernel.shape[1]
         i = self.frame_range.shape[1]
         if d + i != n:
@@ -152,7 +152,7 @@ class ChartPoint:
             raise ValueError(f"base part must be {i} x {i}, got {base.shape}")
         if float(np.linalg.eigvalsh(base)[0]) <= 0:
             raise ValueError("base part must be positive definite")
-        tr_dev = abs(float(np.trace(base).real) - 1.0)
+        tr_dev = abs(float(base.trace().real) - 1.0)
         if tr_dev > 1e-10:
             raise ValueError(f"base part trace differs from 1 by {tr_dev:.3e}")
 
@@ -181,11 +181,12 @@ def chart_forward(
         raise ValueError("center and point belong to different algebras")
     if cfg is None:
         cfg = chart_config_for(f)
-    w, v = linalg.eigh_fixed(g.matrix)
-    inside = w[_in_band(w, cfg)]
-    if inside.size:
+    # validation left g.matrix exactly Hermitian: eigh_fixed's symmetrising is a no-op
+    w, v = np.linalg.eigh(g.matrix)
+    v = linalg.gauge_fix_columns(v)
+    if np.count_nonzero(band := _in_band(w, cfg)):
         raise NotInChartDomain(
-            f"eigenvalue {inside[0]:.6g} inside the forbidden band "
+            f"eigenvalue {w[band][0]:.6g} inside the forbidden band "
             f"[{cfg.epsilon:.6g}, {cfg.gap_a - cfg.epsilon:.6g}]"
         )
     i = _center_rank(f)[1]
@@ -199,7 +200,7 @@ def chart_forward(
     frame_kernel = v[:, :n_small]
     frame_range = v[:, n_small:]
     cone = linalg.hermitian_part(frame_kernel.conj().T @ g.matrix @ frame_kernel)
-    alpha = float(np.trace(cone).real)
+    alpha = float(cone.trace().real)
     if alpha >= 0.5:
         raise AlphaTooLarge(alpha)
     base = linalg.hermitian_part(frame_range.conj().T @ g.matrix @ frame_range) / (1.0 - alpha)
@@ -264,9 +265,10 @@ def contour_quadrature_stack(g: np.ndarray, radius: float, nodes: int = 64, step
     step t, the rule on every t-th node. t = 2 is the nodes // 2 rule bit for
     bit, as 2 pi 2k / nodes and 2 pi k / (nodes / 2) are equal doubles.
 
-    All rules share one inversion of the node resolvents R_g(z) = (z - g)^-1,
-    CONTOUR_CHUNK items at a time. The rule converges exponentially in the
-    node count; kept as an oracle against the eigendecomposition route.
+    All rules share the node resolvents R_g(z) = (z - g)^-1, inverted a node
+    at a time on the whole stack and added in node order, as a per-matrix
+    loop adds them. The rule converges exponentially in the node count; kept
+    as an oracle against the eigendecomposition route.
     Raises EigenvalueOnContour for the first item with an eigenvalue within
     CONTOUR_GUARD * radius of the circle.
     """
@@ -285,18 +287,16 @@ def contour_quadrature_stack(g: np.ndarray, radius: float, nodes: int = 64, step
     ez = np.empty_like(z)
     ez.real = e.real * z.real - e.imag * z.imag
     ez.imag = e.real * z.imag + e.imag * z.real
-    weights = np.stack([e, ez])[:, None, :, None, None]
+    weights = np.stack([e, ez], axis=1)[:, :, None, None, None]
+    shifts = z[:, None, None] * np.eye(g.shape[-1])
     sums = np.zeros((len(steps), 2, *g.shape), dtype=complex)
-    for at in range(0, len(g), CONTOUR_CHUNK):
-        items = slice(at, at + CONTOUR_CHUNK)
-        resolvents = np.linalg.inv(z[:, None, None] * np.eye(g.shape[-1]) - g[items, None])
+    for k in range(nodes):
+        term = weights[k] * np.linalg.inv(shifts[k] - g)
         for r, t in enumerate(steps):
-            # add the nodes in order, however numpy would block a reduction
-            acc = sums[r, :, items]
-            for k in range(0, nodes, t):
-                acc += weights[:, :, k] * resolvents[:, k]
-            acc *= radius / (nodes // t)
-    return [tuple(linalg.hermitian_part(pair)) for pair in sums]
+            if k % t == 0:
+                sums[r] += term
+    scaled = (pair * (radius / (nodes // t)) for pair, t in zip(sums, steps))
+    return [tuple(linalg.hermitian_part(pair)) for pair in scaled]
 
 
 def contour_quadrature(g: np.ndarray, radius: float, nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:

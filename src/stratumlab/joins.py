@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states, validate_stack
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validate_with_spectra
+from .states import _validated_states
 from .strata import StratumLabel, classify
 
 WEIGHT_DROP_TOL = 1e-12
@@ -123,13 +124,13 @@ def _split_stack(
 
     Returns the (B, k) weights (0.0 where a summand's weight is at or below
     WEIGHT_DROP_TOL), the k validated component stacks (zero where the
-    weight is 0.0) and the (B, k) tolerances the components were validated
-    with.
+    weight is 0.0), the (B, k) tolerances the components were validated
+    with and the k (B, d_j) spectra validation gave the components.
     Errors are raised summand by summand, each for its first failing row.
     """
     weights = np.zeros((len(hs), len(split)))
     tols = np.full(weights.shape, tol)
-    comps = []
+    comps, spectra = [], []
     at = 0
     for j, sub in enumerate(summand_algebras(alg, split)):
         comp = np.array(hs[:, at : at + sub.dim, at : at + sub.dim])
@@ -142,11 +143,13 @@ def _split_stack(
         w = weights[keep, j] = w[keep]
         # positivity of the compression is only as sharp as tol / w
         tols[keep, j] = np.maximum(tol, 2.0 * tol / w)
-        comp[keep] = validate_stack(comp[keep] / w[:, None, None], sub, tols[keep, j])
+        spectra.append(np.zeros(comp.shape[:2]))
+        part = comp[keep] / w[:, None, None]
+        comp[keep], spectra[j][keep] = _validate_with_spectra(part, sub, tols[keep, j])
         comp[~keep] = 0.0
         comp.flags.writeable = False
         comps.append(comp)
-    return weights, comps, tols
+    return weights, comps, tols, spectra
 
 
 def convex_split(rho: DensityMatrix, split: tuple[int, ...] | None = None) -> JoinPoint:
@@ -158,21 +161,22 @@ def convex_split(rho: DensityMatrix, split: tuple[int, ...] | None = None) -> Jo
     """
     if split is None:
         split = (1,) * rho.alg.num_blocks
-    weights, comps, tols = _split_stack(rho.matrix[None], rho.alg, split, rho.tol)
+    weights, comps, tols, spectra = _split_stack(rho.matrix[None], rho.alg, split, rho.tol)
     weights, algs = weights[0].tolist(), summand_algebras(rho.alg, split)
     components = [
-        None if w == 0.0 else _validated_states(comp, sub, t)[0]
-        for w, comp, sub, t in zip(weights, comps, algs, tols[0].tolist())
+        None if w == 0.0 else _validated_states(comp, spectrum, sub, t)[0]
+        for w, comp, spectrum, sub, t in zip(weights, comps, spectra, algs, tols[0].tolist())
     ]
     return JoinPoint(rho.alg, tuple(split), tuple(weights), tuple(components))
 
 
 def _join_stack(
     weights: np.ndarray, comps: list[np.ndarray], alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """join_state of each row of (B, k) weights and k component stacks (zero
     where the weight is zero): the validated (B, n, n) stack of
-    sum_j w_j phi_j, assembled from the diagonal blocks of the phi_j."""
+    sum_j w_j phi_j, assembled from the diagonal blocks of the phi_j, and
+    its spectra (_validate_with_spectra)."""
     m = np.zeros((len(weights), alg.dim, alg.dim), dtype=complex)
     at = 0
     for j, comp in enumerate(comps):
@@ -180,7 +184,7 @@ def _join_stack(
         m[:, at : at + d, at : at + d] = weights[:, j, None, None] * comp
         at += d
     m[:, linalg.off_block_mask(alg.block_sizes)] = 0.0
-    return validate_stack(m, alg, tol)
+    return _validate_with_spectra(m, alg, tol)
 
 
 def join_state(p: JoinPoint) -> DensityMatrix:
@@ -190,8 +194,8 @@ def join_state(p: JoinPoint) -> DensityMatrix:
         np.zeros((1, sub.dim, sub.dim), dtype=complex) if comp is None else comp.matrix[None]
         for comp, sub in zip(p.components, summand_algebras(p.alg, p.split))
     ]
-    hs = _join_stack(np.array([p.weights]), comps, p.alg)
-    return _validated_states(hs, p.alg, DEFAULT_TOL)[0]
+    hs, w = _join_stack(np.array([p.weights]), comps, p.alg)
+    return _validated_states(hs, w, p.alg, DEFAULT_TOL)[0]
 
 
 @dataclass(frozen=True)

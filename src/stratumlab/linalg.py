@@ -40,21 +40,19 @@ def as_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     Raises
     ------
     NotFinite
-        If an entry is NaN or infinite (such an entry always trips the
-        asymmetry guard, so finite input pays nothing for this check).
+        If an entry is NaN or infinite (checked first: such an entry would
+        trip the asymmetry guard anyway, and inf - inf would warn).
     NotHermitian
         If the asymmetry exceeds tol.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise NotFinite("matrix has a NaN or infinite entry")
     adjoint = a.conj().swapaxes(-1, -2)
-    # inf - inf is NaN, which the guard below refuses as NotFinite
-    with np.errstate(invalid="ignore"):
-        asym = float(np.abs(a - adjoint).max()) if a.size else 0.0
+    asym = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if not asym <= tol:
-        if not np.isfinite(a).all():
-            raise NotFinite("matrix has a NaN or infinite entry")
         raise NotHermitian("matrix is not Hermitian", magnitude=asym)
     return 0.5 * (a + adjoint)
 
@@ -147,7 +145,8 @@ def check_frame(columns: np.ndarray) -> np.ndarray:
     if d > n:
         raise ValueError(f"frame has more columns ({d}) than ambient dimensions ({n})")
     gram = columns.conj().T @ columns
-    dev = float(np.max(np.abs(gram - np.eye(d)))) if d else 0.0
+    gram.flat[:: d + 1] -= 1.0  # gram - I, the identity subtracted in place
+    dev = float(np.abs(gram).max()) if d else 0.0
     if dev > STRUCTURE_TOL:
         raise NotOrthonormal("frame columns are not orthonormal", magnitude=dev)
     return columns
@@ -210,9 +209,11 @@ def off_block_magnitude(m: np.ndarray, block_sizes: Sequence[int]) -> float:
     return float(np.max(np.abs(m[mask])))
 
 
-def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int]) -> list[np.ndarray]:
+def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int], spectrum=None) -> list[np.ndarray]:
     """Ascending eigenvalues of each diagonal block of a (B, n, n) stack of
-    Hermitian matrices: one (B, n_b) array per block, in block order."""
+    Hermitian matrices, one (B, n_b) array per block; for one block, ms's spectrum if given."""
+    if spectrum is not None and len(block_sizes) == 1:
+        return [spectrum]
     out = []
     at = 0
     for size in block_sizes:

@@ -88,10 +88,13 @@ def orbit_signature_stack(
         If two clusters in some block are separated by less than
         10 * cluster_tol, naming the gap a per-state loop would meet first.
     """
+    return _signatures(linalg.block_eigvalsh(hs, alg.block_sizes), alg, cluster_tol)
+
+
+def _signatures(spectra, alg: AlgebraDescriptor, cluster_tol: float) -> list[OrbitSignature]:
+    """orbit_signature_stack from the block spectra of the stack."""
     _require_tol(cluster_tol, "cluster_tol")
-    gaps = np.concatenate(
-        [w[:, 1:] - w[:, :-1] for w in linalg.block_eigvalsh(hs, alg.block_sizes)], axis=1
-    )
+    gaps = np.concatenate([w[:, 1:] - w[:, :-1] for w in spectra], axis=1)
     boundary = ~(gaps <= cluster_tol)
     ambiguous = boundary & (gaps < 10.0 * cluster_tol)
     if np.count_nonzero(ambiguous):
@@ -108,7 +111,7 @@ def orbit_signature(
     rho: DensityMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> OrbitSignature:
     """Cluster multiplicity pattern of each block of rho: orbit_signature_stack
-    on the stack of one matrix.
+    on the stack of one matrix, reading rho's validation spectrum.
 
     Raises
     ------
@@ -116,7 +119,8 @@ def orbit_signature(
         If two clusters in some block are separated by less than
         10 * cluster_tol.
     """
-    return orbit_signature_stack(rho.matrix[None], rho.alg, cluster_tol)[0]
+    spectra = linalg.block_eigvalsh(rho.matrix[None], rho.alg.block_sizes, rho.eigenvalues()[None])
+    return _signatures(spectra, rho.alg, cluster_tol)[0]
 
 
 def isotropy_dim(sig: OrbitSignature) -> int:

@@ -384,8 +384,7 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
     alg = full_algebra(n)
-    hs, _ = _resampled_stack(alg, seed, (r,), (1,), [index])
-    return _validated_states(hs, alg, DEFAULT_TOL)[0]
+    return _validated_states(*_resampled_stack(alg, seed, (r,), (1,), [index]), alg, DEFAULT_TOL)[0]
 
 
 def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
@@ -431,8 +430,8 @@ def sample_algebra(
     """
     if ranks is not None:
         ranks = StratumLabel(alg, ranks).per_block
-    hs, _ = _resampled_stack(alg, seed, ranks, (4,), [index])
-    return _validated_states(hs, alg, DEFAULT_TOL)[0]
+    hs, w = _resampled_stack(alg, seed, ranks, (4,), [index])
+    return _validated_states(hs, w, alg, DEFAULT_TOL)[0]
 
 
 def _kernel_frames(ms: np.ndarray, label: StratumLabel) -> dict[int, np.ndarray]:
@@ -467,10 +466,10 @@ def _kernel_mixture(alg: AlgebraDescriptor, frames, rotations, raises, u: np.nda
     return sigma
 
 
-def _audit(xs: np.ndarray, spectra: np.ndarray, target: StratumLabel, tol: float) -> np.ndarray:
-    """Return a validated (B, n, n) stack of constructed points, refusing it
-    unless every one classifies as target (AmbiguousRank in the gray zone,
-    else RuntimeError), reading the spectra _validate_with_spectra gave."""
+def _audit(xs: np.ndarray, spectra: np.ndarray, target: StratumLabel, tol: float):
+    """Return a validated (B, n, n) stack of constructed points and the spectra
+    _validate_with_spectra gave it, refusing them unless every point reads as
+    target from them (AmbiguousRank in the gray zone, else RuntimeError)."""
     got = _classified(xs, target.alg, tol, spectra)
     wrong = np.flatnonzero((got != target.per_block).any(axis=1))
     if wrong.size:
@@ -478,12 +477,12 @@ def _audit(xs: np.ndarray, spectra: np.ndarray, target: StratumLabel, tol: float
             f"constructed point classifies as {tuple(got[wrong[0]].tolist())}, "
             f"wanted {target.per_block}"
         )
-    return xs
+    return xs, spectra
 
 
-def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float) -> np.ndarray:
-    """The validated stack (1 - delta) hs + delta sigma, audited to classify
-    as target: the one step of sequence_toward's x_k and approach_state."""
+def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float):
+    """The validated stack (1 - delta) hs + delta sigma and its spectra, audited
+    to classify as target: the one step of sequence_toward's x_k and approach_state."""
     xs, spectra = _validate_with_spectra((1.0 - delta) * hs + delta * sigma, target.alg, tol)
     return _audit(xs, spectra, target, tol)
 
@@ -502,10 +501,10 @@ def _first_failure(build, rows: int):
 
 def _approach_steps(
     y: DensityMatrix, sigma, h, deltas: np.ndarray, label_i: StratumLabel, label_j: StratumLabel
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple, tuple]:
     """The validated stacks of the x_k and the y_k of the steps of sizes
     deltas along the unit tangent directions h, each check run once on all
-    steps.
+    steps, as (stack, spectra) pairs.
 
     Each y_k retracts y + s h_k, halving s from delta_k / 2 until the point
     lies within delta_k of y, 30 tries per step. A step whose truncation
@@ -514,8 +513,8 @@ def _approach_steps(
     """
     tol = y.tol
     xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, tol)
-    ys = np.empty_like(xs)
-    spectra = np.empty(xs.shape[:2])
+    ys = np.empty_like(xs[0])
+    spectra = np.empty(xs[1].shape)
     steps = 0.5 * deltas
     todo = np.arange(len(deltas))
     for _ in range(30):
@@ -558,10 +557,10 @@ def _sequence_base(y: DensityMatrix, j: int, rate: float):
 
 def _sequence_stacks(
     y: DensityMatrix, j: int, base, rate: float, length: int, seed: int, indices
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple, tuple]:
     """The validated (T length, n, n) stacks of the x_k and the y_k of
     sequence_toward at a sequence of T indices, index-major, from y's
-    _sequence_base."""
+    _sequence_base, each with its (T length, n) spectra."""
     label_i, label_j, frames, basis = base
     n, r, d = y.dim, j - label_i.total, len(basis)
     # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
@@ -612,8 +611,8 @@ def sequence_toward(
     is the first failing index's first failing step's, in the order of its
     checks: x_k's validation and audit, the retraction of y_k, y_k's audit.
     """
-    xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, [index])
-    return list(zip(_validated_states(xs, y.alg, y.tol), _validated_states(ys, y.alg, y.tol)))
+    pairs = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, [index])
+    return list(zip(*(_validated_states(*pair, y.alg, y.tol) for pair in pairs)))
 
 
 def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, indices):
@@ -630,9 +629,9 @@ def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, i
     return label, tol, seed, tuple(indices), frames, rotations
 
 
-def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) -> np.ndarray:
-    """The validated stack of the approach_state approximants of the rows
-    of hs, from their _approach_base; hs itself when target is their label.
+def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) -> tuple:
+    """The validated stack of the approach_state approximants of the rows of
+    hs and its spectra, from their _approach_base; hs, None at their label.
 
     Each row draws the uniforms of every raised block's tau, in block
     order, from its (seed, 6, index) stream at once; sigma comes from
@@ -651,7 +650,7 @@ def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) ->
     pairs = enumerate(zip(label.per_block, target.per_block))
     raises = [(b, jb - ib) for b, (ib, jb) in pairs if jb > ib]
     if not raises:
-        return hs
+        return hs, None
     length = 2 * sum(add * add for _, add in raises)
     u = _uniform_rows(seed, ((6, index) for index in indices), length)
     sigma = _kernel_mixture(label.alg, frames, rotations, raises, u)
@@ -675,4 +674,5 @@ def approach_state(
     """
     hs = y.matrix[None]
     base = _approach_base(hs, classify(y), y.tol, seed, [index])
-    return _validated_states(_approach_stack(hs, base, target, delta), y.alg, y.tol)[0]
+    xs, spectra = _approach_stack(hs, base, target, delta)
+    return y if spectra is None else _validated_states(xs, spectra, y.alg, y.tol)[0]

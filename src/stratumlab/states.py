@@ -106,18 +106,21 @@ class DensityMatrix:
     after validation so instances can be shared freely.
 
     The tolerance the matrix was validated with travels with it, so rank and
-    classification decisions downstream default to a consistent tol.
+    classification decisions downstream default to a consistent tol, and so
+    does the read-only eigvalsh spectrum of its validation: eigenvalues().
     """
 
     alg: AlgebraDescriptor
     matrix: np.ndarray
     tol: float = DEFAULT_TOL
     _validated: bool = field(default=False, repr=False, compare=False)
+    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._validated:
             raise TypeError("use validate_density() to construct a DensityMatrix")
-        self.matrix.flags.writeable = False
+        self.matrix.setflags(write=False)
+        self._spectrum.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -128,8 +131,8 @@ class DensityMatrix:
         return linalg.block_extract(self.matrix, self.alg.block_sizes)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the full matrix."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues (read-only): validation's eigvalsh, bit for bit."""
+        return self._spectrum
 
 
 def validate_stack(
@@ -225,14 +228,14 @@ def validate_density(
     NotFinite, NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
         Naming the violated invariant, with the violation magnitude.
     """
-    h = validate_stack(np.asarray(m, dtype=complex)[None], alg, tol)
-    return _validated_states(h, alg, tol)[0]
+    h, w = _validate_with_spectra(np.asarray(m, dtype=complex)[None], alg, tol)
+    return _validated_states(h, w, alg, tol)[0]
 
 
-def _validated_states(hs: np.ndarray, alg: AlgebraDescriptor, tol: float) -> list[DensityMatrix]:
-    """DensityMatrix views of the rows of a stack that validate_stack
-    returned for alg at tol."""
-    return [DensityMatrix(alg=alg, matrix=h, tol=tol, _validated=True) for h in hs]
+def _validated_states(hs, spectra, alg: AlgebraDescriptor, tol: float) -> list[DensityMatrix]:
+    """DensityMatrix views of the rows of a stack that _validate_with_spectra
+    returned for alg at tol, each carrying its row of the spectra."""
+    return [DensityMatrix(alg, h, tol, True, w) for h, w in zip(hs, spectra)]
 
 
 def is_psd_eigen(m: np.ndarray) -> bool:

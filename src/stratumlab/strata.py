@@ -90,8 +90,7 @@ def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol, spectrum=None):
     block eigenvalues in the gray zone, which leave them undecided, NaN
     elsewhere, at tol or (B, 1, 1) per-row tols. Per block one eigvalsh, or
     for one block _validate_with_spectra's spectrum of hs, if given: same bits."""
-    one_block = spectrum is not None and alg.num_blocks == 1
-    spectra = [spectrum] if one_block else linalg.block_eigvalsh(hs, alg.block_sizes)
+    spectra = linalg.block_eigvalsh(hs, alg.block_sizes, spectrum)
     # zero padding lies below the gray zone, so it neither counts nor refuses
     w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
     for b, wb in enumerate(spectra):
@@ -121,12 +120,12 @@ def _classified(hs: np.ndarray, alg: AlgebraDescriptor, tol: float, spectrum=Non
 
 def classify(rho: DensityMatrix) -> StratumLabel:
     """Stratum label (per-block ranks) of a density matrix: classify_stack on
-    the stack of one matrix, at rho.tol.
+    the stack of one matrix, at rho.tol, reading rho's validation spectrum.
 
     Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
     zone.
     """
-    ranks = classify_stack(rho.matrix[None], rho.alg, rho.tol)[0]
+    ranks = _classified(rho.matrix[None], rho.alg, rho.tol, rho.eigenvalues()[None])[0]
     return StratumLabel(alg=rho.alg, per_block=tuple(ranks.tolist()))
 
 
@@ -307,9 +306,9 @@ def retract_to_stratum(
 
     Raises ValueError when a kept eigenvalue is not positive.
     """
-    ms, lead = retract_stack(np.asarray(h, dtype=complex)[None], label, tol)
+    ms, spectra, lead = _retract_with_spectra(np.asarray(h, dtype=complex)[None], label, tol)
     if not lead[0] > 0:
         raise ValueError(
             f"cannot retract: leading block eigenvalue {lead[0]:.3e} is not positive"
         )
-    return _validated_states(ms, label.alg, tol)[0]
+    return _validated_states(ms, spectra, label.alg, tol)[0]

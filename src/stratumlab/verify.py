@@ -204,11 +204,11 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
     made = (make_join_point(TETRAHEDRON, w, c, split=TETRAHEDRON_SPLIT) for w, c in points)
     seen = {lab.piece_name: sum(lab.factor_ranks) for lab in map(join_piece_label, made)}
     # random interior samples all land in a known piece
-    hs = _resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5000 + samples))[0]
+    hs, w = _resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5000 + samples))
     names, _ = _tetrahedron_pieces(hs)
     bad = [b for b, name in enumerate(names) if name not in EXPECTED_TETRAHEDRON_PIECES]
     # the first bad sample alone: an undecided rank raises AmbiguousRank here
-    for rho in _validated_states(hs[bad[:1]], TETRAHEDRON, DEFAULT_TOL):
+    for rho in _validated_states(hs[bad[:1]], w[bad[:1]], TETRAHEDRON, DEFAULT_TOL):
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
     return seen
@@ -218,7 +218,7 @@ def _tetrahedron_pieces(hs: np.ndarray) -> tuple[list, np.ndarray]:
     """join_piece_label(convex_split(rho, TETRAHEDRON_SPLIT)) of each state of
     a validated tetrahedron stack, from one split and one rank decision per
     summand: piece names (None: a rank undecided), (B, 2) ranks (0: absent)."""
-    weights, comps, tols = _split_stack(hs, TETRAHEDRON, TETRAHEDRON_SPLIT)
+    weights, comps, tols, _ = _split_stack(hs, TETRAHEDRON, TETRAHEDRON_SPLIT)
     ranks, undecided = np.zeros(weights.shape, dtype=int), np.zeros(len(hs), dtype=bool)
     for j, sub in enumerate(summand_algebras(TETRAHEDRON, TETRAHEDRON_SPLIT)):
         keep = weights[:, j] > 0.0
@@ -237,8 +237,8 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
     for sizes, split in cases:
         alg = AlgebraDescriptor(sizes)
         rhos = _resampled_stack(alg, seed, None, (4,), range(samples))[0]
-        weights, comps, _ = _split_stack(rhos, alg, split)
-        back = _join_stack(weights, comps, alg)
+        weights, comps, _, _ = _split_stack(rhos, alg, split)
+        back = _join_stack(weights, comps, alg)[0]
         max_err = max(max_err, linalg.hs_norm(back - rhos).max())
     # endpoint collapse: at weight zero the second component is dropped, so
     # two different fillers give byte-identical assembled states
@@ -288,8 +288,9 @@ def suite_orbit_census(
         sigs = orbit_signature_stack(hs, alg, cluster_tol)
         dims = orbit_dim_stack(hs, alg).tolist()
         counts = Counter(sig.per_block for sig in sigs)
-        pairs = {*zip(sigs, dims)}  # few distinct (signature, dimension) pairs
-        consistent = all(d + isotropy_dim(s) == alg.unitary_group_dim for s, d in pairs)
+        # few distinct (signature, dimension) pairs; equal signatures are one object
+        pairs = {(id(s), d): (s, d) for s, d in zip(sigs, dims)}
+        consistent = all(d + isotropy_dim(s) == alg.unitary_group_dim for s, d in pairs.values())
         generic_fraction = counts.get(generic, 0) / draws
         ok = set(counts) == {generic, other} and consistent and generic_fraction >= 0.999
         report = {

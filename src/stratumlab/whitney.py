@@ -188,9 +188,10 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
     for at in range(0, trials, TRIAL_CHUNK):
         chunk = range(trials)[at : at + TRIAL_CHUNK]
         stacks = _sequence_stacks(y, j, base, SEQUENCE_RATE, length, seed, chunk)
-        xs, ys = (m.reshape(len(chunk), length, n, n) for m in stacks)
         # the last pairs alone, not views that keep the stacks alive
-        terminal_pairs += zip(*(_validated_states(m[:, -1].copy(), y.alg, y.tol) for m in (xs, ys)))
+        last = ([a[length - 1 :: length].copy() for a in pair] for pair in stacks)
+        terminal_pairs += zip(*(_validated_states(*pair, y.alg, y.tol) for pair in last))
+        xs, ys = (m.reshape(len(chunk), length, n, n) for m, _ in stacks)
         # per trial and step, the moving base y_k then the fixed base y: the
         # order in which a trial-by-trial loop would meet CoincidentPoints
         ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=2)
@@ -321,7 +322,7 @@ def _frontier_sources(i: StratumLabel, samples: int, seed: int):
     block spectra, for one block validation's own eigvalsh (the same bits)."""
     hs, w = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
     base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
-    return hs, base, [w] if i.alg.num_blocks == 1 else linalg.block_eigvalsh(hs, i.alg.block_sizes)
+    return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes, w)
 
 
 def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierReport:
@@ -332,7 +333,7 @@ def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierRepor
     max_distance = min_floor = 0.0
     if all(ia <= ja for ia, ja in zip(i.per_block, j.per_block)):
         # the approximants are audited to classify as j
-        distances = linalg.hs_norm(_approach_stack(hs, base, j, FRONTIER_DELTA) - hs)
+        distances = linalg.hs_norm(_approach_stack(hs, base, j, FRONTIER_DELTA)[0] - hs)
         max_distance = float(distances.max())
         reachable = not (distances > FRONTIER_DISTANCE).any()
     else:

@@ -385,7 +385,7 @@ def test_approach_stack_rows_match_approach_state(seed):
             for b in enumerate_labels(alg):
                 if not frontier_leq(a, b):
                     continue
-                xs = _approach_stack(hs, base, b, FRONTIER_DELTA)
+                xs = _approach_stack(hs, base, b, FRONTIER_DELTA)[0]
                 for s, y in enumerate(ys):
                     x = approach_state(y, b, FRONTIER_DELTA, seed, s)
                     assert np.array_equal(xs[s], x.matrix)
@@ -782,8 +782,8 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         d[: alg.block_sizes[0]] = (1.0 - weight) / alg.block_sizes[0]
         ms.append(np.diag(d).astype(complex)[None])
     hs = validate_stack(np.concatenate(ms), alg)
-    weights, comps, tols = _split_stack(hs, alg, split, 1e-9)
-    back = _join_stack(weights, comps, alg, 1e-9)
+    weights, comps, tols, _ = _split_stack(hs, alg, split, 1e-9)
+    back = _join_stack(weights, comps, alg, 1e-9)[0]
     assert not back.flags.writeable
     dropped = 0
     for b, h in enumerate(hs):
@@ -807,7 +807,7 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
 
 def _reference_tetrahedron_loop(hs):
     """The per-state loop the tetrahedron piece census ran on its samples."""
-    for rho in _validated_states(hs, TETRAHEDRON, DEFAULT_TOL):
+    for rho in _validated_states(hs, np.linalg.eigvalsh(hs), TETRAHEDRON, DEFAULT_TOL):
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         if lab.piece_name not in verify.EXPECTED_TETRAHEDRON_PIECES:
             raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
@@ -833,7 +833,8 @@ def test_tetrahedron_pieces_are_the_per_state_labels(seed):
     hs = validate_stack(np.concatenate([drawn, [np.diag(d) for d in edges]]), TETRAHEDRON)
     names, ranks = verify._tetrahedron_pieces(hs)
     assert len(names) == len(hs) and ranks.shape == (len(hs), 2)
-    for b, rho in enumerate(_validated_states(hs, TETRAHEDRON, DEFAULT_TOL)):
+    rhos = _validated_states(hs, np.linalg.eigvalsh(hs), TETRAHEDRON, DEFAULT_TOL)
+    for b, rho in enumerate(rhos):
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         assert names[b] == lab.piece_name
         assert ranks[b][list(lab.support)].tolist() == list(lab.factor_ranks)
@@ -869,7 +870,7 @@ def test_tetrahedron_piece_census_raises_the_loops_first_error(monkeypatch, rows
     hs = validate_stack(np.concatenate([drawn[:3], made]), TETRAHEDRON) if made else drawn
     with pytest.raises(error) as loop_error:
         _reference_tetrahedron_loop(hs)
-    monkeypatch.setattr(verify, "_resampled_stack", lambda *args: (hs, None))
+    monkeypatch.setattr(verify, "_resampled_stack", lambda *args: (hs, np.linalg.eigvalsh(hs)))
     with pytest.raises(error) as stack_error:
         verify._tetrahedron_piece_census(0, len(hs))
     assert str(stack_error.value) == str(loop_error.value)

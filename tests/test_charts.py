@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from stratumlab import (
+    AlgebraDescriptor,
     ChartConfig,
+    ChartPoint,
     chart_config_for,
     chart_forward,
     chart_inverse,
@@ -24,7 +26,10 @@ from stratumlab.charts import _in_band
 from stratumlab.errors import (
     AlphaTooLarge,
     EigenvalueOnContour,
+    NotFinite,
+    NotHermitian,
     NotInChartDomain,
+    NotOrthonormal,
 )
 from stratumlab.verify import _margin_split_stack
 
@@ -90,6 +95,18 @@ def test_chart_domain_rejections():
         chart_forward(f, g_split, cfg)
 
 
+def test_chart_domain_refuses_a_point_of_another_algebra():
+    # C (+) C and M_2 share their ambient size but not their states: the
+    # domain test refuses the pair as chart_forward does, not answers True
+    f = _diag_state([0.9, 0.1])
+    g = _diag_state([0.89, 0.11], AlgebraDescriptor((1, 1)))
+    cfg = chart_config_for(f)
+    refusal = "^center and point belong to different algebras$"
+    for call in (lambda: in_chart_domain(f, g, cfg), lambda: chart_forward(f, g, cfg)):
+        with pytest.raises(ValueError, match=refusal):
+            call()
+
+
 def test_chart_forward_refuses_a_center_of_rank_zero():
     # at tol = 1e300 both eigenvalues of diag(0, 1) count as zero, so the
     # center has no rank; chart_forward refuses it as spectral_gap does
@@ -100,6 +117,58 @@ def test_chart_forward_refuses_a_center_of_rank_zero():
     for call in (lambda: spectral_gap(f), lambda: chart_forward(f, g, cfg)):
         with pytest.raises(ValueError, match="declares every eigenvalue of the center zero"):
             call()
+
+
+def _chart_point_parts():
+    # a valid chart point of M_3: a 2-dimensional small subspace, rank one
+    eye = np.eye(3, dtype=complex)
+    return {
+        "frame_kernel": eye[:, :2],
+        "frame_range": eye[:, 2:],
+        "cone_part": np.diag([0.01, 0.02]).astype(complex),
+        "base_part": np.ones((1, 1), dtype=complex),
+    }
+
+
+_TILTED = np.eye(3, 2, dtype=complex)
+_TILTED[2, 0] = 1e-6
+
+# one row per refusal of the ChartPoint constructor, in the order it checks:
+# the replaced part, the error type and its message
+CHART_POINT_REFUSALS = [
+    ({"frame_range": np.eye(4, dtype=complex)[:, 3:]}, ValueError,
+     "frames do not match the algebra's ambient dimension"),
+    ({"frame_kernel": _TILTED}, NotOrthonormal,
+     "frame columns are not orthonormal (magnitude 1.000e-06)"),
+    ({"frame_kernel": np.eye(3, dtype=complex)[:, :1]}, ValueError,
+     "frame widths 1 + 1 must sum to 3"),
+    ({"cone_part": np.array([[0.01, 1e-9], [0.0, 0.02]])}, NotHermitian,
+     "matrix is not Hermitian (magnitude 1.000e-09)"),
+    ({"cone_part": np.diag([np.nan, 0.02])}, NotFinite, "matrix has a NaN or infinite entry"),
+    ({"cone_part": np.diag([np.inf, 0.02])}, NotFinite, "matrix has a NaN or infinite entry"),
+    ({"cone_part": np.eye(3) / 100}, ValueError, "cone part must be 2 x 2, got (3, 3)"),
+    ({"cone_part": np.diag([-1e-11, 0.02])}, ValueError, "cone part must be PSD"),
+    ({"base_part": np.array([[1.0 + 1e-9j]])}, NotHermitian,
+     "matrix is not Hermitian (magnitude 2.000e-09)"),
+    ({"base_part": np.array([[np.nan]])}, NotFinite, "matrix has a NaN or infinite entry"),
+    ({"base_part": np.eye(2) / 2}, ValueError, "base part must be 1 x 1, got (2, 2)"),
+    ({"base_part": np.zeros((1, 1))}, ValueError, "base part must be positive definite"),
+    ({"base_part": np.array([[1.0 + 1e-9]])}, ValueError,
+     "base part trace differs from 1 by 1.000e-09"),
+]
+
+
+def test_chart_point_accepts_its_valid_parts():
+    p = ChartPoint(alg=M3, **_chart_point_parts())
+    assert p.alpha == pytest.approx(0.03, abs=1e-15)
+
+
+@pytest.mark.parametrize("change, error, message", CHART_POINT_REFUSALS)
+def test_chart_point_refusals(change, error, message):
+    with pytest.raises(error) as refused:
+        ChartPoint(alg=M3, **{**_chart_point_parts(), **change})
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 def test_forbidden_band_fails_closed():
@@ -302,8 +371,6 @@ def test_stack_refusal_names_the_first_refused_item(k):
 
 
 def test_chart_respects_block_structure():
-    from stratumlab import AlgebraDescriptor
-
     alg = AlgebraDescriptor((1, 2))
     f = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex), alg)
     g = validate_density(np.diag([0.49, 0.49, 0.02]).astype(complex), alg)

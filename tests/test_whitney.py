@@ -423,7 +423,7 @@ def test_sequence_stacks_are_the_per_index_sequences(nij, trials):
     y = sample_rank(n, i, seed=42, index=n)
     indices = [7 + 3 * t for t in range(trials)]
     base = sampler._sequence_base(y, j, 0.5)
-    xs, ys = sampler._sequence_stacks(y, j, base, 0.5, 22, 42, indices)
+    (xs, _), (ys, _) = sampler._sequence_stacks(y, j, base, 0.5, 22, 42, indices)
     assert xs.shape == ys.shape == (22 * trials, n, n)
     for t, index in enumerate(indices):
         seq = sequence_toward(y, j, seed=42, index=index)
@@ -523,9 +523,9 @@ def test_whitney_estimate_decomposes_each_constructed_point_once(monkeypatch):
     monkeypatch.setattr(sampler, "_retract_with_spectra", counted_retract)
     whitney_b_estimate(y, 2, trials=30, seed=46)
     assert rows["retracted"] >= 30 * 22
-    # one row per x_k, one per retraction attempt that validation kept,
-    # and one for y's own label
-    assert rows["eigvalsh"] == 30 * 22 + rows["retracted"] + 1
+    # one row per x_k and one per retraction attempt that validation kept;
+    # y's own label reads the spectrum y carries from its validation
+    assert rows["eigvalsh"] == 30 * 22 + rows["retracted"]
 
 
 def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
