@@ -136,7 +136,8 @@ def check_frame(columns: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotOrthonormal
-        If columns^dagger columns deviates from the identity beyond STRUCTURE_TOL.
+        If columns^dagger columns deviates from the identity beyond
+        STRUCTURE_TOL, or by NaN (the guard fails closed).
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
@@ -147,7 +148,7 @@ def check_frame(columns: np.ndarray) -> np.ndarray:
     gram = columns.conj().T @ columns
     gram.flat[:: d + 1] -= 1.0  # gram - I, the identity subtracted in place
     dev = float(np.abs(gram).max()) if d else 0.0
-    if dev > STRUCTURE_TOL:
+    if not dev <= STRUCTURE_TOL:
         raise NotOrthonormal("frame columns are not orthonormal", magnitude=dev)
     return columns
 

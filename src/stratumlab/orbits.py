@@ -131,6 +131,9 @@ def isotropy_dim(sig: OrbitSignature) -> int:
 def adjoint_act(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     """Conjugate rho by a block-diagonal unitary u.
 
+    Both guards fail closed: a NaN entry of u is refused by the first check
+    it reaches, before any conjugation.
+
     Raises
     ------
     NotInAlgebra
@@ -143,10 +146,10 @@ def adjoint_act(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     if u.shape != (n, n):
         raise ValueError(f"expected shape {(n, n)}, got {u.shape}")
     off = linalg.off_block_magnitude(u, rho.alg.block_sizes)
-    if off > linalg.STRUCTURE_TOL:
+    if not off <= linalg.STRUCTURE_TOL:
         raise NotInAlgebra("unitary is not block diagonal for this algebra", magnitude=off)
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if dev > linalg.STRUCTURE_TOL:
+    if not dev <= linalg.STRUCTURE_TOL:
         raise NotUnitary("matrix is not unitary", magnitude=dev)
     return validate_density(u @ rho.matrix @ u.conj().T, rho.alg, rho.tol)
 

@@ -1,17 +1,12 @@
 """Seeded random ensembles: states, unitaries, and approach sequences.
 
-Randomness contract: _uniform_rows is the only reader of the streams. It
-reads one row of uniform doubles per stream path, the first doubles of
-numpy's Generator(PCG64(SeedSequence([seed, *path]))), and all Gaussians
-are explicit transforms of the rows (Box-Muller, and its polar form for
-complex ones), so golden outputs depend only on the uniform stream. Seed
-and path entries are non-negative integers of any size. The stream format
-has two readers behind _uniform_rows, numpy's generator for calls of
-fewer than STREAM_PORT_ROWS rows and a bit-exact numpy port of
-SeedSequence and PCG64 for whole ensembles (in chunks of
-STREAM_CHUNK_ROWS rows), and tests hold the port to numpy's own generator. A Ginibre
-factor of shape (n, m) reads n m moduli, then n m phases. Paths and rows,
-in order:
+Randomness contract: streams._uniform_rows is the only reader of the
+streams. It reads one row of uniform doubles per stream path, the first
+doubles of numpy's Generator(PCG64(SeedSequence([seed, *path]))), and all
+Gaussians are explicit transforms of the rows (Box-Muller, and its polar
+form for complex ones), so golden outputs depend only on the uniform
+stream. A Ginibre factor of shape (n, m) reads n m moduli, then n m phases.
+Paths and rows, in order:
 
   (0, i)           sample_hs          2 n^2: the factor
   (1, i, attempt)  sample_rank        2 n r: the n x r factor
@@ -45,10 +40,6 @@ Haar unitaries come from the QR of a Ginibre matrix, R-diagonal phase fix.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import operator
-
 import numpy as np
 
 from . import linalg
@@ -64,6 +55,7 @@ from .states import (
 )
 from .strata import StratumLabel, _classified, _retract_with_spectra, _stack_decision, classify
 from .strata import tangent_basis
+from .streams import _uniform_rows
 
 MAX_RESAMPLE = 100
 
@@ -72,32 +64,6 @@ SEQUENCE_RATE = 0.5
 SEQUENCE_LENGTH = 22
 # step of an approximant: approach_state's default, and the frontier checks'
 FRONTIER_DELTA = 4e-7
-
-# calls of fewer rows read one numpy generator per row, 14-18 us each on a
-# 2-core x86 host; the port below costs about 55 ns per double, so it wins on
-# many short rows (1000 x 8: 0.88 against 15.6 ms) and loses on long ones
-# (25 x 618: 0.78 against 0.45 ms; 1 row: 160-215 us; timeit, best of 5-7)
-STREAM_PORT_ROWS = 12
-# rows per call of the port: bounds its (rows, length) uint64 temporaries,
-# which for a whole 10,000-draw ensemble would raise the peak memory
-STREAM_CHUNK_ROWS = 1024
-
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# PCG64's LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The uint32 constants init mult^k, k = 0 .. calls, of a SeedSequence
-    hash: call k reads constants k and k + 1."""
-    out = [init]
-    for _ in range(calls):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-# SeedSequence's generate_state hash: 8 calls make 4 uint64 words
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -111,196 +77,6 @@ def _polar_normal(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     arrays: independent N(0,1) real and imaginary parts."""
     radius = np.sqrt(-np.log1p(-u1))
     return radius * np.exp(2j * np.pi * u2)
-
-
-def _entry(value) -> int:
-    """An entropy entry as a Python int, refused as SeedSequence refuses it:
-    TypeError for a non-integer, ValueError for a negative integer."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    return value
-
-
-def _words(value) -> list[int]:
-    """The uint32 words SeedSequence makes of one entropy entry, least
-    significant first."""
-    value = _entry(value)
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _entropy_words(seed: int, paths: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, W) uint32 entropy words of SeedSequence([seed, *paths[b]]),
-    zero padded to W >= 4 columns, and the (B,) word count of each row, for
-    a list of B >= 1 paths."""
-    head = _words(seed)
-    try:
-        table = np.array(paths)
-    except ValueError:  # paths of unequal lengths
-        table = np.array(())
-    if table.ndim == 2 and (
-        table.size == 0
-        or table.dtype.kind in "iu" and table.min() >= 0 and table.max() <= _MASK32
-    ):
-        # every entry is one word
-        tails = table.astype(np.uint32)
-        counts = np.full(len(paths), len(head) + tails.shape[1])
-    else:
-        rows = [[w for entry in path for w in _words(entry)] for path in paths]
-        tails = np.zeros((len(rows), max(map(len, rows))), dtype=np.uint32)
-        for b, row in enumerate(rows):
-            tails[b, : len(row)] = row
-        counts = len(head) + np.array([len(row) for row in rows])
-    words = np.zeros((len(paths), max(4, len(head) + tails.shape[1])), dtype=np.uint32)
-    words[:, : len(head)] = head
-    words[:, len(head) : len(head) + tails.shape[1]] = tails
-    return words, counts
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray, calls: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of value by the numbered calls, one per column:
-    call k xors constant k, then multiplies by constant k + 1."""
-    value = (value ^ consts[calls]) * consts[calls + 1]
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-    return r ^ (r >> np.uint32(16))
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a_hi 2^64 + a_lo)(b_hi 2^64 + b_lo) mod 2^128 on broadcast uint64
-    halves, the high half of a_lo b_lo through 32-bit limbs; in place where
-    it can, which keeps the full-size temporaries few."""
-    limb, shift = np.uint64(_MASK32), np.uint64(32)
-    a0, a1, b0, b1 = a_lo & limb, a_lo >> shift, b_lo & limb, b_lo >> shift
-    p01, p10 = a0 * b1, a1 * b0
-    mid = a0 * b0
-    mid >>= shift
-    mid += p01 & limb
-    mid += p10 & limb
-    mid >>= shift
-    p01 >>= shift
-    p10 >>= shift
-    hi = a1 * b1
-    for part in (p01, p10, mid, a_lo * b_hi, a_hi * b_lo):
-        hi += part
-    return hi, a_lo * b_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a_hi 2^64 + a_lo) + (b_hi 2^64 + b_lo) mod 2^128 on uint64 halves,
-    written into a's halves."""
-    a_lo += b_lo
-    a_hi += b_hi
-    a_hi += a_lo < b_lo
-    return a_hi, a_lo
-
-
-@functools.lru_cache(maxsize=64)
-def _jump_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 high and low halves of the (2, length) table of M^(k + 1)
-    and 1 + M + ... + M^k mod 2^128, k = 1 .. length: from a state t, the
-    LCG's (k + 1)-th step is the first times t plus the second times inc."""
-    power, geometric, table = _PCG_MULT, 1, ([], [])
-    for _ in range(length):
-        geometric = (geometric + power) & _MASK128
-        power = power * _PCG_MULT & _MASK128
-        table[0].append(power)
-        table[1].append(geometric)
-    table = np.array(table, dtype=object)
-    halves = (table >> 64).astype(np.uint64), (table & _MASK64).astype(np.uint64)
-    for half in halves:
-        half.flags.writeable = False  # shared by every call of this length
-    return halves
-
-
-def _pcg64_rows(words: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
-    """Generator(PCG64(SeedSequence(entropy))).random(length) for each row's
-    entropy words[b, :counts[b]], all rows at once (O'Neill, HMC-CS-2014-0905;
-    numpy NEP 19).
-
-    SeedSequence hashes a 4-word pool. Its hash constants do not depend on
-    the data, so the three destinations of one source word mix at once, and
-    words past the fourth reach the third loop only in rows that have them.
-    PCG64 steps its 128-bit LCG state s -> M s + inc before each output, so
-    every output's state is one multiply-add from the seeding state by the
-    jump tables: no loop over the outputs.
-    """
-    # INIT_A, MULT_A: 4 calls fill the pool, 12 mix it, 4 per further word
-    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * words.shape[1])
-    cols = np.arange(4)
-    pool = _hashmix(words[:, :4], consts, cols)
-    for src in range(4):
-        # calls 4 + 3 src .. 6 + 3 src mix word src into the others, in order
-        calls = 4 + 3 * src + cols - (cols >= src)
-        mixed = _mix(pool, _hashmix(pool[:, src, None], consts, calls))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    for src in range(4, words.shape[1]):
-        mixed = _mix(pool, _hashmix(words[:, src, None], consts, 4 * src + cols))
-        pool = np.where((counts > src)[:, None], mixed, pool)
-    # generate_state(4, uint64): 8 words cycling the pool, little-endian pairs
-    state = _hashmix(np.tile(pool, 2), _HASH_B, np.arange(8)).astype(np.uint64)
-    s = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
-    # PCG64's seeding: inc = 2 (s2 2^64 + s3) + 1; the state is 0, steps,
-    # adds s0 2^64 + s1 and steps, which is one step from t = s0:s1 + inc
-    one = np.uint64(1)
-    inc_hi = (s[:, 2, None] << one) | (s[:, 3, None] >> np.uint64(63))
-    inc_lo = (s[:, 3, None] << one) | one
-    t_hi, t_lo = _add128(s[:, 0, None], s[:, 1, None], inc_hi, inc_lo)
-    (a_hi, g_hi), (a_lo, g_lo) = _jump_tables(length)
-    hi, lo = _add128(*_mul128(t_hi, t_lo, a_hi, a_lo), *_mul128(inc_hi, inc_lo, g_hi, g_lo))
-    # XSL-RR output, then the top 53 bits as a double
-    rot = hi >> np.uint64(58)
-    hi ^= lo
-    lo = hi << ((np.uint64(64) - rot) & np.uint64(63))
-    hi >>= rot
-    hi |= lo
-    hi >>= np.uint64(11)
-    return hi * (1.0 / 9007199254740992.0)
-
-
-def _uniform_rows(seed: int, paths, length: int) -> np.ndarray:
-    """The (B, length) array of one row of uniforms per stream path: row b
-    is the first length doubles of the PCG64 generator seeded by
-    SeedSequence([seed, *paths[b]]).
-
-    Two routes read the same streams, bit for bit. Below STREAM_PORT_ROWS
-    paths, one numpy generator per row, which is cheaper than the port's
-    fixed cost. From there on, _pcg64_rows on chunks of STREAM_CHUNK_ROWS
-    rows, so that its (rows, length) temporaries stay small whatever the
-    ensemble size. Both refuse a seed or path entry that is not a
-    non-negative integer before any draw (TypeError, ValueError), as
-    SeedSequence does.
-    """
-    paths = iter(paths)
-    first = list(itertools.islice(paths, STREAM_CHUNK_ROWS))
-    if len(first) < STREAM_PORT_ROWS:
-        entropy = [[_entry(seed), *map(_entry, path)] for path in first]
-        # one generator alive at a time: a stack of them costs kilobytes per draw
-        rows = (
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(e))).random(length)
-            for e in entropy
-        )
-        return np.fromiter(rows, dtype=(float, length))
-    # every chunk's entropy words, so that a bad entry refuses before a draw
-    chunks = [_entropy_words(seed, first)]
-    while chunk := list(itertools.islice(paths, STREAM_CHUNK_ROWS)):
-        chunks.append(_entropy_words(seed, chunk))
-    out = np.empty((sum(len(words) for words, _ in chunks), length))
-    at = 0
-    # the LCG and the hash wrap around by design
-    with np.errstate(over="ignore"):
-        for words, counts in chunks:
-            out[at : at + len(words)] = _pcg64_rows(words, counts, length)
-            at += len(words)
-    return out
 
 
 def _ginibre_stack(u: np.ndarray, n: int, m: int) -> np.ndarray:

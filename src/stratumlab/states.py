@@ -229,7 +229,9 @@ def validate_density(
         Naming the violated invariant, with the violation magnitude.
     """
     h, w = _validate_with_spectra(np.asarray(m, dtype=complex)[None], alg, tol)
-    return _validated_states(h, w, alg, tol)[0]
+    # a lone state owns its arrays: a view would keep a one-row stack alive
+    # behind each, a second array header per state held
+    return DensityMatrix(alg, h[0].copy(), tol, True, w[0].copy())
 
 
 def _validated_states(hs, spectra, alg: AlgebraDescriptor, tol: float) -> list[DensityMatrix]:

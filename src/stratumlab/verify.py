@@ -18,20 +18,21 @@ from .charts import MIN_NODES, contour_quadrature_stack, small_spectral_projecto
 from .errors import EigenvalueOnContour
 from .joins import JOIN_RANK_NOTE, _join_stack, _piece_name, _split_stack, convex_split
 from .joins import join_piece_label, join_state, make_join_point, summand_algebras
-from .orbits import DEFAULT_CLUSTER_TOL, isotropy_dim, orbit_dim_stack, orbit_signature_stack
-from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack, _uniform_rows
-from .sampler import _unitary_stack, sample_rank
+from .orbits import DEFAULT_CLUSTER_TOL, _signatures, isotropy_dim, orbit_dim_stack
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack, _unitary_stack
+from .sampler import sample_rank
 from .states import (
     DEFAULT_TOL,
     AlgebraDescriptor,
+    _validate_with_spectra,
     _validated_states,
     cone_state,
     full_algebra,
     maximally_mixed,
     validate_density,
-    validate_stack,
 )
 from .strata import _stack_decision
+from .streams import STREAM_CHUNK_ROWS, _uniform_rows
 from .whitney import GAP_THRESHOLD, frontier_matrix, whitney_b_estimate
 from .whitney import whitney_negative_control
 
@@ -268,29 +269,43 @@ def suite_orbit_census(
     """Signature census with stabilizer/orbit dimension consistency on M_2
     and on C (+) M_2.
 
-    The draws are the matrices of sample_hs / sample_algebra (same streams),
-    validated, classified and measured as one stack per algebra.
+    The draws are the matrices of sample_hs / sample_algebra (same streams).
+    Each chunk of STREAM_CHUNK_ROWS indices is drawn, validated, given
+    signatures (from validation's spectra on M_2) and orbit dimensions as one
+    stack, and the constructed states join the last chunk. Every row's
+    results are those of a whole-stack pass, and the memory is bounded by
+    one chunk whatever the number of draws.
     """
     _require_at_least(1, draws=draws)
     m2, cm2 = full_algebra(2), AlgebraDescriptor((1, 2))
-    # algebra, draw, constructed states, generic and other signature, and the
-    # orbit dimension the first 50 draws share (None: unchecked)
+    # algebra, draw of some indices with its spectra, constructed states,
+    # generic and other signature, and the orbit dimension the first 50
+    # draws share (None: unchecked)
     table = (
-        (m2, lambda: validate_stack(_hs_stack(2, seed, range(draws)), m2), [maximally_mixed(m2)],
-         ((1, 1),), ((2,),), 2),
-        (cm2, lambda: _resampled_stack(cm2, seed, None, (4,), range(draws))[0],
+        (m2, lambda indices: _validate_with_spectra(_hs_stack(2, seed, indices), m2, DEFAULT_TOL),
+         [maximally_mixed(m2)], ((1, 1),), ((2,),), 2),
+        (cm2, lambda indices: _resampled_stack(cm2, seed, None, (4,), indices),
          [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))],
          ((1,), (1, 1)), ((1,), (2,)), None),
     )
     reports = []
     for alg, draw, constructed, generic, other, generic_dim in table:
-        hs = np.concatenate([draw(), [c.matrix for c in constructed]])
-        sigs = orbit_signature_stack(hs, alg, cluster_tol)
-        dims = orbit_dim_stack(hs, alg).tolist()
-        counts = Counter(sig.per_block for sig in sigs)
-        # few distinct (signature, dimension) pairs; equal signatures are one object
-        pairs = {(id(s), d): (s, d) for s, d in zip(sigs, dims)}
-        consistent = all(d + isotropy_dim(s) == alg.unitary_group_dim for s, d in pairs.values())
+        counts, pairs, first_dims = Counter(), {}, []
+        for start in range(0, draws, STREAM_CHUNK_ROWS):
+            indices = range(start, min(start + STREAM_CHUNK_ROWS, draws))
+            hs, w = draw(indices)
+            if indices.stop == draws:
+                hs = np.concatenate([hs, [c.matrix for c in constructed]])
+                w = np.concatenate([w, [c.eigenvalues() for c in constructed]])
+            sigs = _signatures(linalg.block_eigvalsh(hs, alg.block_sizes, w), alg, cluster_tol)
+            dims = orbit_dim_stack(hs, alg).tolist()
+            counts.update(sig.per_block for sig in sigs)
+            # few distinct (signature, dimension) pairs, keyed by pattern: each
+            # chunk makes its own signature objects
+            pairs.update(((sig.per_block, d), sig) for sig, d in zip(sigs, dims))
+            first_dims = (first_dims + dims)[: min(draws, 50)]
+        dim_u = alg.unitary_group_dim
+        consistent = all(d + isotropy_dim(s) == dim_u for (_, d), s in pairs.items())
         generic_fraction = counts.get(generic, 0) / draws
         ok = set(counts) == {generic, other} and consistent and generic_fraction >= 0.999
         report = {
@@ -301,7 +316,7 @@ def suite_orbit_census(
             "generic_fraction": generic_fraction,
         }
         if generic_dim is not None:
-            report["generic_orbit_dim"] = sorted(set(dims[: min(draws, 50)]))
+            report["generic_orbit_dim"] = sorted(set(first_dims))
             ok = ok and report["generic_orbit_dim"] == [generic_dim]
         report["passed"] = bool(ok)
         reports.append(report)

@@ -38,9 +38,10 @@ from . import linalg
 from .errors import CoincidentPoints
 from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
 from .sampler import _approach_stack, _box_muller, _resampled_stack, _sequence_base
-from .sampler import _sequence_stacks, _uniform_rows
+from .sampler import _sequence_stacks
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
 from .strata import StratumLabel, frontier_leq, tangent_basis_stack
+from .streams import _uniform_rows
 
 SLOPE_FIT_FLOOR = 1e-13
 

@@ -1,6 +1,8 @@
 import ast
 import inspect
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -100,13 +102,50 @@ def _random_references(path):
     return found
 
 
-def test_only_uniform_rows_reads_the_random_streams():
-    # every seeded draw goes through sampler._uniform_rows, so the stream
-    # format has one reader
+def test_only_uniform_rows_reads_the_random_streams(tmp_path):
+    # every seeded draw goes through streams._uniform_rows, whose two
+    # evaluators are the package's own port of SeedSequence and PCG64: no
+    # module references numpy.random, which only the tests use as a reference
     modules = sorted(pathlib.Path(stratumlab.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
     refs = {p.name: _random_references(p) for p in modules}
-    assert {fn for _, fn in refs.pop("sampler.py")} == {"_uniform_rows"}
     assert {name: found for name, found in refs.items() if found} == {}
+    # the scan finds each form of reference
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy.random\nfrom numpy import random\n"
+        "def draw():\n    return np.random.default_rng(0)\n"
+    )
+    assert _random_references(probe) == [(1, ""), (2, ""), (4, "draw")]
+
+
+SUITES_IN_A_FRESH_PROCESS = """
+import sys
+import numpy
+# numpy before 2.0 imports numpy.random with numpy itself; there its
+# generators refuse instead, so that a suite drawing from them still fails
+preloaded = "numpy.random" in sys.modules
+if preloaded:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite called numpy.random")
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence", "RandomState"):
+        setattr(numpy.random, name, refuse)
+from stratumlab import verify
+verify.suite_whitney(max_dim=3, trials=3, seed=7)
+verify.suite_frontier(samples=3, seed=7)
+verify.suite_join(samples=20, seed=7)
+verify.suite_orbit_census(draws=300, seed=7)
+verify.suite_projector_equiv(samples=20, seed=7)
+assert preloaded or "numpy.random" not in sys.modules, "a suite loaded numpy.random"
+"""
+
+
+def test_suites_never_load_numpy_random():
+    # every suite at a small size, in a process of its own: the draws of
+    # fewer than STREAM_PORT_ROWS rows included, none reaches numpy.random
+    run = subprocess.run([sys.executable, "-c", SUITES_IN_A_FRESH_PROCESS], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_fixed_tolerances_are_not_parameters():

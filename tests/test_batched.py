@@ -21,12 +21,15 @@ from stratumlab import (
     AlgebraDescriptor,
     StratumLabel,
     classify,
+    cone_state,
     classify_stack,
     contour_quadrature,
     enumerate_labels,
     frontier_check,
     frontier_leq,
     frontier_matrix,
+    full_algebra,
+    isotropy_dim,
     linalg,
     maximally_mixed,
     orbit_dim,
@@ -50,6 +53,7 @@ from stratumlab.errors import (
     ValidationError,
 )
 from stratumlab.fileio import canonical_json
+from stratumlab.orbits import DEFAULT_CLUSTER_TOL
 from stratumlab.joins import (
     WEIGHT_DROP_TOL,
     _join_stack,
@@ -63,10 +67,12 @@ from stratumlab.sampler import (
     FRONTIER_DELTA,
     _approach_base,
     _approach_stack,
-    _uniform_rows,
+    _hs_stack,
+    _resampled_stack,
     approach_state,
 )
 from stratumlab.states import DEFAULT_TOL, _validated_states
+from stratumlab.streams import STREAM_CHUNK_ROWS, _uniform_rows
 from stratumlab.strata import (
     _tangent_template,
     rank_from_eigenvalues,
@@ -982,3 +988,75 @@ def test_projector_equiv_raises_the_loops_first_refusal(
         suite_projector_equiv(60, 0, 16)
     assert str(stack_error.value) == str(loop_error.value)
     assert route is None or route in str(loop_error.value)
+
+
+def _reference_orbit_census(draws, seed):
+    # the whole-stack census the chunked suite replaced: all draws of an
+    # algebra and its constructed states drawn, validated, given signatures
+    # and orbit dimensions at once
+    m2, cm2 = full_algebra(2), AlgebraDescriptor((1, 2))
+    table = (
+        (m2, validate_stack(_hs_stack(2, seed, range(draws)), m2), [maximally_mixed(m2)],
+         ((1, 1),), ((2,),), 2),
+        (cm2, _resampled_stack(cm2, seed, None, (4,), range(draws))[0],
+         [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))], ((1,), (1, 1)), ((1,), (2,)),
+         None),
+    )
+    reports = []
+    for alg, drawn, constructed, generic, other, generic_dim in table:
+        hs = np.concatenate([drawn, [c.matrix for c in constructed]])
+        sigs = orbit_signature_stack(hs, alg)
+        dims = orbit_dim_stack(hs, alg).tolist()
+        counts = {}
+        for sig in sigs:
+            counts[sig.per_block] = counts.get(sig.per_block, 0) + 1
+        consistent = all(
+            d + isotropy_dim(s) == alg.unitary_group_dim for s, d in zip(sigs, dims)
+        )
+        generic_fraction = counts.get(generic, 0) / draws
+        report = {
+            "alg": list(alg.block_sizes),
+            "signatures": {str(list(map(list, k))): v for k, v in sorted(counts.items())},
+            "distinct": len(counts),
+            "dimension_identity_holds": consistent,
+            "generic_fraction": generic_fraction,
+        }
+        ok = set(counts) == {generic, other} and consistent and generic_fraction >= 0.999
+        if generic_dim is not None:
+            report["generic_orbit_dim"] = sorted(set(dims[: min(draws, 50)]))
+            ok = ok and report["generic_orbit_dim"] == [generic_dim]
+        report["passed"] = bool(ok)
+        reports.append(report)
+    return {
+        "suite": "orbit-census",
+        "draws": draws,
+        "seed": seed,
+        "cluster_tol": DEFAULT_CLUSTER_TOL,
+        "censuses": reports,
+        "passed": all(r["passed"] for r in reports),
+    }
+
+
+# one chunk exactly, the constructed states alone past it, and two chunks
+# plus one draw
+@pytest.mark.parametrize(
+    "draws", (STREAM_CHUNK_ROWS, STREAM_CHUNK_ROWS + 1, 2 * STREAM_CHUNK_ROWS + 1)
+)
+def test_orbit_census_chunks_are_the_whole_stack(draws):
+    report = suite_orbit_census(draws=draws, seed=0)
+    assert canonical_json(report) == canonical_json(_reference_orbit_census(draws, 0))
+
+
+def test_orbit_census_decomposes_each_m2_draw_once(monkeypatch):
+    # validation's spectra give the M_2 draws their signatures; the 2 x 2
+    # decompositions left are those validations (draws + the constructed
+    # state) and the M_2 block of each C (+) M_2 row (draws + 2)
+    real, shapes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.extend([np.shape(a)[-2:]] * int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    suite_orbit_census(draws=300, seed=0)
+    assert shapes.count((2, 2)) == 300 + 1 + 300 + 2

@@ -132,9 +132,13 @@ def _chart_point_parts():
 
 _TILTED = np.eye(3, 2, dtype=complex)
 _TILTED[2, 0] = 1e-6
+# a NaN makes the frame's deviation NaN, which the guard must refuse
+_NAN_FRAME = np.eye(3, 2, dtype=complex)
+_NAN_FRAME[0, 0] = np.nan
 
-# one row per refusal of the ChartPoint constructor, in the order it checks:
-# the replaced part, the error type and its message
+# one row per refusal of the ChartPoint constructor, in the order it checks,
+# then a frame with a NaN entry, which the frame check refuses as well: the
+# replaced part, the error type and its message
 CHART_POINT_REFUSALS = [
     ({"frame_range": np.eye(4, dtype=complex)[:, 3:]}, ValueError,
      "frames do not match the algebra's ambient dimension"),
@@ -155,6 +159,8 @@ CHART_POINT_REFUSALS = [
     ({"base_part": np.zeros((1, 1))}, ValueError, "base part must be positive definite"),
     ({"base_part": np.array([[1.0 + 1e-9]])}, ValueError,
      "base part trace differs from 1 by 1.000e-09"),
+    ({"frame_kernel": _NAN_FRAME}, NotOrthonormal,
+     "frame columns are not orthonormal (magnitude nan)"),
 ]
 
 

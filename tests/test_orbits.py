@@ -158,6 +158,21 @@ def test_adjoint_act():
     assert adjoint_act(ub, rho2).alg == alg
 
 
+def test_adjoint_act_refuses_a_nan_unitary_before_conjugating():
+    # a NaN deviation fails each guard closed, so the refusal names the
+    # unitary, not the non-finite product a conjugation would make
+    alg = AlgebraDescriptor((1, 2))
+    rho = validate_density(np.diag([0.2, 0.5, 0.3]).astype(complex), alg)
+    off = np.eye(3, dtype=complex)
+    off[0, 1] = np.nan
+    with pytest.raises(NotInAlgebra, match="magnitude nan"):
+        adjoint_act(off, rho)
+    inside = np.eye(3, dtype=complex)
+    inside[1, 2] = np.nan
+    with pytest.raises(NotUnitary, match="magnitude nan"):
+        adjoint_act(inside, rho)
+
+
 def test_adjoint_act_takes_no_tolerance():
     # off-block and unitarity budgets are linalg.STRUCTURE_TOL; no keyword
     # can wave a non-unitary through

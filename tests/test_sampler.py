@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -22,19 +23,17 @@ from stratumlab import (
     sequence_toward,
     validate_density,
 )
-from stratumlab import sampler
+from stratumlab import sampler, streams
 from stratumlab.sampler import (
     MAX_RESAMPLE,
-    STREAM_CHUNK_ROWS,
-    STREAM_PORT_ROWS,
     _box_muller,
     _draws,
     _ginibre_stack,
     _hs_stack,
     _polar_normal,
-    _uniform_rows,
     _unitary_stack,
 )
+from stratumlab.streams import STREAM_CHUNK_ROWS, STREAM_PORT_ROWS, _uniform_rows
 from stratumlab.strata import StratumLabel
 from stratumlab.whitney import enumerate_labels
 
@@ -201,9 +200,11 @@ def _random_paths(rng, rows, ragged):
     ]
 
 
-# just below and at the crossover between the two routes, and across a
-# chunk boundary of the port
-@pytest.mark.parametrize("rows", (STREAM_PORT_ROWS - 1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+# one row and just below the crossover between the two evaluators (Python
+# ints), at it, and across a chunk boundary of the array evaluator
+@pytest.mark.parametrize(
+    "rows", (1, STREAM_PORT_ROWS - 1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1)
+)
 @pytest.mark.parametrize("length", (1, 8, 33, 128))
 def test_uniform_rows_routes_are_the_numpy_streams(rows, length):
     rng = np.random.default_rng(1000 * rows + length)
@@ -233,8 +234,38 @@ def test_uniform_rows_port_is_the_numpy_streams(seed, paths, length):
         assert np.array_equal(row, _stream(seed, *path).random(length))
 
 
-@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS))
-def test_uniform_rows_refuse_non_integer_entries(rows):
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**80),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**70), max_size=7),
+        max_size=STREAM_PORT_ROWS - 1,
+    ),
+    st.integers(min_value=0, max_value=200),
+)
+def test_uniform_rows_python_int_evaluator_is_the_numpy_streams(seed, paths, length):
+    # seeds and entries of one to three words, paths of up to 7 entries (so
+    # pools mixing up to 21 words), any row length from 0
+    u = _uniform_rows(seed, iter(paths), length)
+    assert u.shape == (len(paths), length)
+    for row, path in zip(u, paths):
+        assert np.array_equal(row, _stream(seed, *path).random(length))
+
+
+def _refuse_any_draw(monkeypatch):
+    """Make both evaluators fail the test if a row is seeded, so that a
+    refusal is seen to come before any draw."""
+    def drawn(*args):
+        raise AssertionError("a row was drawn before the refusal")
+    monkeypatch.setattr(streams, "_pcg64_seeding", drawn)
+    monkeypatch.setattr(streams, "_pcg64_rows", drawn)
+
+
+# the bad entry last: in the one row, below the crossover, and in the second
+# chunk of the array evaluator
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+def test_uniform_rows_refuse_non_integer_entries(rows, monkeypatch):
+    _refuse_any_draw(monkeypatch)
     good = [(4, k, 0) for k in range(rows - 1)]
     for seed, last in ((1.5, (4, 0, 0)), (np.float64(2.0), (4, 0, 0)), (3, (4, 2.5, 0))):
         with pytest.raises(TypeError):
@@ -244,12 +275,28 @@ def test_uniform_rows_refuse_non_integer_entries(rows):
         sample_hs(2, 1.5)
 
 
-@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS))
-def test_uniform_rows_refuse_negative_entries(rows):
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+def test_uniform_rows_refuse_negative_entries(rows, monkeypatch):
+    _refuse_any_draw(monkeypatch)
     good = [(4, k, 0) for k in range(rows - 1)]
     for seed, last in ((-1, (4, 0, 0)), (3, (4, -2**40, 0)), (3, (np.int64(-1),))):
         with pytest.raises(ValueError, match="non-negative integer"):
             _uniform_rows(seed, good + [last], 8)
+
+
+def test_uniform_rows_array_evaluator_temporaries_stay_few():
+    # whitney's longest call: the traced peak counts the (rows, length)
+    # arrays alive at once, the returned doubles included; each full-size
+    # temporary is dropped once added, so fewer than nine are ever alive
+    paths = [(5, t) for t in range(25)]
+    _uniform_rows(0, paths, 618)
+    tracemalloc.start()
+    try:
+        _uniform_rows(0, paths, 618)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 25 * 618 * 8
 
 
 @pytest.mark.parametrize("seed", (0, 20201104))

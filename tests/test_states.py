@@ -76,6 +76,15 @@ def test_validate_density_error_paths():
         validate_density(np.diag([np.nan, 0.5]), alg)
 
 
+def test_a_lone_state_owns_its_arrays():
+    # no one-row stack kept alive behind the matrix or the spectrum of a
+    # state the caller holds, and both stay read-only
+    rho = validate_density(np.diag([0.5, 0.3, 0.2]).astype(complex), full_algebra(3))
+    for array in (rho.matrix, rho.eigenvalues()):
+        assert array.base is None
+        assert not array.flags.writeable
+
+
 def test_validate_density_hermitizes_roundoff():
     m = np.array([[0.5, 0.25 + 1e-14j], [0.25 - 2e-14j, 0.5]])
     rho = validate_density(m, full_algebra(2))

@@ -418,7 +418,7 @@ def test_sequence_toward_raises_the_first_failing_steps_error(monkeypatch):
 @pytest.mark.parametrize("nij", [(2, 1, 2), (3, 1, 3), (4, 2, 3)])
 @pytest.mark.parametrize("trials", [1, 11, 12, 30])
 def test_sequence_stacks_are_the_per_index_sequences(nij, trials):
-    # below and from STREAM_PORT_ROWS on, the two stream routes
+    # below and from STREAM_PORT_ROWS on, the two stream evaluators
     n, i, j = nij
     y = sample_rank(n, i, seed=42, index=n)
     indices = [7 + 3 * t for t in range(trials)]
