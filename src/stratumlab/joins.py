@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validate_with_spectra
-from .states import _validated_states
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _StateStack, _validated_stack
 from .strata import StratumLabel, classify
 
 WEIGHT_DROP_TOL = 1e-12
@@ -119,19 +118,16 @@ def make_join_point(
 
 def _split_stack(
     hs: np.ndarray, alg: AlgebraDescriptor, split, tol=DEFAULT_TOL
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, list[_StateStack]]:
     """convex_split of each state of a validated (B, n, n) stack of alg at tol.
 
     Returns the (B, k) weights (0.0 where a summand's weight is at or below
-    WEIGHT_DROP_TOL), the k validated component stacks (zero where the
-    weight is 0.0), the (B, k) tolerances the components were validated
-    with and the k (B, d_j) spectra validation gave the components.
-    Errors are raised summand by summand, each for its first failing row.
+    WEIGHT_DROP_TOL) and per summand j the stack of the components of the
+    rows of positive weight, validated at max(tol, 2 tol / w_j). Errors are
+    raised summand by summand, each for its first failing row.
     """
     weights = np.zeros((len(hs), len(split)))
-    tols = np.full(weights.shape, tol)
-    comps, spectra = [], []
-    at = 0
+    comps, at = [], 0
     for j, sub in enumerate(summand_algebras(alg, split)):
         comp = np.array(hs[:, at : at + sub.dim, at : at + sub.dim])
         at += sub.dim
@@ -142,14 +138,9 @@ def _split_stack(
         keep = w > WEIGHT_DROP_TOL
         w = weights[keep, j] = w[keep]
         # positivity of the compression is only as sharp as tol / w
-        tols[keep, j] = np.maximum(tol, 2.0 * tol / w)
-        spectra.append(np.zeros(comp.shape[:2]))
-        part = comp[keep] / w[:, None, None]
-        comp[keep], spectra[j][keep] = _validate_with_spectra(part, sub, tols[keep, j])
-        comp[~keep] = 0.0
-        comp.flags.writeable = False
-        comps.append(comp)
-    return weights, comps, tols, spectra
+        tols = np.maximum(tol, 2.0 * tol / w)
+        comps.append(_validated_stack(comp[keep] / w[:, None, None], sub, tols))
+    return weights, comps
 
 
 def convex_split(rho: DensityMatrix, split: tuple[int, ...] | None = None) -> JoinPoint:
@@ -161,41 +152,36 @@ def convex_split(rho: DensityMatrix, split: tuple[int, ...] | None = None) -> Jo
     """
     if split is None:
         split = (1,) * rho.alg.num_blocks
-    weights, comps, tols, spectra = _split_stack(rho.matrix[None], rho.alg, split, rho.tol)
-    weights, algs = weights[0].tolist(), summand_algebras(rho.alg, split)
-    components = [
-        None if w == 0.0 else _validated_states(comp, spectrum, sub, t)[0]
-        for w, comp, spectrum, sub, t in zip(weights, comps, spectra, algs, tols[0].tolist())
-    ]
+    weights, comps = _split_stack(rho.matrix[None], rho.alg, split, rho.tol)
+    weights = weights[0].tolist()
+    components = [comp.states()[0] if w else None for w, comp in zip(weights, comps)]
     return JoinPoint(rho.alg, tuple(split), tuple(weights), tuple(components))
 
 
 def _join_stack(
     weights: np.ndarray, comps: list[np.ndarray], alg: AlgebraDescriptor, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """join_state of each row of (B, k) weights and k component stacks (zero
-    where the weight is zero): the validated (B, n, n) stack of
-    sum_j w_j phi_j, assembled from the diagonal blocks of the phi_j, and
-    its spectra (_validate_with_spectra)."""
+) -> _StateStack:
+    """join_state of each row of (B, k) weights and per summand j the
+    component stack of the rows of positive weight: the validated stack of
+    sum_j w_j phi_j, assembled from the diagonal blocks of the phi_j."""
     m = np.zeros((len(weights), alg.dim, alg.dim), dtype=complex)
     at = 0
     for j, comp in enumerate(comps):
-        d = comp.shape[1]
-        m[:, at : at + d, at : at + d] = weights[:, j, None, None] * comp
+        d, keep = comp.shape[1], weights[:, j] > 0.0
+        m[keep, at : at + d, at : at + d] = weights[keep, j, None, None] * comp
         at += d
     m[:, linalg.off_block_mask(alg.block_sizes)] = 0.0
-    return _validate_with_spectra(m, alg, tol)
+    return _validated_stack(m, alg, tol)
 
 
 def join_state(p: JoinPoint) -> DensityMatrix:
     """Assemble the density matrix sum_j w_j phi_j of a join point, validated
     at DEFAULT_TOL."""
     comps = [
-        np.zeros((1, sub.dim, sub.dim), dtype=complex) if comp is None else comp.matrix[None]
+        np.zeros((0, sub.dim, sub.dim)) if comp is None else comp.matrix[None]
         for comp, sub in zip(p.components, summand_algebras(p.alg, p.split))
     ]
-    hs, w = _join_stack(np.array([p.weights]), comps, p.alg)
-    return _validated_states(hs, w, p.alg, DEFAULT_TOL)[0]
+    return _join_stack(np.array([p.weights]), comps, p.alg).states()[0]
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,9 @@ def off_block_magnitude(m: np.ndarray, block_sizes: Sequence[int]) -> float:
     return float(np.max(np.abs(m[mask])))
 
 
-def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int], spectrum=None) -> list[np.ndarray]:
+def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int]) -> list[np.ndarray]:
     """Ascending eigenvalues of each diagonal block of a (B, n, n) stack of
-    Hermitian matrices, one (B, n_b) array per block; for one block, ms's spectrum if given."""
-    if spectrum is not None and len(block_sizes) == 1:
-        return [spectrum]
+    Hermitian matrices, one (B, n_b) array per block."""
     out = []
     at = 0
     for size in block_sizes:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousClustering, DimensionTooLarge, NotInAlgebra, NotUnitary
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _require_tol, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _require_tol, _stack_of
+from .states import validate_density
 from .strata import rank_from_eigenvalues
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -119,8 +120,7 @@ def orbit_signature(
         If two clusters in some block are separated by less than
         10 * cluster_tol.
     """
-    spectra = linalg.block_eigvalsh(rho.matrix[None], rho.alg.block_sizes, rho.eigenvalues()[None])
-    return _signatures(spectra, rho.alg, cluster_tol)[0]
+    return _signatures(_stack_of(rho).spectra, rho.alg, cluster_tol)[0]
 
 
 def isotropy_dim(sig: OrbitSignature) -> int:

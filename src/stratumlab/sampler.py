@@ -44,17 +44,9 @@ import numpy as np
 
 from . import linalg
 from .errors import StratumLabError
-from .states import (
-    DEFAULT_TOL,
-    AlgebraDescriptor,
-    DensityMatrix,
-    _validate_with_spectra,
-    _validated_states,
-    full_algebra,
-    validate_density,
-)
-from .strata import StratumLabel, _classified, _retract_with_spectra, _stack_decision, classify
-from .strata import tangent_basis
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _gathered, _stack_of
+from .states import _StateStack, _validated_stack, full_algebra, validate_density
+from .strata import StratumLabel, _classified, _retract, _stack_decision, classify, tangent_basis
 from .streams import _uniform_rows
 
 MAX_RESAMPLE = 100
@@ -129,28 +121,24 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
     return validate_density(_hs_stack(n, seed, [index])[0], full_algebra(n))
 
 
-def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices):
-    """The validated (B, n, n) stack of the draws of alg, one per index of
-    the sequence indices, and its (B, n) eigvalsh from _validate_with_spectra.
-    Row b is the first draw of the (seed, *head, indices[b], attempt) streams,
-    attempt = 0, 1, ..., whose per-block ranks are ranks (gray-zone protocol),
-    or attempt 0 with ranks=None. Each attempt is drawn and validated as one
-    stack; only rows whose decision misses are redrawn, MAX_RESAMPLE tries in all."""
-    todo = np.arange(len(indices))
+def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices) -> _StateStack:
+    """The validated stack of the draws of alg, one per index of the sequence
+    indices: row b is the first draw of the (seed, *head, indices[b],
+    attempt) streams, attempt = 0, 1, ..., whose per-block ranks are ranks
+    (gray-zone protocol), or attempt 0 with ranks=None. Each attempt is
+    drawn and validated as one stack, and only rows whose decision misses
+    are redrawn, MAX_RESAMPLE tries in all; the stack keeps their spectra."""
+    todo, pieces = np.arange(len(indices)), []
     for attempt in range(MAX_RESAMPLE):
         paths = [(*head, indices[k], attempt) for k in todo]
-        ms, spectra = _validate_with_spectra(_draws(alg, ranks, seed, paths), alg, DEFAULT_TOL)
+        got = _validated_stack(_draws(alg, ranks, seed, paths), alg, DEFAULT_TOL)
         if ranks is None:
-            return ms, spectra
-        if attempt:
-            hs[todo], w[todo] = ms, spectra
-        else:
-            hs, w = ms.copy(), spectra
-        got, gray = _stack_decision(ms, alg, DEFAULT_TOL, spectra)
-        todo = todo[(got != ranks).any(axis=1) | ~np.isnan(gray).all(axis=(1, 2))]
+            return got
+        per_block, gray = _stack_decision(got.spectra, DEFAULT_TOL)
+        pieces.append((todo, got))
+        todo = todo[(per_block != ranks).any(axis=1) | ~np.isnan(gray).all(axis=(1, 2))]
         if not todo.size:
-            hs.flags.writeable = False
-            return hs, w
+            return got if len(pieces) == 1 else _gathered(len(indices), pieces)
     raise RuntimeError(f"could not draw ranks {ranks} cleanly in {MAX_RESAMPLE} tries")
 
 
@@ -159,8 +147,7 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     audited and the measure-zero failures resampled (_resampled_stack)."""
     if not 1 <= r <= n:
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
-    alg = full_algebra(n)
-    return _validated_states(*_resampled_stack(alg, seed, (r,), (1,), [index]), alg, DEFAULT_TOL)[0]
+    return _resampled_stack(full_algebra(n), seed, (r,), (1,), [index]).states()[0]
 
 
 def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
@@ -206,8 +193,7 @@ def sample_algebra(
     """
     if ranks is not None:
         ranks = StratumLabel(alg, ranks).per_block
-    hs, w = _resampled_stack(alg, seed, ranks, (4,), [index])
-    return _validated_states(hs, w, alg, DEFAULT_TOL)[0]
+    return _resampled_stack(alg, seed, ranks, (4,), [index]).states()[0]
 
 
 def _kernel_frames(ms: np.ndarray, label: StratumLabel) -> dict[int, np.ndarray]:
@@ -242,25 +228,24 @@ def _kernel_mixture(alg: AlgebraDescriptor, frames, rotations, raises, u: np.nda
     return sigma
 
 
-def _audit(xs: np.ndarray, spectra: np.ndarray, target: StratumLabel, tol: float):
-    """Return a validated (B, n, n) stack of constructed points and the spectra
-    _validate_with_spectra gave it, refusing them unless every point reads as
-    target from them (AmbiguousRank in the gray zone, else RuntimeError)."""
-    got = _classified(xs, target.alg, tol, spectra)
+def _audit(stack: _StateStack, target: StratumLabel) -> _StateStack:
+    """Return a validated stack of constructed points, refusing them unless
+    every point reads as target from its spectra (AmbiguousRank in the gray
+    zone, else RuntimeError)."""
+    got = _classified(stack.spectra, stack.tol)
     wrong = np.flatnonzero((got != target.per_block).any(axis=1))
     if wrong.size:
         raise RuntimeError(
             f"constructed point classifies as {tuple(got[wrong[0]].tolist())}, "
             f"wanted {target.per_block}"
         )
-    return xs, spectra
+    return stack
 
 
-def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float):
-    """The validated stack (1 - delta) hs + delta sigma and its spectra, audited
-    to classify as target: the one step of sequence_toward's x_k and approach_state."""
-    xs, spectra = _validate_with_spectra((1.0 - delta) * hs + delta * sigma, target.alg, tol)
-    return _audit(xs, spectra, target, tol)
+def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float) -> _StateStack:
+    """The validated stack (1 - delta) hs + delta sigma, audited to classify
+    as target: the one step of sequence_toward's x_k and approach_state."""
+    return _audit(_validated_stack((1.0 - delta) * hs + delta * sigma, target.alg, tol), target)
 
 
 def _first_failure(build, rows: int):
@@ -277,29 +262,24 @@ def _first_failure(build, rows: int):
 
 def _approach_steps(
     y: DensityMatrix, sigma, h, deltas: np.ndarray, label_i: StratumLabel, label_j: StratumLabel
-) -> tuple[tuple, tuple]:
-    """The validated stacks of the x_k and the y_k of the steps of sizes
-    deltas along the unit tangent directions h, each check run once on all
-    steps, as (stack, spectra) pairs.
+) -> tuple[_StateStack, _StateStack]:
+    """The validated stacks of the x_k and the y_k of the steps of sizes deltas
+    along the unit tangent directions h, each check run once on all steps.
 
     Each y_k retracts y + s h_k, halving s from delta_k / 2 until the point
     lies within delta_k of y, 30 tries per step. A step whose truncation
     leaves the stratum's domain (an eigenvalue that must stay positive went
     negative) is shrunk like any overshoot.
     """
-    tol = y.tol
-    xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, tol)
-    ys = np.empty_like(xs[0])
-    spectra = np.empty(xs[1].shape)
+    xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, y.tol)
     steps = 0.5 * deltas
-    todo = np.arange(len(deltas))
+    todo, ys, w = np.arange(len(deltas)), np.empty_like(xs.hs), np.empty_like(xs.w)
     for _ in range(30):
         hs = y.matrix + steps[todo, None, None] * h[todo]
-        ms, w, lead = _retract_with_spectra(hs, label_i, tol)
+        ms, lead = _retract(hs, label_i, y.tol)
         done = lead > 0
-        close = linalg.hs_norm(ms - y.matrix) <= deltas[todo[done]]
-        ys[todo[done][close]] = ms[close]
-        spectra[todo[done][close]] = w[close]
+        close = linalg.hs_norm(ms.hs - y.matrix) <= deltas[todo[done]]
+        ys[todo[done][close]], w[todo[done][close]] = ms.hs[close], ms.w[close]
         done[done] = close
         todo = todo[~done]
         if not todo.size:
@@ -307,8 +287,8 @@ def _approach_steps(
         steps[todo] *= 0.5
     else:
         raise RuntimeError("tangent retraction kept overshooting the step budget")
-    ys.flags.writeable = False
-    return xs, _audit(ys, spectra, label_i, tol)
+    # a one-block stack: w is its per-block spectrum
+    return xs, _audit(_StateStack(ys, label_i.alg, y.tol, w), label_i)
 
 
 def _sequence_base(y: DensityMatrix, j: int, rate: float):
@@ -333,10 +313,9 @@ def _sequence_base(y: DensityMatrix, j: int, rate: float):
 
 def _sequence_stacks(
     y: DensityMatrix, j: int, base, rate: float, length: int, seed: int, indices
-) -> tuple[tuple, tuple]:
-    """The validated (T length, n, n) stacks of the x_k and the y_k of
-    sequence_toward at a sequence of T indices, index-major, from y's
-    _sequence_base, each with its (T length, n) spectra."""
+) -> tuple[_StateStack, _StateStack]:
+    """The validated stacks of the T length x_k and y_k of sequence_toward
+    at a sequence of T indices, index-major, from y's _sequence_base."""
     label_i, label_j, frames, basis = base
     n, r, d = y.dim, j - label_i.total, len(basis)
     # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
@@ -387,8 +366,8 @@ def sequence_toward(
     is the first failing index's first failing step's, in the order of its
     checks: x_k's validation and audit, the retraction of y_k, y_k's audit.
     """
-    pairs = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, [index])
-    return list(zip(*(_validated_states(*pair, y.alg, y.tol) for pair in pairs)))
+    xs, ys = _sequence_stacks(y, j, _sequence_base(y, j, rate), rate, length, seed, [index])
+    return list(zip(xs.states(), ys.states()))
 
 
 def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, indices):
@@ -405,9 +384,9 @@ def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, i
     return label, tol, seed, tuple(indices), frames, rotations
 
 
-def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) -> tuple:
+def _approach_stack(points: _StateStack, base, target: StratumLabel, delta: float) -> _StateStack:
     """The validated stack of the approach_state approximants of the rows of
-    hs and its spectra, from their _approach_base; hs, None at their label.
+    points, from their _approach_base; points itself at their label.
 
     Each row draws the uniforms of every raised block's tau, in block
     order, from its (seed, 6, index) stream at once; sigma comes from
@@ -426,11 +405,11 @@ def _approach_stack(hs: np.ndarray, base, target: StratumLabel, delta: float) ->
     pairs = enumerate(zip(label.per_block, target.per_block))
     raises = [(b, jb - ib) for b, (ib, jb) in pairs if jb > ib]
     if not raises:
-        return hs, None
+        return points
     length = 2 * sum(add * add for _, add in raises)
     u = _uniform_rows(seed, ((6, index) for index in indices), length)
     sigma = _kernel_mixture(label.alg, frames, rotations, raises, u)
-    return _first_failure(lambda k: _mixed(hs[k], sigma[k], delta, target, tol), len(hs))
+    return _first_failure(lambda k: _mixed(points.hs[k], sigma[k], delta, target, tol), len(sigma))
 
 
 def approach_state(
@@ -448,7 +427,5 @@ def approach_state(
     evenly; the per-block ranks of the result are audited. This is
     _approach_stack on the stack of one point.
     """
-    hs = y.matrix[None]
-    base = _approach_base(hs, classify(y), y.tol, seed, [index])
-    xs, spectra = _approach_stack(hs, base, target, delta)
-    return y if spectra is None else _validated_states(xs, spectra, y.alg, y.tol)[0]
+    base = _approach_base(y.matrix[None], classify(y), y.tol, seed, [index])
+    return _approach_stack(_stack_of(y), base, target, delta).states()[0]

@@ -143,9 +143,10 @@ def validate_stack(
     Checks each matrix, in order: shape, finiteness and Hermiticity (fixed
     1e-12 budget), block diagonality (off-block entries <= tol), trace
     (|Tr m - 1| <= tol), positivity (min eigenvalue >= -tol). Every guard
-    is written to fail closed: a NaN comparison rejects. Each check runs on
-    the whole stack at once; a later check only sees matrices that passed
-    the earlier ones, so no solver is handed a non-finite matrix.
+    is written to fail closed: a NaN comparison rejects, and so does a
+    check that overflows. Each check runs on the whole stack at once; a
+    later check only sees matrices that passed the earlier ones, so no
+    solver is handed a non-finite matrix.
 
     tol is one float for the whole stack, or a (B,) array of one tolerance
     per matrix; each must be finite and > 0 (else ValueError).
@@ -162,12 +163,72 @@ def validate_stack(
         with the violation magnitude: the error a loop of validate_density
         over the stack would raise.
     """
-    return _validate_with_spectra(ms, alg, tol)[0]
+    return _validated_stack(ms, alg, tol).hs
 
 
-def _validate_with_spectra(ms: np.ndarray, alg: AlgebraDescriptor, tol: float | np.ndarray):
-    """validate_stack, and the (B, n) ascending eigvalsh of each matrix it
-    returns: its positivity check's, for consumers not to decompose again."""
+class _StateStack:
+    """A frozen stack validated by _validated_stack: the read-only (B, n, n)
+    Hermitized matrices hs of alg, their tol (one float, or one per row)
+    and w, the read-only (B, n) ascending eigvalsh of validation. A plain
+    class, as a dataclass compiles its methods at import."""
+
+    __slots__ = ("hs", "alg", "tol", "w", "_blocks")
+
+    def __init__(self, hs: np.ndarray, alg: AlgebraDescriptor, tol, w: np.ndarray, blocks=()):
+        for name, value in zip(self.__slots__, (hs, alg, tol, w, tuple(blocks))):
+            object.__setattr__(self, name, value)
+        for a in (hs, w, *blocks):
+            a.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a validated stack")
+
+    @property
+    def spectra(self) -> tuple[np.ndarray, ...]:
+        """Per block, the read-only (B, n_b) ascending eigvalsh: w itself for
+        one block; for a direct sum block_eigvalsh of hs, computed once."""
+        if self.alg.num_blocks == 1:
+            return (self.w,)
+        if not self._blocks:  # frozen but for this cache, filled once
+            blocks = tuple(linalg.block_eigvalsh(self.hs, self.alg.block_sizes))
+            for wb in blocks:
+                wb.setflags(write=False)
+            object.__setattr__(self, "_blocks", blocks)
+        return self._blocks
+
+    def __getitem__(self, rows) -> _StateStack:
+        """The stack of the rows at rows (index array, mask or slice), copied,
+        so that no view keeps this stack alive."""
+        tol = self.tol[rows] if isinstance(self.tol, np.ndarray) else self.tol
+        take = [a[rows].copy() for a in (self.hs, self.w, *self._blocks)]
+        return _StateStack(take[0], self.alg, tol, take[1], take[2:])
+
+    def states(self) -> list[DensityMatrix]:
+        """DensityMatrix views of the rows, each carrying its tol and its row of w."""
+        tols = self.tol.tolist() if isinstance(self.tol, np.ndarray) else [self.tol] * len(self.hs)
+        return [DensityMatrix(self.alg, h, t, True, w) for h, t, w in zip(self.hs, tols, self.w)]
+
+
+def _gathered(size: int, pieces) -> _StateStack:
+    """The stack of size rows holding, for each (at, stack) of pieces in
+    turn, the rows of stack at positions at (stacks of one algebra and tol);
+    a direct sum's per-block spectra are gathered, not computed again."""
+    alg, tol = pieces[0][1].alg, pieces[0][1].tol
+    parts = lambda s: (s.hs, s.w, *(s.spectra if alg.num_blocks > 1 else ()))
+    out = [np.empty((size, *a.shape[1:]), a.dtype) for a in parts(pieces[0][1])]
+    for at, stack in pieces:
+        for a, b in zip(out, parts(stack)):
+            a[at] = b
+    return _StateStack(out[0], alg, tol, out[1], out[2:])
+
+
+def _stack_of(rho: DensityMatrix) -> _StateStack:
+    """The one-row stack of a validated state: its matrix and spectrum."""
+    return _StateStack(rho.matrix[None], rho.alg, rho.tol, rho.eigenvalues()[None])
+
+
+def _validated_stack(ms: np.ndarray, alg: AlgebraDescriptor, tol) -> _StateStack:
+    """validate_stack, as the record of the stack it validated."""
     _require_tol(tol)
     ms = np.asarray(ms, dtype=complex)
     n = alg.dim
@@ -176,40 +237,40 @@ def _validate_with_spectra(ms: np.ndarray, alg: AlgebraDescriptor, tol: float | 
             f"expected {n} x {n} matrices for algebra {alg.block_sizes}, got shape {ms.shape}"
         )
     # the stacks are small: one count_nonzero per check is cheaper than a
-    # reduction, and magnitudes are only worked out for the failing matrix
-    adjoint = ms.conj().swapaxes(1, 2)
-    # inf - inf is NaN, which the guard below refuses as NotFinite
-    with np.errstate(invalid="ignore"):
+    # reduction, and magnitudes are only worked out for the failing matrix;
+    # inf - inf is NaN, refused as NotFinite, and an overflow fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = ms.conj().swapaxes(1, 2)
         asym = np.abs(ms - adjoint)
-    ok = asym <= linalg.HERMITICITY_TOL
-    if np.count_nonzero(ok) != ok.size:
-        b = int(np.argmin(ok.reshape(len(ms), n * n).all(axis=1)))
-        validate_stack(ms[:b], alg, np.broadcast_to(tol, len(ms))[:b])  # an earlier failure raises
-        if not np.isfinite(ms[b]).all():
-            raise NotFinite("matrix has a NaN or infinite entry")
-        raise NotHermitian("matrix is not Hermitian", magnitude=float(np.max(asym[b])))
-    h = 0.5 * (ms + adjoint)
-    tr_dev = np.abs(h.diagonal(axis1=1, axis2=2).real.sum(axis=1) - 1.0)
-    ok = tr_dev <= tol
-    if alg.num_blocks > 1:
-        ok &= np.abs(h[:, linalg.off_block_mask(alg.block_sizes)]).max(axis=1) <= tol
-    if np.count_nonzero(ok) != len(ok):
-        b = int(np.argmin(ok))
-        tols = np.broadcast_to(tol, len(ms))
-        validate_stack(ms[:b], alg, tols[:b])
-        off = linalg.off_block_magnitude(h[b], alg.block_sizes)
-        if not off <= tols[b]:
-            raise NotBlockDiagonal(
-                f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
-            )
-        raise TraceNotOne("trace differs from 1", magnitude=float(tr_dev[b]))
+        ok = asym <= linalg.HERMITICITY_TOL
+        if np.count_nonzero(ok) != ok.size:
+            b = int(np.argmin(ok.reshape(len(ms), n * n).all(axis=1)))
+            validate_stack(ms[:b], alg, np.broadcast_to(tol, len(ms))[:b])  # earlier rows first
+            if not np.isfinite(ms[b]).all():
+                raise NotFinite("matrix has a NaN or infinite entry")
+            raise NotHermitian("matrix is not Hermitian", magnitude=float(np.max(asym[b])))
+        adjoint *= 0.5  # halved in place first: no finite sum overflows
+        h = 0.5 * ms + adjoint
+        tr_dev = np.abs(h.diagonal(axis1=1, axis2=2).real.sum(axis=1) - 1.0)
+        ok = tr_dev <= tol
+        if alg.num_blocks > 1:
+            ok &= np.abs(h[:, linalg.off_block_mask(alg.block_sizes)]).max(axis=1) <= tol
+        if np.count_nonzero(ok) != len(ok):
+            b = int(np.argmin(ok))
+            tols = np.broadcast_to(tol, len(ms))
+            validate_stack(ms[:b], alg, tols[:b])
+            off = linalg.off_block_magnitude(h[b], alg.block_sizes)
+            if not off <= tols[b]:
+                raise NotBlockDiagonal(
+                    f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
+                )
+            raise TraceNotOne("trace differs from 1", magnitude=float(tr_dev[b]))
     w = np.linalg.eigvalsh(h)
     ok = w[:, 0] >= -tol
     if np.count_nonzero(ok) != len(ok):
         b = int(np.argmin(ok))
         raise NotPositive("matrix has a negative eigenvalue", magnitude=-float(w[b, 0]))
-    h.flags.writeable = False
-    return h, w
+    return _StateStack(h, alg, tol, w)
 
 
 def validate_density(
@@ -228,16 +289,10 @@ def validate_density(
     NotFinite, NotHermitian, NotBlockDiagonal, TraceNotOne, NotPositive
         Naming the violated invariant, with the violation magnitude.
     """
-    h, w = _validate_with_spectra(np.asarray(m, dtype=complex)[None], alg, tol)
+    stack = _validated_stack(np.asarray(m, dtype=complex)[None], alg, tol)
     # a lone state owns its arrays: a view would keep a one-row stack alive
     # behind each, a second array header per state held
-    return DensityMatrix(alg, h[0].copy(), tol, True, w[0].copy())
-
-
-def _validated_states(hs, spectra, alg: AlgebraDescriptor, tol: float) -> list[DensityMatrix]:
-    """DensityMatrix views of the rows of a stack that _validate_with_spectra
-    returned for alg at tol, each carrying its row of the spectra."""
-    return [DensityMatrix(alg, h, tol, True, w) for h, w in zip(hs, spectra)]
+    return DensityMatrix(alg, stack.hs[0].copy(), tol, True, stack.w[0].copy())
 
 
 def is_psd_eigen(m: np.ndarray) -> bool:

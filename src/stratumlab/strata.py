@@ -22,14 +22,8 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbiguousRank
-from .states import (
-    DEFAULT_TOL,
-    AlgebraDescriptor,
-    DensityMatrix,
-    _require_tol,
-    _validate_with_spectra,
-    _validated_states,
-)
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _require_tol
+from .states import _stack_of, _validated_stack
 
 
 def _rank_decision(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +78,13 @@ class StratumLabel:
         return sum(self.per_block)
 
 
-def _stack_decision(hs: np.ndarray, alg: AlgebraDescriptor, tol, spectrum=None):
-    """The rank decision on each matrix of a validated (B, n, n) stack of
-    alg: its (B, num_blocks) per-block ranks, and its (B, num_blocks, m)
-    block eigenvalues in the gray zone, which leave them undecided, NaN
-    elsewhere, at tol or (B, 1, 1) per-row tols. Per block one eigvalsh, or
-    for one block _validate_with_spectra's spectrum of hs, if given: same bits."""
-    spectra = linalg.block_eigvalsh(hs, alg.block_sizes, spectrum)
+def _stack_decision(spectra: list[np.ndarray], tol):
+    """The rank decision on each matrix of a stack from its per-block
+    spectra (one (B, n_b) array per block): its (B, num_blocks) ranks and
+    (B, num_blocks, m) block eigenvalues in the gray zone, which leave them
+    undecided, NaN elsewhere, at tol or (B, 1, 1) per-row tols."""
     # zero padding lies below the gray zone, so it neither counts nor refuses
-    w = np.zeros((len(hs), alg.num_blocks, max(alg.block_sizes)))
+    w = np.zeros((len(spectra[0]), len(spectra), max(wb.shape[1] for wb in spectra)))
     for b, wb in enumerate(spectra):
         w[:, b, : wb.shape[1]] = wb
     ranks, gray = _rank_decision(w, tol)
@@ -106,12 +98,12 @@ def classify_stack(
     alg (as validate_stack returns it), as a (B, num_blocks) integer array.
     Raises AmbiguousRank for the first matrix _stack_decision leaves
     undecided, naming the value a per-state loop would meet first."""
-    return _classified(hs, alg, tol)
+    return _classified(linalg.block_eigvalsh(hs, alg.block_sizes), tol)
 
 
-def _classified(hs: np.ndarray, alg: AlgebraDescriptor, tol: float, spectrum=None) -> np.ndarray:
-    """classify_stack, its decision reading spectrum as _stack_decision does."""
-    ranks, gray = _stack_decision(hs, alg, tol, spectrum)
+def _classified(spectra: list[np.ndarray], tol: float) -> np.ndarray:
+    """classify_stack from the per-block spectra of the stack."""
+    ranks, gray = _stack_decision(spectra, tol)
     undecided = gray[~np.isnan(gray)]
     if undecided.size:
         raise AmbiguousRank(float(undecided[0]), tol)
@@ -125,7 +117,7 @@ def classify(rho: DensityMatrix) -> StratumLabel:
     Raises AmbiguousRank if any block eigenvalue is in the tolerance gray
     zone.
     """
-    ranks = _classified(rho.matrix[None], rho.alg, rho.tol, rho.eigenvalues()[None])[0]
+    ranks = _classified(_stack_of(rho).spectra, rho.tol)[0]
     return StratumLabel(alg=rho.alg, per_block=tuple(ranks.tolist()))
 
 
@@ -269,12 +261,12 @@ def retract_stack(
         is not positive (else of its last occupied block): the item is
         retracted exactly when lead > 0.
     """
-    ms, _, lead = _retract_with_spectra(hs, label, tol)
-    return ms, lead
+    stack, lead = _retract(hs, label, tol)
+    return stack.hs, lead
 
 
-def _retract_with_spectra(hs: np.ndarray, label: StratumLabel, tol: float):
-    """retract_stack, with ms's spectra (_validate_with_spectra): (ms, spectra, lead)."""
+def _retract(hs: np.ndarray, label: StratumLabel, tol: float):
+    """retract_stack, with the record of the stack it validated: (stack, lead)."""
     hs = np.asarray(hs, dtype=complex)
     n = label.alg.dim
     if hs.ndim != 3 or hs.shape[1:] != (n, n):
@@ -291,7 +283,7 @@ def _retract_with_spectra(hs: np.ndarray, label: StratumLabel, tol: float):
         m[:, sl, sl] = (top_v * top_w[:, None, :]) @ top_v.conj().swapaxes(1, 2)
     m = m[lead > 0]
     m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    return *_validate_with_spectra(linalg.hermitian_part(m), label.alg, tol), lead
+    return _validated_stack(linalg.hermitian_part(m), label.alg, tol), lead
 
 
 def retract_to_stratum(
@@ -306,9 +298,9 @@ def retract_to_stratum(
 
     Raises ValueError when a kept eigenvalue is not positive.
     """
-    ms, spectra, lead = _retract_with_spectra(np.asarray(h, dtype=complex)[None], label, tol)
+    stack, lead = _retract(np.asarray(h, dtype=complex)[None], label, tol)
     if not lead[0] > 0:
         raise ValueError(
             f"cannot retract: leading block eigenvalue {lead[0]:.3e} is not positive"
         )
-    return _validated_states(ms, spectra, label.alg, tol)[0]
+    return stack.states()[0]

@@ -17,20 +17,12 @@ from . import linalg
 from .charts import MIN_NODES, contour_quadrature_stack, small_spectral_projector_stack
 from .errors import EigenvalueOnContour
 from .joins import JOIN_RANK_NOTE, _join_stack, _piece_name, _split_stack, convex_split
-from .joins import join_piece_label, join_state, make_join_point, summand_algebras
+from .joins import join_piece_label, join_state, make_join_point
 from .orbits import DEFAULT_CLUSTER_TOL, _signatures, isotropy_dim, orbit_dim_stack
 from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack, _unitary_stack
 from .sampler import sample_rank
-from .states import (
-    DEFAULT_TOL,
-    AlgebraDescriptor,
-    _validate_with_spectra,
-    _validated_states,
-    cone_state,
-    full_algebra,
-    maximally_mixed,
-    validate_density,
-)
+from .states import DEFAULT_TOL, AlgebraDescriptor, _validated_stack, cone_matrix, full_algebra
+from .states import validate_density
 from .strata import _stack_decision
 from .streams import STREAM_CHUNK_ROWS, _uniform_rows
 from .whitney import GAP_THRESHOLD, frontier_matrix, whitney_b_estimate
@@ -205,11 +197,11 @@ def _tetrahedron_piece_census(seed: int, samples: int) -> dict:
     made = (make_join_point(TETRAHEDRON, w, c, split=TETRAHEDRON_SPLIT) for w, c in points)
     seen = {lab.piece_name: sum(lab.factor_ranks) for lab in map(join_piece_label, made)}
     # random interior samples all land in a known piece
-    hs, w = _resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5000 + samples))
-    names, _ = _tetrahedron_pieces(hs)
+    stack = _resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5000 + samples))
+    names, _ = _tetrahedron_pieces(stack.hs)
     bad = [b for b, name in enumerate(names) if name not in EXPECTED_TETRAHEDRON_PIECES]
     # the first bad sample alone: an undecided rank raises AmbiguousRank here
-    for rho in _validated_states(hs[bad[:1]], w[bad[:1]], TETRAHEDRON, DEFAULT_TOL):
+    for rho in stack[bad[:1]].states():
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
     return seen
@@ -219,11 +211,11 @@ def _tetrahedron_pieces(hs: np.ndarray) -> tuple[list, np.ndarray]:
     """join_piece_label(convex_split(rho, TETRAHEDRON_SPLIT)) of each state of
     a validated tetrahedron stack, from one split and one rank decision per
     summand: piece names (None: a rank undecided), (B, 2) ranks (0: absent)."""
-    weights, comps, tols, _ = _split_stack(hs, TETRAHEDRON, TETRAHEDRON_SPLIT)
+    weights, comps = _split_stack(hs, TETRAHEDRON, TETRAHEDRON_SPLIT)
     ranks, undecided = np.zeros(weights.shape, dtype=int), np.zeros(len(hs), dtype=bool)
-    for j, sub in enumerate(summand_algebras(TETRAHEDRON, TETRAHEDRON_SPLIT)):
+    for j, comp in enumerate(comps):
         keep = weights[:, j] > 0.0
-        per_block, gray = _stack_decision(comps[j][keep], sub, tols[keep, j, None, None])
+        per_block, gray = _stack_decision(comp.spectra, comp.tol[:, None, None])
         ranks[keep, j] = per_block.sum(axis=1)
         undecided[keep] |= ~np.isnan(gray).all(axis=(1, 2))
     rows = zip(undecided.tolist(), map(tuple, (weights > 0.0).tolist()), ranks.tolist())
@@ -237,9 +229,9 @@ def suite_join(samples: int = 200, seed: int = 0) -> dict:
     max_err = 0.0
     for sizes, split in cases:
         alg = AlgebraDescriptor(sizes)
-        rhos = _resampled_stack(alg, seed, None, (4,), range(samples))[0]
-        weights, comps, _, _ = _split_stack(rhos, alg, split)
-        back = _join_stack(weights, comps, alg)[0]
+        rhos = _resampled_stack(alg, seed, None, (4,), range(samples)).hs
+        weights, comps = _split_stack(rhos, alg, split)
+        back = _join_stack(weights, [comp.hs for comp in comps], alg).hs
         max_err = max(max_err, linalg.hs_norm(back - rhos).max())
     # endpoint collapse: at weight zero the second component is dropped, so
     # two different fillers give byte-identical assembled states
@@ -278,14 +270,14 @@ def suite_orbit_census(
     """
     _require_at_least(1, draws=draws)
     m2, cm2 = full_algebra(2), AlgebraDescriptor((1, 2))
-    # algebra, draw of some indices with its spectra, constructed states,
-    # generic and other signature, and the orbit dimension the first 50
-    # draws share (None: unchecked)
+    # algebra, validated draw of some indices, the constructed states (the
+    # maximally mixed state, and a cone state), generic and other signature,
+    # and the orbit dimension the first 50 draws share (None: unchecked)
     table = (
-        (m2, lambda indices: _validate_with_spectra(_hs_stack(2, seed, indices), m2, DEFAULT_TOL),
-         [maximally_mixed(m2)], ((1, 1),), ((2,),), 2),
+        (m2, lambda indices: _validated_stack(_hs_stack(2, seed, indices), m2, DEFAULT_TOL),
+         _validated_stack([np.eye(2) / 2], m2, DEFAULT_TOL), ((1, 1),), ((2,),), 2),
         (cm2, lambda indices: _resampled_stack(cm2, seed, None, (4,), indices),
-         [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))],
+         _validated_stack([np.eye(3) / 3, cone_matrix(0.5, (0.0, 0.0, 0.0))], cm2, DEFAULT_TOL),
          ((1,), (1, 1)), ((1,), (2,)), None),
     )
     reports = []
@@ -293,11 +285,12 @@ def suite_orbit_census(
         counts, pairs, first_dims = Counter(), {}, []
         for start in range(0, draws, STREAM_CHUNK_ROWS):
             indices = range(start, min(start + STREAM_CHUNK_ROWS, draws))
-            hs, w = draw(indices)
+            stack = draw(indices)
+            hs, spectra = stack.hs, stack.spectra
             if indices.stop == draws:
-                hs = np.concatenate([hs, [c.matrix for c in constructed]])
-                w = np.concatenate([w, [c.eigenvalues() for c in constructed]])
-            sigs = _signatures(linalg.block_eigvalsh(hs, alg.block_sizes, w), alg, cluster_tol)
+                hs = np.concatenate([hs, constructed.hs])
+                spectra = [np.concatenate(pair) for pair in zip(spectra, constructed.spectra)]
+            sigs = _signatures(spectra, alg, cluster_tol)
             dims = orbit_dim_stack(hs, alg).tolist()
             counts.update(sig.per_block for sig in sigs)
             # few distinct (signature, dimension) pairs, keyed by pattern: each

@@ -39,7 +39,7 @@ from .errors import CoincidentPoints
 from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
 from .sampler import _approach_stack, _box_muller, _resampled_stack, _sequence_base
 from .sampler import _sequence_stacks
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _validated_states
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix
 from .strata import StratumLabel, frontier_leq, tangent_basis_stack
 from .streams import _uniform_rows
 
@@ -189,10 +189,9 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
     for at in range(0, trials, TRIAL_CHUNK):
         chunk = range(trials)[at : at + TRIAL_CHUNK]
         stacks = _sequence_stacks(y, j, base, SEQUENCE_RATE, length, seed, chunk)
-        # the last pairs alone, not views that keep the stacks alive
-        last = ([a[length - 1 :: length].copy() for a in pair] for pair in stacks)
-        terminal_pairs += zip(*(_validated_states(*pair, y.alg, y.tol) for pair in last))
-        xs, ys = (m.reshape(len(chunk), length, n, n) for m, _ in stacks)
+        # the last pairs alone (copies), not views that keep the stacks alive
+        terminal_pairs += zip(*(s[length - 1 :: length].states() for s in stacks))
+        xs, ys = (s.hs.reshape(len(chunk), length, n, n) for s in stacks)
         # per trial and step, the moving base y_k then the fixed base y: the
         # order in which a trial-by-trial loop would meet CoincidentPoints
         ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=2)
@@ -317,29 +316,27 @@ class FrontierReport:
 
 
 def _frontier_sources(i: StratumLabel, samples: int, seed: int):
-    """The sampled rank-i points of a frontier check, point s the draw
-    sample_algebra(i.alg, seed, i.per_block, s) from one call of its
-    resample loop, with what every target shares: their approach base and
-    block spectra, for one block validation's own eigvalsh (the same bits)."""
-    hs, w = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
-    base = _approach_base(hs, i, DEFAULT_TOL, seed, range(samples))
-    return hs, base, linalg.block_eigvalsh(hs, i.alg.block_sizes, w)
+    """The sampled rank-i points of a frontier check as one validated stack
+    (point s is sample_algebra(i.alg, seed, i.per_block, s), its block
+    spectra those of the resample loop), and the approach base of them all."""
+    points = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
+    return points, _approach_base(points.hs, i, DEFAULT_TOL, seed, range(samples))
 
 
 def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierReport:
     """Reachability of stratum i from stratum j, witnessed at the sampled
     rank-i points of _frontier_sources."""
-    hs, base, spectra = sources
+    points, base = sources
     expected = frontier_leq(i, j)
     max_distance = min_floor = 0.0
     if all(ia <= ja for ia, ja in zip(i.per_block, j.per_block)):
         # the approximants are audited to classify as j
-        distances = linalg.hs_norm(_approach_stack(hs, base, j, FRONTIER_DELTA)[0] - hs)
+        distances = linalg.hs_norm(_approach_stack(points, base, j, FRONTIER_DELTA).hs - points.hs)
         max_distance = float(distances.max())
         reachable = not (distances > FRONTIER_DISTANCE).any()
     else:
         floor_sq = 0.0
-        for w, nb, ib, jb in zip(spectra, i.alg.block_sizes, i.per_block, j.per_block):
+        for w, nb, ib, jb in zip(points.spectra, i.alg.block_sizes, i.per_block, j.per_block):
             if jb < ib:
                 # the ib - jb smallest of the block's ib positive eigenvalues
                 floor_sq = floor_sq + np.sum(w[:, nb - ib : nb - jb] ** 2, axis=1)
@@ -353,7 +350,7 @@ def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierRepor
         expected=expected,
         reachable=reachable,
         matches=(reachable == expected),
-        samples=len(hs),
+        samples=len(points.hs),
         max_distance=max_distance,
         min_floor=min_floor,
     )

@@ -11,6 +11,7 @@ split and join stacks of the join suite.
 
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ from stratumlab.sampler import (
     _resampled_stack,
     approach_state,
 )
-from stratumlab.states import DEFAULT_TOL, _validated_states
+from stratumlab.states import DEFAULT_TOL, _validated_stack
 from stratumlab.streams import STREAM_CHUNK_ROWS, _uniform_rows
 from stratumlab.strata import (
     _tangent_template,
@@ -386,12 +387,12 @@ def test_approach_stack_rows_match_approach_state(seed):
     for sizes in DEFAULT_FRONTIER_ALGEBRAS:
         alg = AlgebraDescriptor(sizes)
         for a in enumerate_labels(alg):
-            hs, base, _ = _frontier_sources(a, 3, seed)
+            points, base = _frontier_sources(a, 3, seed)
             ys = [sample_algebra(alg, seed, ranks=a.per_block, index=s) for s in range(3)]
             for b in enumerate_labels(alg):
                 if not frontier_leq(a, b):
                     continue
-                xs = _approach_stack(hs, base, b, FRONTIER_DELTA)[0]
+                xs = _approach_stack(points, base, b, FRONTIER_DELTA).hs
                 for s, y in enumerate(ys):
                     x = approach_state(y, b, FRONTIER_DELTA, seed, s)
                     assert np.array_equal(xs[s], x.matrix)
@@ -407,26 +408,29 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
     labels = [StratumLabel(AlgebraDescriptor(sizes), ranks)
               for sizes, ranks in (((1, 2), (1, 1)), ((3,), (2,)), ((2, 2), (0, 2)))]
     for i in labels:
-        assert np.array_equal(_frontier_sources(i, 15, 4)[0], draws(i))
+        assert np.array_equal(_frontier_sources(i, 15, 4)[0].hs, draws(i))
     # a point whose ranks the per-row decision leaves undecided is redrawn
     # alone, from attempt 1, and is still the sample_algebra draw
     i = labels[0]
 
     def attempt(s, k):
-        """Point s's validated draw number k."""
-        return validate_stack(sampler._draws(i.alg, i.per_block, 4, [(4, s, k)]), i.alg)[0]
+        """The record of point s's validated draw number k."""
+        return _validated_stack(sampler._draws(i.alg, i.per_block, 4, [(4, s, k)]), i.alg, 1e-9)
 
-    decide, undecided = sampler._stack_decision, attempt(5, 0)
+    # the decision sees the per-block spectra: point 5's attempt 0 is the
+    # row whose spectra are those of that draw
+    decide, undecided = sampler._stack_decision, attempt(5, 0).spectra
 
-    def undecided_at_5(hs, alg, tol, spectrum=None):
-        ranks, gray = decide(hs, alg, tol, spectrum)
-        gray[(hs == undecided).all(axis=(1, 2)), 0, 0] = tol
+    def undecided_at_5(spectra, tol):
+        ranks, gray = decide(spectra, tol)
+        rows = np.all([(w == v).all(axis=1) for w, v in zip(spectra, undecided)], axis=0)
+        gray[rows, 0, 0] = tol
         return ranks, gray
 
     monkeypatch.setattr(sampler, "_stack_decision", undecided_at_5)
     want = draws(i)
-    assert np.array_equal(want[5], attempt(5, 1))
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0], want)
+    assert np.array_equal(want[5], attempt(5, 1).hs[0])
+    assert np.array_equal(_frontier_sources(i, 15, 4)[0].hs, want)
 
 
 def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
@@ -448,7 +452,7 @@ def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
         return ms
 
     monkeypatch.setattr(sampler, "_draws", missing_at_3_and_7)
-    hs = _frontier_sources(i, 15, 4)[0]
+    hs = _frontier_sources(i, 15, 4)[0].hs
     assert sorted(reads) == sorted([(4, s, 0) for s in range(15)] + [(4, 3, 1), (4, 7, 1)])
     want = [sample_algebra(i.alg, 4, ranks=i.per_block, index=s).matrix for s in range(15)]
     assert np.array_equal(hs, want)
@@ -456,24 +460,98 @@ def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
 
 @pytest.mark.parametrize("sizes, ranks", (((3,), (2,)), ((4,), (4,)), ((1, 2), (1, 1))))
 def test_frontier_source_spectra_are_block_eigvalsh(monkeypatch, sizes, ranks):
-    # a one-block label hands on validation's eigvalsh, resampled rows
-    # included: the bits block_eigvalsh gives the assembled stack
+    # the sources carry their rank decisions' per-block spectra (for one
+    # block validation's eigvalsh), resampled rows included: the bits
+    # block_eigvalsh gives the assembled stack
     i = StratumLabel(AlgebraDescriptor(sizes), ranks)
-    decide, calls = sampler._stack_decision, []
+    decide, calls, eigvalsh, rows = sampler._stack_decision, [], np.linalg.eigvalsh, Counter()
 
-    def rows_2_and_5_miss_once(hs, alg, tol, spectrum=None):
-        ranks, gray = decide(hs, alg, tol, spectrum)
+    def rows_2_and_5_miss_once(spectra, tol):
+        ranks, gray = decide(spectra, tol)
         if not calls:
             gray[[2, 5], 0, 0] = tol
-        calls.append(len(hs))
+        calls.append(len(spectra[0]))
         return ranks, gray
 
+    def counted(a, *args, **kwargs):
+        rows[a.shape[-1]] += len(a)
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(sampler, "_stack_decision", rows_2_and_5_miss_once)
-    hs, _, spectra = _frontier_sources(i, 15, 4)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    points, _ = _frontier_sources(i, 15, 4)
+    spectra = points.spectra
     assert calls == [15, 2]
-    want = linalg.block_eigvalsh(hs, i.alg.block_sizes)
+    # each of the 15 + 2 drawn matrices is decomposed once by validation
+    # and, for a direct sum, each of its blocks once by its rank decision
+    drawn = [i.alg.dim] + (list(sizes) if len(sizes) > 1 else [])
+    assert rows == Counter(drawn * 17)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    want = linalg.block_eigvalsh(points.hs, i.alg.block_sizes)
     assert len(spectra) == len(want)
     assert all(np.array_equal(w, v) for w, v in zip(spectra, want))
+
+
+@pytest.mark.parametrize("sizes, ranks", (((3,), (2,)), ((1, 2), (1, 1)), ((2, 2), (1, 2))))
+def test_state_stack_record_invariants(monkeypatch, sizes, ranks):
+    # records from one validation, from a resample loop whose rows 2 and 5
+    # are redrawn (gathered from two attempts), and from a convex split
+    # (one tolerance per row)
+    alg = AlgebraDescriptor(sizes)
+    decide, calls = sampler._stack_decision, []
+
+    def rows_2_and_5_miss_once(spectra, tol):
+        got, gray = decide(spectra, tol)
+        if not calls:
+            gray[[2, 5], 0, 0] = tol
+        calls.append(len(spectra[0]))
+        return got, gray
+
+    monkeypatch.setattr(sampler, "_stack_decision", rows_2_and_5_miss_once)
+    drawn = sampler._draws(alg, ranks, 4, [(4, s, 0) for s in range(15)])
+    resampled = _resampled_stack(alg, 4, ranks, (4,), range(15))
+    assert calls == [15, 2]
+    records = [_validated_stack(drawn, alg, 1e-9), resampled, resampled[[6, 2, 5]]]
+    if len(sizes) > 1:
+        records += _split_stack(records[0].hs, alg, (1, 1))[1]
+    eigvalsh = np.linalg.eigvalsh
+    # the resample loop's rank decisions leave the per-block spectra: reading
+    # them (or a selection of rows) decomposes nothing
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    for stack in records[1:3]:
+        assert len(stack.spectra) == len(sizes)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for stack in records:
+        blocks = stack.alg.block_sizes
+        assert np.array_equal(stack.w, eigvalsh(stack.hs))
+        assert np.array_equal(validate_stack(stack.hs, stack.alg, stack.tol), stack.hs)
+        if len(blocks) == 1:
+            assert len(stack.spectra) == 1 and stack.spectra[0] is stack.w
+        else:
+            want = linalg.block_eigvalsh(stack.hs, blocks)
+            first = stack.spectra
+            # computed once: a second read decomposes nothing
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            assert stack.spectra is first and all(a is b for a, b in zip(stack.spectra, first))
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert len(first) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(first, want))
+        for a in (stack.hs, stack.w, *stack.spectra):
+            assert not a.flags.writeable
+        tols = np.broadcast_to(stack.tol, len(stack.hs))
+        for b, rho in enumerate(stack.states()):
+            # each row a state view carrying its tol and validation's spectrum row
+            assert rho.alg == stack.alg and rho.tol == tols[b]
+            assert np.shares_memory(rho.matrix, stack.hs)
+            assert np.shares_memory(rho.eigenvalues(), stack.w)
+            assert np.array_equal(rho.matrix, stack.hs[b])
+            assert np.array_equal(rho.eigenvalues(), stack.w[b])
+            again = validate_density(rho.matrix, rho.alg, rho.tol)
+            assert np.array_equal(rho.eigenvalues(), again.eigenvalues())
+    # the resampled rows are the second attempt's, the others the first's
+    assert not np.array_equal(resampled.hs[[2, 5]], records[0].hs[[2, 5]])
+    first = np.delete(records[0].hs, [2, 5], axis=0)
+    assert np.array_equal(np.delete(resampled.hs, [2, 5], axis=0), first)
 
 
 def _reference_frontier_witnesses(i, j, samples, seed):
@@ -507,12 +585,12 @@ def test_frontier_check_witnesses_match_per_state_derivation(sizes):
             assert (rep.min_floor > 0.0) == (not frontier_leq(a, b))
 
 
-def _first_row_error(hs, label, target):
+def _first_row_error(points, label, target):
     """The error a row-by-row construction meets first, as (type, message)."""
-    for k in range(len(hs)):
-        base = _approach_base(hs[k : k + 1], label, 1e-9, 5, [k])
+    for k in range(len(points.hs)):
+        base = _approach_base(points.hs[k : k + 1], label, 1e-9, 5, [k])
         try:
-            _approach_stack(hs[k : k + 1], base, target, FRONTIER_DELTA)
+            _approach_stack(points[k : k + 1], base, target, FRONTIER_DELTA)
         except Exception as exc:
             return type(exc), str(exc)
     return None
@@ -530,12 +608,12 @@ def test_approach_stack_raises_the_loops_first_error():
         ((good, wrong_rank, gray), RuntimeError),
         ((good, gray, wrong_rank), AmbiguousRank),
     ):
-        hs = validate_stack(np.array(rows), alg)
-        want = _first_row_error(hs, label, target)
+        points = _validated_stack(np.array(rows), alg, 1e-9)
+        want = _first_row_error(points, label, target)
         assert want is not None and want[0] is kind
-        base = _approach_base(hs, label, 1e-9, 5, range(len(hs)))
+        base = _approach_base(points.hs, label, 1e-9, 5, range(len(rows)))
         with pytest.raises(kind) as exc:
-            _approach_stack(hs, base, target, FRONTIER_DELTA)
+            _approach_stack(points, base, target, FRONTIER_DELTA)
         assert str(exc.value) == want[1]
 
 
@@ -619,7 +697,7 @@ def test_tangent_basis_stack_is_the_template_product(sizes):
         if not any(ranks):
             continue
         label = StratumLabel(alg, ranks)
-        hs = sampler._resampled_stack(alg, 47, ranks, (4,), range(88))[0]
+        hs = sampler._resampled_stack(alg, 47, ranks, (4,), range(88)).hs
         frame = np.zeros_like(hs)
         for sl, nb, ib in zip(alg.block_slices(), sizes, ranks):
             frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
@@ -788,9 +866,11 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         d[: alg.block_sizes[0]] = (1.0 - weight) / alg.block_sizes[0]
         ms.append(np.diag(d).astype(complex)[None])
     hs = validate_stack(np.concatenate(ms), alg)
-    weights, comps, tols, _ = _split_stack(hs, alg, split, 1e-9)
-    back = _join_stack(weights, comps, alg, 1e-9)[0]
+    weights, comps = _split_stack(hs, alg, split, 1e-9)
+    back = _join_stack(weights, [c.hs for c in comps], alg, 1e-9).hs
     assert not back.flags.writeable
+    # summand j's stack holds the components of the rows of positive weight
+    assert [len(c.hs) for c in comps] == np.count_nonzero(weights, axis=0).tolist()
     dropped = 0
     for b, h in enumerate(hs):
         rho = validate_density(h, alg)
@@ -799,12 +879,13 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
         assert weights[b].tolist() == list(p.weights) == ref_weights
         for j, (comp, ref) in enumerate(zip(p.components, ref_comps)):
             if ref is None:
-                assert comp is None and not comps[j][b].any()
+                assert comp is None and weights[b, j] == 0.0
                 dropped += 1
                 continue
-            assert np.array_equal(comps[j][b], comp.matrix)
-            assert np.array_equal(comps[j][b], ref.matrix)
-            assert tols[b, j] == comp.tol == ref_tols[j]
+            k = np.count_nonzero(weights[:b, j])
+            assert np.array_equal(comps[j].hs[k], comp.matrix)
+            assert np.array_equal(comps[j].hs[k], ref.matrix)
+            assert comps[j].tol[k] == comp.tol == ref_tols[j]
         assert np.array_equal(back[b], join_state(p).matrix)
         ref_back = _reference_join_state(alg, split, ref_weights, ref_comps)
         assert np.array_equal(back[b], ref_back.matrix)
@@ -813,7 +894,7 @@ def test_split_and_join_stacks_match_per_state(sizes, split, rank_draws):
 
 def _reference_tetrahedron_loop(hs):
     """The per-state loop the tetrahedron piece census ran on its samples."""
-    for rho in _validated_states(hs, np.linalg.eigvalsh(hs), TETRAHEDRON, DEFAULT_TOL):
+    for rho in _validated_stack(hs, TETRAHEDRON, DEFAULT_TOL).states():
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         if lab.piece_name not in verify.EXPECTED_TETRAHEDRON_PIECES:
             raise AssertionError(f"sample landed in unknown piece {lab.piece_name}")
@@ -833,13 +914,13 @@ LOOSE = (1e-3 - 5e-12, 5e-12, 0.5, 0.5 - 1e-3)
 
 @pytest.mark.parametrize("seed", (0, 20201104))
 def test_tetrahedron_pieces_are_the_per_state_labels(seed):
-    drawn = sampler._resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5200))[0]
+    drawn = sampler._resampled_stack(TETRAHEDRON, seed, None, (4,), range(5000, 5200)).hs
     edges = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.7, 0.3), (0.3, 0.0, 0.7, 0.0), R1_S2, R2_S1]
     edges += [LOOSE, (1.0 - 1e-13, 0.0, 1e-13, 0.0), (0.5, 0.5 - 1e-6, 1e-6, 0.0)]
     hs = validate_stack(np.concatenate([drawn, [np.diag(d) for d in edges]]), TETRAHEDRON)
     names, ranks = verify._tetrahedron_pieces(hs)
     assert len(names) == len(hs) and ranks.shape == (len(hs), 2)
-    rhos = _validated_states(hs, np.linalg.eigvalsh(hs), TETRAHEDRON, DEFAULT_TOL)
+    rhos = _validated_stack(hs, TETRAHEDRON, DEFAULT_TOL).states()
     for b, rho in enumerate(rhos):
         lab = join_piece_label(convex_split(rho, split=TETRAHEDRON_SPLIT))
         assert names[b] == lab.piece_name
@@ -867,7 +948,7 @@ def test_tetrahedron_pieces_are_the_per_state_labels(seed):
 def test_tetrahedron_piece_census_raises_the_loops_first_error(monkeypatch, rows, error):
     # R1xS2xI and R2xS1xI taken out of the table; the drawn samples land in
     # R2xS2xI, which the last case takes out instead
-    drawn = sampler._resampled_stack(TETRAHEDRON, 0, None, (4,), range(5000, 5200))[0]
+    drawn = sampler._resampled_stack(TETRAHEDRON, 0, None, (4,), range(5000, 5200)).hs
     pieces = dict(verify.EXPECTED_TETRAHEDRON_PIECES)
     for name in ("R2xS2xI",) if rows == ["drawn"] else ("R1xS2xI", "R2xS1xI"):
         del pieces[name]
@@ -876,7 +957,8 @@ def test_tetrahedron_piece_census_raises_the_loops_first_error(monkeypatch, rows
     hs = validate_stack(np.concatenate([drawn[:3], made]), TETRAHEDRON) if made else drawn
     with pytest.raises(error) as loop_error:
         _reference_tetrahedron_loop(hs)
-    monkeypatch.setattr(verify, "_resampled_stack", lambda *args: (hs, np.linalg.eigvalsh(hs)))
+    stack = _validated_stack(hs, TETRAHEDRON, DEFAULT_TOL)
+    monkeypatch.setattr(verify, "_resampled_stack", lambda *args: stack)
     with pytest.raises(error) as stack_error:
         verify._tetrahedron_piece_census(0, len(hs))
     assert str(stack_error.value) == str(loop_error.value)
@@ -998,7 +1080,7 @@ def _reference_orbit_census(draws, seed):
     table = (
         (m2, validate_stack(_hs_stack(2, seed, range(draws)), m2), [maximally_mixed(m2)],
          ((1, 1),), ((2,),), 2),
-        (cm2, _resampled_stack(cm2, seed, None, (4,), range(draws))[0],
+        (cm2, _resampled_stack(cm2, seed, None, (4,), range(draws)).hs,
          [maximally_mixed(cm2), cone_state(0.5, (0.0, 0.0, 0.0))], ((1,), (1, 1)), ((1,), (2,)),
          None),
     )

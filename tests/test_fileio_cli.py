@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stratumlab import cli
@@ -638,8 +638,37 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _overflow_payload(alg, re):
+    return {"schema_version": "1", "alg": alg, "re": re, "im": [[0.0] * len(re)] * len(re)}
+
+
+# finite entries whose sums or differences overflow a double: each must end
+# in the structured error of the check it fails, without a RuntimeWarning
+OVERFLOW_PAYLOADS = (
+    (_overflow_payload([1, 2], [[8.98846567431158e307, 0.0, 0.0], [0.0, 0.25, 0.1],
+                                [0.0, 0.1, 0.25]]), "TraceNotOne"),
+    (_overflow_payload([3], [[0.5, 1e308, 0.0], [1e308, 0.25, 0.1], [0.0, 0.1, 0.25]]),
+     "NotPositive"),
+    (_overflow_payload([2], [[0.5, 1e308], [-1e308, 0.5]]), "NotHermitian"),
+)
+
+
+@pytest.mark.parametrize("payload, error", OVERFLOW_PAYLOADS)
+def test_overflowing_entries_fail_closed(payload, error):
+    with tempfile.TemporaryDirectory() as root:
+        path = f"{root}/state.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code, out, err = _run_cli(["classify", path])
+    assert (code, out) == (2, "")
+    assert _single_error(err, 2)["error"] == error
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_payloads())
+@example(OVERFLOW_PAYLOADS[0][0])
+@example(OVERFLOW_PAYLOADS[1][0])
+@example(OVERFLOW_PAYLOADS[2][0])
 def test_fuzz_matrix_payloads_fail_closed(payload):
     # the parser either returns a matrix or raises SchemaError, nothing else
     try:

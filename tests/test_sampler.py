@@ -454,14 +454,14 @@ def test_validation_of_returned_samples():
 def _refuse_first_ranks(monkeypatch, times):
     """Make the sampler's rank decision leave every row undecided (a
     gray-zone eigenvalue) in its first `times` calls, in place of any
-    earlier patch; return the list that records every call's stack."""
+    earlier patch; return the list that records every call's spectra."""
     monkeypatch.undo()
     original = sampler._stack_decision
     seen = []
 
-    def patched(hs, alg, tol, spectrum=None):
-        seen.append(hs)
-        ranks, gray = original(hs, alg, tol, spectrum)
+    def patched(spectra, tol):
+        seen.append(spectra)
+        ranks, gray = original(spectra, tol)
         if len(seen) <= times:
             gray = np.full(gray.shape, 5 * tol)
         return ranks, gray

@@ -399,16 +399,16 @@ def test_sequence_toward_raises_the_first_failing_steps_error(monkeypatch):
     # now every retraction of a step shorter than 1e-4 leaves the stratum,
     # so step 13 runs out of halvings long before the gray zone: the
     # step-by-step loop raises the overshoot, not the later audit
-    retract = strata._retract_with_spectra
+    retract = strata._retract
 
     def refuse_short_steps(hs, label, tol):
-        ms, spectra, lead = retract(hs, label, tol)
+        stack, lead = retract(hs, label, tol)
         short = linalg.hs_norm(hs - y.matrix) < 1e-4
         kept = ~short[lead > 0]
-        return ms[kept], spectra[kept], np.where(short, -1.0, lead)
+        return stack[kept], np.where(short, -1.0, lead)
 
-    monkeypatch.setattr(strata, "_retract_with_spectra", refuse_short_steps)
-    monkeypatch.setattr(sampler, "_retract_with_spectra", refuse_short_steps)
+    monkeypatch.setattr(strata, "_retract", refuse_short_steps)
+    monkeypatch.setattr(sampler, "_retract", refuse_short_steps)
     assert _raised(stacked) == _raised(stepwise)
     assert _raised(stacked) == (
         RuntimeError, "tangent retraction kept overshooting the step budget"
@@ -423,7 +423,7 @@ def test_sequence_stacks_are_the_per_index_sequences(nij, trials):
     y = sample_rank(n, i, seed=42, index=n)
     indices = [7 + 3 * t for t in range(trials)]
     base = sampler._sequence_base(y, j, 0.5)
-    (xs, _), (ys, _) = sampler._sequence_stacks(y, j, base, 0.5, 22, 42, indices)
+    xs, ys = (s.hs for s in sampler._sequence_stacks(y, j, base, 0.5, 22, 42, indices))
     assert xs.shape == ys.shape == (22 * trials, n, n)
     for t, index in enumerate(indices):
         seq = sequence_toward(y, j, seed=42, index=index)
@@ -484,12 +484,12 @@ def test_whitney_estimate_raises_the_first_failing_trials_error(monkeypatch):
     ]
     audit = sampler._audit
 
-    def refuse_marked(xs, spectra, target, tol):
-        for m in xs:
+    def refuse_marked(stack, target):
+        for m in stack.hs:
             for mark, name in marks:
                 if np.array_equal(m, mark):
                     raise RuntimeError(name)
-        return audit(xs, spectra, target, tol)
+        return audit(stack, target)
 
     monkeypatch.setattr(sampler, "_audit", refuse_marked)
     stacked = lambda: whitney_b_estimate(y, 2, trials=trials, seed=44)
@@ -507,7 +507,7 @@ def test_whitney_estimate_decomposes_each_constructed_point_once(monkeypatch):
     # validation's eigvalsh is the only one each x_k and each kept
     # retraction gets: the rank audits read its spectra
     y = sample_rank(3, 1, seed=46)
-    eigvalsh, retract = np.linalg.eigvalsh, sampler._retract_with_spectra
+    eigvalsh, retract = np.linalg.eigvalsh, sampler._retract
     rows = {"eigvalsh": 0, "retracted": 0}
 
     def counted_eigvalsh(a, *args, **kwargs):
@@ -516,11 +516,11 @@ def test_whitney_estimate_decomposes_each_constructed_point_once(monkeypatch):
 
     def counted_retract(hs, label, tol):
         out = retract(hs, label, tol)
-        rows["retracted"] += len(out[0])
+        rows["retracted"] += len(out[0].hs)
         return out
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(sampler, "_retract_with_spectra", counted_retract)
+    monkeypatch.setattr(sampler, "_retract", counted_retract)
     whitney_b_estimate(y, 2, trials=30, seed=46)
     assert rows["retracted"] >= 30 * 22
     # one row per x_k and one per retraction attempt that validation kept;
