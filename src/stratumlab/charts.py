@@ -32,7 +32,7 @@ from .errors import (
     EigenvalueOnContour,
     NotInChartDomain,
 )
-from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, validate_density
+from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _require_tol, validate_density
 from .strata import rank_from_eigenvalues
 
 MIN_NODES = 16  # fewest trapezoid nodes the CLI accepts for the contour route
@@ -232,8 +232,10 @@ def small_spectral_projector_stack(g: np.ndarray, threshold: float):
     the small part of g on them, of each matrix of a (B, n, n) stack: one
     eigh_fixed, each pair from its k leading columns, the items grouped by k.
     Raises EigenvalueOnContour for the first item with an eigenvalue within
-    CONTOUR_GUARD * threshold of the threshold, where the split is unstable.
+    CONTOUR_GUARD * threshold of the threshold, where the split is unstable,
+    and ValueError for a threshold that is not finite and > 0.
     """
+    _require_tol(threshold, "split threshold")
     w, v = linalg.eigh_fixed(np.asarray(g, dtype=complex))
     margins = np.min(np.abs(w - threshold), axis=-1)
     if (near := np.flatnonzero(margins < CONTOUR_GUARD * threshold)).size:
@@ -270,8 +272,10 @@ def contour_quadrature_stack(g: np.ndarray, radius: float, nodes: int = 64, step
     loop adds them. The rule converges exponentially in the node count; kept
     as an oracle against the eigendecomposition route.
     Raises EigenvalueOnContour for the first item with an eigenvalue within
-    CONTOUR_GUARD * radius of the circle.
+    CONTOUR_GUARD * radius of the circle, and ValueError for a radius that
+    is not finite and > 0.
     """
+    _require_tol(radius, "contour radius")
     g = linalg.as_hermitian(np.asarray(g, dtype=complex))
     if nodes < 4 or any(nodes % t for t in steps):
         raise ValueError(f"need at least 4 nodes, divided by every step, got {nodes} and {steps}")

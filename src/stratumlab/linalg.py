@@ -212,10 +212,12 @@ def off_block_magnitude(m: np.ndarray, block_sizes: Sequence[int]) -> float:
 
 def block_eigvalsh(ms: np.ndarray, block_sizes: Sequence[int]) -> list[np.ndarray]:
     """Ascending eigenvalues of each diagonal block of a (B, n, n) stack of
-    Hermitian matrices, one (B, n_b) array per block."""
+    Hermitian matrices, one (B, n_b) array per block. A 1 x 1 block's is
+    its real diagonal, the value eigvalsh returns for it, bit for bit."""
     out = []
     at = 0
     for size in block_sizes:
-        out.append(np.linalg.eigvalsh(ms[:, at : at + size, at : at + size]))
+        block = ms[:, at : at + size, at : at + size]
+        out.append(block[:, :, 0].real.copy() if size == 1 else np.linalg.eigvalsh(block))
         at += size
     return out

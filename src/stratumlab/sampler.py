@@ -21,8 +21,11 @@ Paths and rows, in order:
   (8, i)           margin split       n: n_small small eigenvalues, then
                                       the large ones
 
+A row's prefix is the shorter read, so frontier_matrix reads each path
+once for all its labels, at its longest length (_stream_rows).
+
 attempt counts the resamples of a rank audit, which one loop makes for
-every rank-audited stack (_resampled_stack). sample_unitary's index is
+every rank-audited stack (_resampled). sample_unitary's index is
 1000 + i for sequence i, 2000 + 16 i + b for block b of approximant i,
 3000 + i for margin split i and i * blocks + b in sample_block_unitary.
 
@@ -47,7 +50,7 @@ from .errors import StratumLabError
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _gathered, _stack_of
 from .states import _StateStack, _validated_stack, full_algebra, validate_density
 from .strata import StratumLabel, _classified, _retract, _stack_decision, classify, tangent_basis
-from .streams import _uniform_rows
+from .streams import _box_muller, _factor_doubles, _ginibre_stack, _gram_stack, _uniform_rows
 
 MAX_RESAMPLE = 100
 
@@ -58,56 +61,11 @@ SEQUENCE_LENGTH = 22
 FRONTIER_DELTA = 4e-7
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Gaussians sqrt(-2 ln(1-u1)) cos(2 pi u2) from two uniform arrays."""
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    return radius * np.cos(2.0 * np.pi * u2)
-
-
-def _polar_normal(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Complex Gaussians sqrt(-ln(1-u1)) exp(2 pi i u2) from two uniform
-    arrays: independent N(0,1) real and imaginary parts."""
-    radius = np.sqrt(-np.log1p(-u1))
-    return radius * np.exp(2j * np.pi * u2)
-
-
-def _ginibre_stack(u: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The (B, n, m) complex Ginibre matrices of the first 2 n m uniforms of
-    each row of u, moduli then phases, each handed over contiguous."""
-    size = n * m
-    return _polar_normal(
-        np.ascontiguousarray(u[:, :size]).reshape(len(u), n, m),
-        np.ascontiguousarray(u[:, size : 2 * size]).reshape(len(u), n, m),
-    )
-
-
-def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:
-    """The (B, n, n) stack of trace-one block-diagonal matrices
-    sum_b g_b g_b^dagger / trace, one per row of a (B, length) uniform
-    array u.
-
-    Block b's factor g_b of shape shapes[b] = (n_b, r_b) is the Ginibre
-    matrix of the next 2 n_b r_b uniforms of its row (moduli, then phases);
-    r_b = 0 leaves the block zero. Each trace sums the complex diagonal (a
-    sum of its real parts rounds differently), so every row is the
-    per-draw matrix.
-    """
-    n = sum(nb for nb, _ in shapes)
-    m = np.zeros((len(u), n, n), dtype=complex)
-    at = col = 0
-    for nb, r in shapes:
-        g = _ginibre_stack(u[:, col:], nb, r)
-        m[:, at : at + nb, at : at + nb] = g @ g.conj().swapaxes(1, 2)
-        at += nb
-        col += 2 * nb * r
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-
-
 def _draws(alg: AlgebraDescriptor, ranks: tuple[int, ...] | None, seed: int, paths) -> np.ndarray:
     """The unvalidated (B, n, n) stack of Gram draws of alg, one per stream
     path: block b's factor is n_b x ranks[b], or square with ranks=None."""
     shapes = list(zip(alg.block_sizes, alg.block_sizes if ranks is None else ranks))
-    return _gram_stack(shapes, _uniform_rows(seed, paths, 2 * sum(nb * r for nb, r in shapes)))
+    return _gram_stack(shapes, _uniform_rows(seed, paths, _factor_doubles(shapes)))
 
 
 def _hs_stack(n: int, seed: int, indices) -> np.ndarray:
@@ -122,16 +80,23 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
 
 
 def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices) -> _StateStack:
+    """_resampled on attempt 0 of every index, drawn here."""
+    ms = _draws(alg, ranks, seed, [(*head, index, 0) for index in indices])
+    return _resampled(ms, alg, seed, ranks, head, indices)
+
+
+def _resampled(ms: np.ndarray, alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices):
     """The validated stack of the draws of alg, one per index of the sequence
     indices: row b is the first draw of the (seed, *head, indices[b],
     attempt) streams, attempt = 0, 1, ..., whose per-block ranks are ranks
-    (gray-zone protocol), or attempt 0 with ranks=None. Each attempt is
-    drawn and validated as one stack, and only rows whose decision misses
-    are redrawn, MAX_RESAMPLE tries in all; the stack keeps their spectra."""
+    (gray-zone protocol), or attempt 0 (the unvalidated stack ms) with
+    ranks=None. Each attempt is validated as one stack, and only rows whose
+    decision misses are redrawn, MAX_RESAMPLE tries in all."""
     todo, pieces = np.arange(len(indices)), []
     for attempt in range(MAX_RESAMPLE):
-        paths = [(*head, indices[k], attempt) for k in todo]
-        got = _validated_stack(_draws(alg, ranks, seed, paths), alg, DEFAULT_TOL)
+        if attempt:
+            ms = _draws(alg, ranks, seed, [(*head, indices[k], attempt) for k in todo])
+        got = _validated_stack(ms, alg, DEFAULT_TOL)
         if ranks is None:
             return got
         per_block, gray = _stack_decision(got.spectra, DEFAULT_TOL)
@@ -150,11 +115,11 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     return _resampled_stack(full_algebra(n), seed, (r,), (1,), [index]).states()[0]
 
 
-def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
-    """The (B, n, n) stack of sample_unitary(n, seed, index), one per index:
-    one stacked QR of the Ginibre matrices of the (2, index) rows."""
-    g = _ginibre_stack(_uniform_rows(seed, ((2, index) for index in indices), 2 * n * n), n, n)
-    q, r = np.linalg.qr(g)
+def _unitary_stack(u: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n, n) Haar unitaries of the rows u (sample_unitary's of the
+    (2, index) rows): one stacked QR of the Ginibre matrices of each row's
+    first 2 n^2 uniforms."""
+    q, r = np.linalg.qr(_ginibre_stack(u, n, n))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -162,7 +127,7 @@ def _unitary_stack(n: int, seed: int, indices) -> np.ndarray:
 def sample_unitary(n: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a Ginibre matrix, with each
     column rephased by the sign of the corresponding R diagonal entry."""
-    return _unitary_stack(n, seed, [index])[0]
+    return _unitary_stack(_uniform_rows(seed, [(2, index)], 2 * n * n), n)[0]
 
 
 def sample_block_unitary(alg: AlgebraDescriptor, seed: int, index: int = 0) -> np.ndarray:
@@ -242,10 +207,11 @@ def _audit(stack: _StateStack, target: StratumLabel) -> _StateStack:
     return stack
 
 
-def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float) -> _StateStack:
+def _mixed(hs: np.ndarray, sigma, delta, target: StratumLabel, tol: float, frames=False):
     """The validated stack (1 - delta) hs + delta sigma, audited to classify
-    as target: the one step of sequence_toward's x_k and approach_state."""
-    return _audit(_validated_stack((1.0 - delta) * hs + delta * sigma, target.alg, tol), target)
+    as target: the one step of approach_state and (with frames) of the x_k."""
+    stack = _validated_stack((1.0 - delta) * hs + delta * sigma, target.alg, tol, frames)
+    return _audit(stack, target)
 
 
 def _first_failure(build, rows: int):
@@ -260,23 +226,40 @@ def _first_failure(build, rows: int):
         raise
 
 
+# row families (head, at, stride, *tail): row i is path (head, at + stride i,
+# *tail); block b's approximant rotations are (2, 2000 + b, 16)
+_SOURCE, _TAU = (4, 0, 1, 0), (6, 0, 1)
+
+
+def _stream_rows(reads, seed: int, indices) -> dict:
+    """The indices' rows of each family of reads (dicts family: doubles),
+    each family drawn once, to its longest read."""
+    longest = {f: max(read.get(f, 0) for read in reads) for read in reads for f in read}
+    return {
+        f: _uniform_rows(seed, [(f[0], f[1] + f[2] * i, *f[3:]) for i in indices], length)
+        for f, length in longest.items()
+        if length
+    }
+
+
 def _approach_steps(
     y: DensityMatrix, sigma, h, deltas: np.ndarray, label_i: StratumLabel, label_j: StratumLabel
 ) -> tuple[_StateStack, _StateStack]:
-    """The validated stacks of the x_k and the y_k of the steps of sizes deltas
-    along the unit tangent directions h, each check run once on all steps.
+    """The validated stacks of the x_k (with validation's frames) and the y_k
+    of the steps of sizes deltas along the unit tangent directions h, each
+    check run once on all steps.
 
     Each y_k retracts y + s h_k, halving s from delta_k / 2 until the point
     lies within delta_k of y, 30 tries per step. A step whose truncation
     leaves the stratum's domain (an eigenvalue that must stay positive went
     negative) is shrunk like any overshoot.
     """
-    xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, y.tol)
+    xs = _mixed(y.matrix, sigma, deltas[:, None, None], label_j, y.tol, True)
+    del sigma  # not held through the retractions
     steps = 0.5 * deltas
     todo, ys, w = np.arange(len(deltas)), np.empty_like(xs.hs), np.empty_like(xs.w)
     for _ in range(30):
-        hs = y.matrix + steps[todo, None, None] * h[todo]
-        ms, lead = _retract(hs, label_i, y.tol)
+        ms, lead = _retract(y.matrix + steps[todo, None, None] * h[todo], label_i, y.tol)
         done = lead > 0
         close = linalg.hs_norm(ms.hs - y.matrix) <= deltas[todo[done]]
         ys[todo[done][close]], w[todo[done][close]] = ms.hs[close], ms.w[close]
@@ -317,23 +300,25 @@ def _sequence_stacks(
     """The validated stacks of the T length x_k and y_k of sequence_toward
     at a sequence of T indices, index-major, from y's _sequence_base."""
     label_i, label_j, frames, basis = base
-    n, r, d = y.dim, j - label_i.total, len(basis)
+    n, r, d, m = y.dim, j - label_i.total, len(basis), y.dim - label_i.total
     # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
     # of its Box-Muller Gaussians
     u = _uniform_rows(seed, [(5, index) for index in indices], 2 * r * r + 2 * length * d)
-    rotations = _unitary_stack(n - label_i.total, seed, [1000 + index for index in indices])
-    sigma = _kernel_mixture(y.alg, frames, {0: rotations}, [(0, r)], u)
+    rotations = _uniform_rows(seed, [(2, 1000 + index) for index in indices], 2 * m * m)
+    sigma = _kernel_mixture(y.alg, frames, {0: _unitary_stack(rotations, m)}, [(0, r)], u)
     steps = u[:, 2 * r * r :].reshape(-1, 2, d)
     # handed over contiguous, as a step-by-step draw hands them
     coeffs = _box_muller(np.ascontiguousarray(steps[:, 0]), np.ascontiguousarray(steps[:, 1]))
     # one vector-matrix product per step, as tensordot forms a single step
     # (a (T length, d) @ (d, n n) product rounds differently)
     h = (coeffs[:, None, :] @ basis.reshape(d, n * n)).reshape(-1, n, n)
+    del steps, coeffs  # not held through the build
     h = h / linalg.hs_norm(h)[:, None, None]
-    sigma = np.repeat(sigma, length, axis=0)
+    # each step's sigma, gathered only for the build that reads it
+    trial = np.arange(len(h)) // length
     deltas = np.tile([rate**k for k in range(1, length + 1)], len(indices))
     return _first_failure(
-        lambda k: _approach_steps(y, sigma[k], h[k], deltas[k], label_i, label_j), len(h)
+        lambda k: _approach_steps(y, sigma[trial[k]], h[k], deltas[k], label_i, label_j), len(h)
     )
 
 
@@ -370,31 +355,42 @@ def sequence_toward(
     return list(zip(xs.states(), ys.states()))
 
 
-def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, seed: int, indices):
+def _raises(label: StratumLabel, target: StratumLabel) -> list[tuple[int, int]]:
+    """(block, rank added) of each block label's approximants toward target raise."""
+    pairs = enumerate(zip(label.per_block, target.per_block))
+    return [(b, jb - ib) for b, (ib, jb) in pairs if jb > ib]
+
+
+def _approach_reads(label: StratumLabel, target: StratumLabel) -> dict:
+    """The doubles that approximants of label's points toward target read:
+    rotation factors and taus."""
+    pairs = enumerate(zip(label.alg.block_sizes, label.per_block))
+    reads = {(2, 2000 + b, 16): _factor_doubles([(nb - ib, nb - ib)]) for b, (nb, ib) in pairs}
+    reads[_TAU] = _factor_doubles((add, add) for _, add in _raises(label, target))
+    return reads
+
+
+def _approach_base(hs: np.ndarray, label: StratumLabel, tol: float, rows: dict):
     """What the approximants of a validated (B, n, n) stack of points of
-    label's stratum share, whatever the target (row b is approach_state's
-    point at index indices[b]): (label, tol, seed, indices, frames,
-    rotations), per block that is not full the rows' kernel frames and Haar
-    rotations sample_unitary(n_b - i_b, seed, 2000 + 16 index + b)."""
+    label's stratum share, whatever the target, from their rows: (label,
+    tol, frames, rotations, tau rows), per block that is not full the
+    kernel frames and the Haar rotations of its rotation rows."""
     frames = _kernel_frames(hs, label)
-    rotations = {
-        b: _unitary_stack(f.shape[-1], seed, [2000 + 16 * index + b for index in indices])
-        for b, f in frames.items()
-    }
-    return label, tol, seed, tuple(indices), frames, rotations
+    rotations = {b: _unitary_stack(rows[2, 2000 + b, 16], f.shape[-1]) for b, f in frames.items()}
+    return label, tol, frames, rotations, rows.get(_TAU)
 
 
 def _approach_stack(points: _StateStack, base, target: StratumLabel, delta: float) -> _StateStack:
     """The validated stack of the approach_state approximants of the rows of
     points, from their _approach_base; points itself at their label.
 
-    Each row draws the uniforms of every raised block's tau, in block
-    order, from its (seed, 6, index) stream at once; sigma comes from
-    stacked products, and one validation and audit run on the stack. So
-    every row is approach_state's, bit for bit, and when rows fail the error
-    is the one of the first failing row.
+    Each row reads the uniforms of every raised block's tau, in block
+    order, from its (6, index) row; sigma comes from stacked products, and
+    one validation and audit run on the stack. So every row is
+    approach_state's, bit for bit, and when rows fail the error is the one
+    of the first failing row.
     """
-    label, tol, seed, indices, frames, rotations = base
+    label, tol, frames, rotations, u = base
     if target.alg != label.alg:
         raise ValueError("target label belongs to a different algebra")
     if any(jb < ib for ib, jb in zip(label.per_block, target.per_block)):
@@ -402,12 +398,9 @@ def _approach_stack(points: _StateStack, base, target: StratumLabel, delta: floa
             "target drops some block rank; no nearby state can reach it "
             f"({label.per_block} -> {target.per_block})"
         )
-    pairs = enumerate(zip(label.per_block, target.per_block))
-    raises = [(b, jb - ib) for b, (ib, jb) in pairs if jb > ib]
+    raises = _raises(label, target)
     if not raises:
         return points
-    length = 2 * sum(add * add for _, add in raises)
-    u = _uniform_rows(seed, ((6, index) for index in indices), length)
     sigma = _kernel_mixture(label.alg, frames, rotations, raises, u)
     return _first_failure(lambda k: _mixed(points.hs[k], sigma[k], delta, target, tol), len(sigma))
 
@@ -427,5 +420,7 @@ def approach_state(
     evenly; the per-block ranks of the result are audited. This is
     _approach_stack on the stack of one point.
     """
-    base = _approach_base(y.matrix[None], classify(y), y.tol, seed, [index])
+    label = classify(y)
+    rows = _stream_rows([_approach_reads(label, target)], seed, [index])
+    base = _approach_base(y.matrix[None], label, y.tol, rows)
     return _approach_stack(_stack_of(y), base, target, delta).states()[0]

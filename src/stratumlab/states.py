@@ -107,7 +107,7 @@ class DensityMatrix:
 
     The tolerance the matrix was validated with travels with it, so rank and
     classification decisions downstream default to a consistent tol, and so
-    does the read-only eigvalsh spectrum of its validation: eigenvalues().
+    does the read-only spectrum of its validation: eigenvalues().
     """
 
     alg: AlgebraDescriptor
@@ -131,7 +131,8 @@ class DensityMatrix:
         return linalg.block_extract(self.matrix, self.alg.block_sizes)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (read-only): validation's eigvalsh, bit for bit."""
+        """Ascending eigenvalues (read-only): validation's spectrum, bit for
+        bit; its eigvalsh, or its eigh for a sequence's x_k."""
         return self._spectrum
 
 
@@ -168,16 +169,18 @@ def validate_stack(
 
 class _StateStack:
     """A frozen stack validated by _validated_stack: the read-only (B, n, n)
-    Hermitized matrices hs of alg, their tol (one float, or one per row)
-    and w, the read-only (B, n) ascending eigvalsh of validation. A plain
-    class, as a dataclass compiles its methods at import."""
+    Hermitized matrices hs of alg, their tol (one float, or one per row),
+    w, the read-only (B, n) ascending eigenvalues of validation, and v, the
+    read-only (B, n, n) eigenvectors of a validation with frames (eigh; else
+    eigvalsh and None). A plain class, as a dataclass compiles its methods
+    at import."""
 
-    __slots__ = ("hs", "alg", "tol", "w", "_blocks")
+    __slots__ = ("hs", "alg", "tol", "w", "_blocks", "v")
 
-    def __init__(self, hs: np.ndarray, alg: AlgebraDescriptor, tol, w: np.ndarray, blocks=()):
-        for name, value in zip(self.__slots__, (hs, alg, tol, w, tuple(blocks))):
+    def __init__(self, hs: np.ndarray, alg: AlgebraDescriptor, tol, w, blocks=(), v=None):
+        for name, value in zip(self.__slots__, (hs, alg, tol, w, tuple(blocks), v)):
             object.__setattr__(self, name, value)
-        for a in (hs, w, *blocks):
+        for a in (hs, w, *blocks, *([] if v is None else [v])):
             a.setflags(write=False)
 
     def __setattr__(self, name, value):
@@ -201,7 +204,8 @@ class _StateStack:
         so that no view keeps this stack alive."""
         tol = self.tol[rows] if isinstance(self.tol, np.ndarray) else self.tol
         take = [a[rows].copy() for a in (self.hs, self.w, *self._blocks)]
-        return _StateStack(take[0], self.alg, tol, take[1], take[2:])
+        v = None if self.v is None else self.v[rows].copy()
+        return _StateStack(take[0], self.alg, tol, take[1], take[2:], v)
 
     def states(self) -> list[DensityMatrix]:
         """DensityMatrix views of the rows, each carrying its tol and its row of w."""
@@ -227,8 +231,10 @@ def _stack_of(rho: DensityMatrix) -> _StateStack:
     return _StateStack(rho.matrix[None], rho.alg, rho.tol, rho.eigenvalues()[None])
 
 
-def _validated_stack(ms: np.ndarray, alg: AlgebraDescriptor, tol) -> _StateStack:
-    """validate_stack, as the record of the stack it validated."""
+def _validated_stack(ms: np.ndarray, alg: AlgebraDescriptor, tol, frames=False) -> _StateStack:
+    """validate_stack, as the record of the stack it validated; with frames,
+    positivity reads eigh instead of eigvalsh, and the record keeps its
+    eigenvectors."""
     _require_tol(tol)
     ms = np.asarray(ms, dtype=complex)
     n = alg.dim
@@ -265,12 +271,12 @@ def _validated_stack(ms: np.ndarray, alg: AlgebraDescriptor, tol) -> _StateStack
                     f"off-block entries present for algebra {alg.block_sizes}", magnitude=off
                 )
             raise TraceNotOne("trace differs from 1", magnitude=float(tr_dev[b]))
-    w = np.linalg.eigvalsh(h)
+    w, v = np.linalg.eigh(h) if frames else (np.linalg.eigvalsh(h), None)
     ok = w[:, 0] >= -tol
     if np.count_nonzero(ok) != len(ok):
         b = int(np.argmin(ok))
         raise NotPositive("matrix has a negative eigenvalue", magnitude=-float(w[b, 0]))
-    return _StateStack(h, alg, tol, w)
+    return _StateStack(h, alg, tol, w, v=v)
 
 
 def validate_density(

@@ -196,8 +196,7 @@ def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
 
     Item b is W_b T W_b^dagger, T the fixed template of the stratum and W_b
     the block-diagonal gauge-fixed eigenframe of hs[b]; the frames of all
-    items come from one stacked eigh_fixed per block (validation's eigvalsh
-    gives no frames); then W_b [T_1 ... T_d], as d row blocks, times W_b^dagger.
+    items come from one stacked eigh_fixed per block, then _tangent_bases.
     """
     hs = np.asarray(hs, dtype=complex)
     n = label.alg.dim
@@ -207,8 +206,15 @@ def tangent_basis_stack(hs: np.ndarray, label: StratumLabel) -> np.ndarray:
     for sl, nb, ib in zip(label.alg.block_slices(), label.alg.block_sizes, label.per_block):
         # an unoccupied block has no tangent directions; any frame will do
         frame[:, sl, sl] = linalg.eigh_fixed(hs[:, sl, sl])[1] if ib else np.eye(nb)
+    return _tangent_bases(frame, label)
+
+
+def _tangent_bases(frame, label: StratumLabel):
+    """The (B, d, n, n) tangent bases W_b T W_b^dagger of label's stratum
+    from the contiguous (B, n, n) block-diagonal gauge-fixed eigenframes W_b
+    of its points: W_b [T_1 ... T_d], as d row blocks, times W_b^dagger."""
     template = _tangent_template(label.alg.block_sizes, label.per_block)
-    b, d = len(hs), len(template)
+    (b, n, _), d = frame.shape, len(template)
     rows = (frame @ template.transpose(1, 0, 2).reshape(n, d * n)).reshape(b, n, d, n)
     rows = rows.transpose(0, 2, 1, 3).reshape(b, d * n, n)
     return (rows @ frame.conj().swapaxes(1, 2)).reshape(b, d, n, n)
@@ -277,13 +283,15 @@ def _retract(hs: np.ndarray, label: StratumLabel, tol: float):
         if ib == 0:
             continue
         w, v = linalg.eigh_fixed(hs[:, sl, sl])
-        top_w = w[:, nb - ib :]
-        top_v = v[:, :, nb - ib :]
-        lead = np.where(lead > 0, top_w[:, 0], lead)
-        m[:, sl, sl] = (top_v * top_w[:, None, :]) @ top_v.conj().swapaxes(1, 2)
+        # the block's range: its top ib eigenvalues and eigenvectors
+        w, v = w[:, nb - ib :], v[:, :, nb - ib :]
+        lead = np.where(lead > 0, w[:, 0], lead)
+        m[:, sl, sl] = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    # so that validation's peak does not hold the eigenvectors
+    del w, v
     m = m[lead > 0]
-    m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    return _validated_stack(linalg.hermitian_part(m), label.alg, tol), lead
+    m = linalg.hermitian_part(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+    return _validated_stack(m, label.alg, tol), lead
 
 
 def retract_to_stratum(

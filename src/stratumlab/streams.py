@@ -8,6 +8,8 @@ The port has two evaluators: Python ints per row for calls of fewer than
 STREAM_PORT_ROWS rows, numpy arrays for whole ensembles (in chunks of
 STREAM_CHUNK_ROWS rows). No module of the package loads numpy.random; the
 tests hold both evaluators to numpy's own generator.
+A row's first l doubles are the same for any read of length L >= l. The
+Gaussians of the rows are Box-Muller transforms (polar for complex ones).
 """
 
 from __future__ import annotations
@@ -316,3 +318,53 @@ def _uniform_rows(seed: int, paths, length: int) -> np.ndarray:
             out[at : at + len(words)] = _pcg64_rows(words, counts, length)
             at += len(words)
     return out
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Gaussians sqrt(-2 ln(1-u1)) cos(2 pi u2) from two uniform arrays."""
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    return radius * np.cos(2.0 * np.pi * u2)
+
+
+def _polar_normal(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Complex Gaussians sqrt(-ln(1-u1)) exp(2 pi i u2) from two uniform
+    arrays: independent N(0,1) real and imaginary parts."""
+    radius = np.sqrt(-np.log1p(-u1))
+    return radius * np.exp(2j * np.pi * u2)
+
+
+def _ginibre_stack(u: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (B, n, m) complex Ginibre matrices of the first 2 n m uniforms of
+    each row of u, moduli then phases, each handed over contiguous."""
+    size = n * m
+    return _polar_normal(
+        np.ascontiguousarray(u[:, :size]).reshape(len(u), n, m),
+        np.ascontiguousarray(u[:, size : 2 * size]).reshape(len(u), n, m),
+    )
+
+
+def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack of trace-one block-diagonal matrices
+    sum_b g_b g_b^dagger / trace, one per row of a (B, length) uniform
+    array u.
+
+    Block b's factor g_b of shape shapes[b] = (n_b, r_b) is the Ginibre
+    matrix of the next 2 n_b r_b uniforms of its row (moduli, then phases);
+    r_b = 0 leaves the block zero. Each trace sums the complex diagonal (a
+    sum of its real parts rounds differently), so every row is the
+    per-draw matrix.
+    """
+    n = sum(nb for nb, _ in shapes)
+    m = np.zeros((len(u), n, n), dtype=complex)
+    at = col = 0
+    for nb, r in shapes:
+        g = _ginibre_stack(u[:, col:], nb, r)
+        m[:, at : at + nb, at : at + nb] = g @ g.conj().swapaxes(1, 2)
+        at += nb
+        col += 2 * nb * r
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def _factor_doubles(shapes) -> int:
+    """The doubles a row of Ginibre factors of shapes (n, m) reads: 2 n m each."""
+    return 2 * sum(n * m for n, m in shapes)

@@ -50,7 +50,7 @@ def _margin_split_stack(n: int, seed: int, indices) -> np.ndarray:
     u = _uniform_rows(seed, [(8, index) for index in indices], n)
     small = np.arange(n) < 1 + np.array(indices)[:, None] % (n - 1)
     w = np.where(small, u * SMALL_BAND, LARGE_BAND[0] + u * (LARGE_BAND[1] - LARGE_BAND[0]))
-    v = _unitary_stack(n, seed, [3000 + index for index in indices])
+    v = _unitary_stack(_uniform_rows(seed, [(2, 3000 + index) for index in indices], 2 * n * n), n)
     return v @ (w[:, :, None] * np.eye(n)) @ v.conj().swapaxes(1, 2)
 
 

@@ -22,7 +22,8 @@ floor (a rank-(j) matrix cannot approximate a rank-(i > j) block closer than
 the norm of the dropped eigenvalue tail). A source label's sampled points
 are drawn as one stack by sample_algebra's resample loop; their kernel
 frames, Haar rotations and block spectra are derived once and shared by
-every target. Each comparable target gets one stack of approximants (the
+every target, and each stream row is read once for all labels of an
+algebra. Each comparable target gets one stack of approximants (the
 approach_state of each point, bit for bit), validated and audited once;
 each incomparable target reads its floors off the shared spectra.
 """
@@ -36,12 +37,12 @@ import numpy as np
 
 from . import linalg
 from .errors import CoincidentPoints
-from .sampler import FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
-from .sampler import _approach_stack, _box_muller, _resampled_stack, _sequence_base
-from .sampler import _sequence_stacks
+from .sampler import _SOURCE, FRONTIER_DELTA, SEQUENCE_LENGTH, SEQUENCE_RATE, _approach_base
+from .sampler import _approach_reads, _approach_stack, _resampled
+from .sampler import _sequence_base, _sequence_stacks, _stream_rows
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix
-from .strata import StratumLabel, frontier_leq, tangent_basis_stack
-from .streams import _uniform_rows
+from .strata import StratumLabel, _tangent_bases, frontier_leq
+from .streams import _box_muller, _factor_doubles, _gram_stack, _uniform_rows
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -192,18 +193,23 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
         # the last pairs alone (copies), not views that keep the stacks alive
         terminal_pairs += zip(*(s[length - 1 :: length].states() for s in stacks))
         xs, ys = (s.hs.reshape(len(chunk), length, n, n) for s in stacks)
+        # validation's eigh frames of the x_k: each is decomposed once
+        frames = stacks[0].v.reshape(len(chunk), length, n, n)
         # per trial and step, the moving base y_k then the fixed base y: the
         # order in which a trial-by-trial loop would meet CoincidentPoints
         ends = np.stack([ys, np.broadcast_to(y.matrix, ys.shape)], axis=2)
         secants = secant_direction_stack(xs[:, :, None], ends)
         dists[chunk] = linalg.hs_norm(xs - y.matrix)
+        # only the frames and the secants are held through the gaps
+        del stacks, xs, ys, ends
         for sub in range(0, len(chunk), GAP_CHUNK):
             part = slice(sub, sub + GAP_CHUNK)
-            bases = tangent_basis_stack(xs[part].reshape(-1, n, n), label_j)[:, None]
+            frame = np.ascontiguousarray(linalg.gauge_fix_columns(frames[part].reshape(-1, n, n)))
+            bases = _tangent_bases(frame, label_j)[:, None]
             part_gaps = gap_line_space_stack(secants[part].reshape(-1, 2, n, n), bases)
             gaps[chunk[part]] = part_gaps.reshape(-1, length, 2)
         # so that they are not held through the next chunk's build
-        del stacks, xs, ys, ends, secants, bases
+        del frames, secants, frame, bases
     gaps_b, gaps_a = gaps[..., 0], gaps[..., 1]
     max_d = dists.max(axis=0)
     max_b = gaps_b.max(axis=0)
@@ -234,12 +240,8 @@ def whitney_b_estimate(y: DensityMatrix, j: int, trials: int = 50, seed: int = 0
         gap_threshold=GAP_THRESHOLD,
         distance_target=WHITNEY_DISTANCE,
         slope_fit_floor=SLOPE_FIT_FLOOR,
-        pairs=tuple(
-            (k + 1, float(max_d[k]), float(max_b[k])) for k in range(SEQUENCE_LENGTH)
-        ),
-        pairs_fixed_base=tuple(
-            (k + 1, float(max_d[k]), float(max_a[k])) for k in range(SEQUENCE_LENGTH)
-        ),
+        pairs=tuple((k + 1, float(max_d[k]), float(max_b[k])) for k in range(length)),
+        pairs_fixed_base=tuple((k + 1, float(max_d[k]), float(max_a[k])) for k in range(length)),
         slope=slope,
         terminal_distance=float(max_d[-1]),
         terminal_gap=float(max_b[-1]),
@@ -315,12 +317,26 @@ class FrontierReport:
     min_floor: float
 
 
-def _frontier_sources(i: StratumLabel, samples: int, seed: int):
-    """The sampled rank-i points of a frontier check as one validated stack
-    (point s is sample_algebra(i.alg, seed, i.per_block, s), its block
-    spectra those of the resample loop), and the approach base of them all."""
-    points = _resampled_stack(i.alg, seed, i.per_block, (4,), range(samples))
-    return points, _approach_base(points.hs, i, DEFAULT_TOL, seed, range(samples))
+def _source_reads(i: StratumLabel) -> dict:
+    """The doubles the frontier checks of source label i read: its points'
+    attempt-0 factors, and their approximants' toward the top label, the
+    longest of any target's."""
+    top = StratumLabel(i.alg, i.alg.block_sizes)
+    source = _factor_doubles(zip(i.alg.block_sizes, i.per_block))
+    return {_SOURCE: source} | _approach_reads(i, top)
+
+
+def _frontier_sources(labels, samples: int, seed: int):
+    """Per source label i of labels, in order, the sampled rank-i points of a
+    frontier check as one validated stack (point s is sample_algebra(i.alg,
+    seed, i.per_block, s), its block spectra those of the resample loop) and
+    the approach base of them all. Every stream row they read is drawn once
+    for all labels, to the longest prefix any of them reads (_source_reads)."""
+    rows = _stream_rows([_source_reads(i) for i in labels], seed, range(samples))
+    for i in labels:
+        first = _gram_stack(list(zip(i.alg.block_sizes, i.per_block)), rows[_SOURCE])
+        points = _resampled(first, i.alg, seed, i.per_block, (4,), range(samples))
+        yield points, _approach_base(points.hs, i, DEFAULT_TOL, rows)
 
 
 def _frontier_report(i: StratumLabel, j: StratumLabel, sources) -> FrontierReport:
@@ -370,21 +386,21 @@ def frontier_check(
     distance from the sampled point to anything with the lower block rank,
     which must exceed FRONTIER_DISTANCE.
     """
-    return _frontier_report(i, j, _frontier_sources(i, samples, seed))
+    return _frontier_report(i, j, next(_frontier_sources([i], samples, seed)))
 
 
 def frontier_matrix(alg: AlgebraDescriptor, samples: int = 15, seed: int = 0) -> dict:
     """Full reachability-vs-order comparison over all stratum label pairs.
 
     Each source label's samples are drawn once and shared by all its
-    targets; every pair sees the points frontier_check would draw for it.
+    targets, and each stream row once for all labels; every pair sees the
+    points frontier_check would draw for it.
     """
     labels = enumerate_labels(alg)
     expected = []
     reachable = []
     mismatches = []
-    for a in labels:
-        sources = _frontier_sources(a, samples, seed)
+    for a, sources in zip(labels, _frontier_sources(labels, samples, seed)):
         e_row, r_row = [], []
         for b in labels:
             rep = _frontier_report(a, b, sources)

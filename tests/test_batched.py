@@ -67,6 +67,7 @@ from stratumlab.joins import (
 from stratumlab.sampler import (
     FRONTIER_DELTA,
     _approach_base,
+    _approach_reads,
     _approach_stack,
     _hs_stack,
     _resampled_stack,
@@ -386,10 +387,13 @@ def test_approach_stack_rows_match_approach_state(seed):
     cases = 0
     for sizes in DEFAULT_FRONTIER_ALGEBRAS:
         alg = AlgebraDescriptor(sizes)
-        for a in enumerate_labels(alg):
-            points, base = _frontier_sources(a, 3, seed)
+        # every label's sources and approximants from one draw of each row,
+        # to the longest prefix any label reads; each approach_state draws
+        # exactly its own
+        labels = enumerate_labels(alg)
+        for a, (points, base) in zip(labels, _frontier_sources(labels, 3, seed)):
             ys = [sample_algebra(alg, seed, ranks=a.per_block, index=s) for s in range(3)]
-            for b in enumerate_labels(alg):
+            for b in labels:
                 if not frontier_leq(a, b):
                     continue
                 xs = _approach_stack(points, base, b, FRONTIER_DELTA).hs
@@ -408,7 +412,7 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
     labels = [StratumLabel(AlgebraDescriptor(sizes), ranks)
               for sizes, ranks in (((1, 2), (1, 1)), ((3,), (2,)), ((2, 2), (0, 2)))]
     for i in labels:
-        assert np.array_equal(_frontier_sources(i, 15, 4)[0].hs, draws(i))
+        assert np.array_equal(next(_frontier_sources([i], 15, 4))[0].hs, draws(i))
     # a point whose ranks the per-row decision leaves undecided is redrawn
     # alone, from attempt 1, and is still the sample_algebra draw
     i = labels[0]
@@ -430,7 +434,7 @@ def test_frontier_sources_are_the_sample_algebra_draws(monkeypatch):
     monkeypatch.setattr(sampler, "_stack_decision", undecided_at_5)
     want = draws(i)
     assert np.array_equal(want[5], attempt(5, 1).hs[0])
-    assert np.array_equal(_frontier_sources(i, 15, 4)[0].hs, want)
+    assert np.array_equal(next(_frontier_sources([i], 15, 4))[0].hs, want)
 
 
 def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
@@ -441,18 +445,24 @@ def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
     gray = np.diag([0.5, 5e-9, 0.5 - 5e-9]).astype(complex)
     with pytest.raises(AmbiguousRank):
         classify(validate_density(gray, i.alg))
-    real_draws, reads = sampler._draws, []
+    # point s's attempt-0 draw, by its bits, and what replaces it
+    swap = {sampler._draws(i.alg, i.per_block, 4, [(4, s, 0)])[0].tobytes(): m
+            for s, m in ((3, gray), (7, maximally_mixed(i.alg).matrix))}
+    real_rows, real_validated, reads = sampler._uniform_rows, sampler._validated_stack, []
 
-    def missing_at_3_and_7(alg, ranks, seed, paths):
+    def recorded(seed, paths, length):
         paths = list(paths)
-        reads.extend(paths)
-        ms = real_draws(alg, ranks, seed, paths)
-        ms[[p == (4, 3, 0) for p in paths]] = gray
-        ms[[p == (4, 7, 0) for p in paths]] = maximally_mixed(alg).matrix
-        return ms
+        reads.extend(p for p in paths if p[0] == 4)
+        return real_rows(seed, paths, length)
 
-    monkeypatch.setattr(sampler, "_draws", missing_at_3_and_7)
-    hs = _frontier_sources(i, 15, 4)[0].hs
+    def missing_at_3_and_7(ms, alg, tol, *args):
+        # attempt 0 of points 3 and 7, whichever route drew it
+        ms = np.array([swap.get(m.tobytes(), m) for m in ms])
+        return real_validated(ms, alg, tol, *args)
+
+    monkeypatch.setattr(sampler, "_uniform_rows", recorded)
+    monkeypatch.setattr(sampler, "_validated_stack", missing_at_3_and_7)
+    hs = next(_frontier_sources([i], 15, 4))[0].hs
     assert sorted(reads) == sorted([(4, s, 0) for s in range(15)] + [(4, 3, 1), (4, 7, 1)])
     want = [sample_algebra(i.alg, 4, ranks=i.per_block, index=s).matrix for s in range(15)]
     assert np.array_equal(hs, want)
@@ -479,12 +489,13 @@ def test_frontier_source_spectra_are_block_eigvalsh(monkeypatch, sizes, ranks):
 
     monkeypatch.setattr(sampler, "_stack_decision", rows_2_and_5_miss_once)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    points, _ = _frontier_sources(i, 15, 4)
+    points, _ = next(_frontier_sources([i], 15, 4))
     spectra = points.spectra
     assert calls == [15, 2]
     # each of the 15 + 2 drawn matrices is decomposed once by validation
     # and, for a direct sum, each of its blocks once by its rank decision
-    drawn = [i.alg.dim] + (list(sizes) if len(sizes) > 1 else [])
+    # (a 1 x 1 block's eigenvalue is read off its diagonal, by no solver)
+    drawn = [i.alg.dim] + ([nb for nb in sizes if nb > 1] if len(sizes) > 1 else [])
     assert rows == Counter(drawn * 17)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     want = linalg.block_eigvalsh(points.hs, i.alg.block_sizes)
@@ -588,7 +599,8 @@ def test_frontier_check_witnesses_match_per_state_derivation(sizes):
 def _first_row_error(points, label, target):
     """The error a row-by-row construction meets first, as (type, message)."""
     for k in range(len(points.hs)):
-        base = _approach_base(points.hs[k : k + 1], label, 1e-9, 5, [k])
+        rows = sampler._stream_rows([_approach_reads(label, target)], 5, [k])
+        base = _approach_base(points.hs[k : k + 1], label, 1e-9, rows)
         try:
             _approach_stack(points[k : k + 1], base, target, FRONTIER_DELTA)
         except Exception as exc:
@@ -611,7 +623,8 @@ def test_approach_stack_raises_the_loops_first_error():
         points = _validated_stack(np.array(rows), alg, 1e-9)
         want = _first_row_error(points, label, target)
         assert want is not None and want[0] is kind
-        base = _approach_base(points.hs, label, 1e-9, 5, range(len(rows)))
+        drawn = sampler._stream_rows([_approach_reads(label, target)], 5, range(len(rows)))
+        base = _approach_base(points.hs, label, 1e-9, drawn)
         with pytest.raises(kind) as exc:
             _approach_stack(points, base, target, FRONTIER_DELTA)
         assert str(exc.value) == want[1]

@@ -297,6 +297,36 @@ def test_contour_guard():
         contour_quadrature(np.diag([0.1, 0.9]).astype(complex), 0.25, nodes=2)
 
 
+@pytest.mark.parametrize("radius", (np.nan, np.inf, -np.inf, 0.0, -0.0, -0.25))
+def test_contour_refuses_a_radius_not_finite_and_positive(radius, monkeypatch):
+    # refused before any work: no eigenvalue or inverse is computed, so no
+    # all-NaN pair, zero projector or warning can come back
+    g = np.diag([0.05, 0.7]).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "inv", None)
+    for call in (
+        lambda: contour_quadrature(g, radius, nodes=32),
+        lambda: contour_quadrature_stack(g[None], radius, 32, steps=(1, 2)),
+    ):
+        with pytest.raises(ValueError, match="contour radius must be finite and positive"):
+            call()
+
+
+@pytest.mark.parametrize("threshold", (np.nan, np.inf, -np.inf, 0.0, -0.0, -0.25))
+def test_spectral_projector_refuses_a_threshold_not_finite_and_positive(threshold, monkeypatch):
+    # a NaN threshold made the guard's comparison False, and so does one at
+    # or below zero: the guard failed open and returned a pair; refused
+    # before any decomposition
+    g = np.diag([0.05, 0.7]).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    for call in (
+        lambda: small_spectral_projector(g, threshold),
+        lambda: small_spectral_projector_stack(g[None], threshold),
+    ):
+        with pytest.raises(ValueError, match="split threshold must be finite and positive"):
+            call()
+
+
 def _loop_quadrature(g, radius, nodes, times_z):
     # one inverse per node, accumulated in node order: the reference the
     # stacked quadrature must reproduce bit for bit

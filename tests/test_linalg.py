@@ -173,3 +173,28 @@ def test_eigh_fixed_reconstructs(seed, n):
     w, v = linalg.eigh_fixed(a)
     npt.assert_allclose(v @ np.diag(w) @ v.conj().T, a, rtol=0, atol=1e-12)
     npt.assert_allclose(v.conj().T @ v, np.eye(n), rtol=0, atol=1e-12)
+
+
+def test_block_eigvalsh_reads_a_1x1_blocks_eigenvalue_off_its_diagonal(monkeypatch):
+    # negative, signed zeros, subnormal, tiny and huge values, with imaginary
+    # parts that eigvalsh ignores: the bits eigvalsh gives each 1 x 1 block
+    values = [-3.5, -0.0, 0.0, -5e-324, 5e-324, 1e-300, -1e-300, 1e308, -1e308, 0.25]
+    rng = np.random.default_rng(7)
+    ms = np.zeros((len(values), 4, 4), dtype=complex)
+    for b, value in enumerate(values):
+        ms[b] = np.diag([value, value / 3.0, -value, 2.0 * value]) + 1j * np.diag(rng.normal(size=4))
+        ms[b, 1:3, 1:3] += [[0.0, 0.5 - 0.1j], [0.5 + 0.1j, 0.0]]
+    want = [np.linalg.eigvalsh(ms[:, a : a + 1, a : a + 1]) for a in (0, 3)]
+    want.insert(1, np.linalg.eigvalsh(ms[:, 1:3, 1:3]))
+    eigvalsh, rows = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = linalg.block_eigvalsh(ms, (1, 2, 1))
+    assert rows == [2]  # the 1 x 1 blocks call no solver
+    for w, v in zip(got, want):
+        assert w.shape == v.shape and w.dtype == v.dtype and w.flags.c_contiguous
+        assert np.array_equal(w.view(np.uint64), v.view(np.uint64))

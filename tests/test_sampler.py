@@ -30,9 +30,9 @@ from stratumlab.sampler import (
     _draws,
     _ginibre_stack,
     _hs_stack,
-    _polar_normal,
     _unitary_stack,
 )
+from stratumlab.streams import _polar_normal
 from stratumlab.streams import STREAM_CHUNK_ROWS, STREAM_PORT_ROWS, _uniform_rows
 from stratumlab.strata import StratumLabel
 from stratumlab.whitney import enumerate_labels
@@ -252,6 +252,28 @@ def test_uniform_rows_python_int_evaluator_is_the_numpy_streams(seed, paths, len
         assert np.array_equal(row, _stream(seed, *path).random(length))
 
 
+# either side of the crossover between the two evaluators and of a chunk
+# boundary of the array evaluator
+@pytest.mark.parametrize(
+    "rows",
+    (1, STREAM_PORT_ROWS - 1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS, STREAM_CHUNK_ROWS + 1),
+)
+def test_uniform_rows_prefix_is_the_shorter_read(rows):
+    # each double comes from its own LCG state: a row's first l doubles are
+    # the same for every read of length L >= l, so frontier_matrix reads
+    # each path once, to its longest length, and hands every consumer its
+    # prefix
+    seed, paths = 20201104, [(5, t) for t in range(rows)]
+    longest = 130 if rows > STREAM_PORT_ROWS else 618
+    u = _uniform_rows(seed, paths, longest)
+    for length in (0, 1, 2, 18, 90, longest - 1, longest):
+        short = _uniform_rows(seed, paths, length)
+        assert np.array_equal(u[:, :length].view(np.uint64), short.view(np.uint64))
+    # a read of fewer rows takes the other evaluator; its rows are the same
+    if rows > 1:
+        assert np.array_equal(_uniform_rows(seed, paths[-1:], 90), u[-1:, :90])
+
+
 def _refuse_any_draw(monkeypatch):
     """Make both evaluators fail the test if a row is seeded, so that a
     refusal is seen to come before any draw."""
@@ -308,7 +330,8 @@ def test_unitary_stack_rows_are_the_per_index_draws(seed):
     families += [[2000 + 16 * i + b for i in range(4) for b in range(3)]]
     for n in range(1, 7):
         for indices in families:
-            us = _unitary_stack(n, seed, indices)
+            rows = _uniform_rows(seed, [(2, index) for index in indices], 2 * n * n)
+            us = _unitary_stack(rows, n)
             assert us.shape == (len(indices), n, n)
             for u, index in zip(us, indices):
                 assert np.array_equal(u, _reference_unitary(n, seed, index))

@@ -17,7 +17,7 @@ from stratumlab.strata import (
     retract_to_stratum,
     tangent_basis,
 )
-from stratumlab.verify import suite_whitney
+from stratumlab.verify import DEFAULT_FRONTIER_ALGEBRAS, suite_whitney
 from stratumlab.whitney import (
     FrontierReport,
     WhitneyReport,
@@ -504,28 +504,37 @@ def test_whitney_estimate_raises_the_first_failing_trials_error(monkeypatch):
 
 
 def test_whitney_estimate_decomposes_each_constructed_point_once(monkeypatch):
-    # validation's eigvalsh is the only one each x_k and each kept
-    # retraction gets: the rank audits read its spectra
+    # each x_k is decomposed once, by its validation's eigh, whose frames
+    # give its tangent basis; each kept retraction once, by validation's
+    # eigvalsh (the rank audits read their spectra)
     y = sample_rank(3, 1, seed=46)
-    eigvalsh, retract = np.linalg.eigvalsh, sampler._retract
-    rows = {"eigvalsh": 0, "retracted": 0}
+    eigvalsh, eigh, retract = np.linalg.eigvalsh, np.linalg.eigh, sampler._retract
+    rows = {"eigvalsh": 0, "eigh": 0, "retracting": 0, "retracted": 0}
 
     def counted_eigvalsh(a, *args, **kwargs):
         rows["eigvalsh"] += len(a) if a.ndim == 3 else 1
         return eigvalsh(a, *args, **kwargs)
 
+    def counted_eigh(a, *args, **kwargs):
+        rows["eigh"] += len(a) if a.ndim == 3 else 1
+        return eigh(a, *args, **kwargs)
+
     def counted_retract(hs, label, tol):
         out = retract(hs, label, tol)
+        rows["retracting"] += len(hs)
         rows["retracted"] += len(out[0].hs)
         return out
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(sampler, "_retract", counted_retract)
     whitney_b_estimate(y, 2, trials=30, seed=46)
     assert rows["retracted"] >= 30 * 22
-    # one row per x_k and one per retraction attempt that validation kept;
-    # y's own label reads the spectrum y carries from its validation
-    assert rows["eigvalsh"] == 30 * 22 + rows["retracted"]
+    # y's own label reads the spectrum y carries from its validation; its
+    # kernel frame and tangent basis take one eigh each
+    assert rows["eigvalsh"] == rows["retracted"]
+    # one eigh per x_k, one per point a retraction truncates, two for y
+    assert rows["eigh"] == 30 * 22 + rows["retracting"] + 2
 
 
 def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
@@ -545,3 +554,27 @@ def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
     assert [rows for path, rows in reads if path == 5] == sizes
     assert [rows for path, rows in reads if path == 2] == sizes
     assert len(sizes) == chunks
+
+
+def test_frontier_matrix_reads_each_stream_path_once(monkeypatch):
+    # each algebra of the A7 pass reads each family once, 15 rows, to the
+    # longest prefix any of its labels reads: the sources' attempt-0 rows,
+    # the approximant taus and each block's rotations, where some label
+    # leaves the block rank-deficient; at seed 0 no source is redrawn
+    real, reads, counts = sampler._uniform_rows, [], []
+
+    def recorded(seed, paths, length):
+        paths = list(paths)
+        reads.append((paths, length))
+        return real(seed, paths, length)
+
+    monkeypatch.setattr(sampler, "_uniform_rows", recorded)
+    for sizes in DEFAULT_FRONTIER_ALGEBRAS:
+        reads.clear()
+        frontier_matrix(AlgebraDescriptor(sizes), samples=15, seed=0)
+        paths = [path for drawn, _ in reads for path in drawn]
+        assert len(paths) == len(set(paths)) and {len(drawn) for drawn, _ in reads} == {15}
+        counts.append((len(reads), sum(len(drawn) * length for drawn, length in reads)))
+    # (1,): the source's 2 doubles; (4,): the source's 32, rank 1's
+    # rotation 18 and its tau toward rank 4, 18
+    assert counts == [(1, 30), (3, 180), (3, 510), (3, 1020), (4, 420), (6, 330)]
