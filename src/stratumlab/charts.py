@@ -244,7 +244,8 @@ def small_spectral_projector_stack(g: np.ndarray, threshold: float):
         )
     ks = np.count_nonzero(w < threshold, axis=-1)
     projector, small_part = np.empty_like(v), np.empty_like(v)
-    for k in np.unique(ks):
+    # the k present, ascending (np.unique would load numpy.ma)
+    for k in np.flatnonzero(np.bincount(ks)):
         at = ks == k
         small = v[at, :, :k]
         small_h = small.conj().swapaxes(-1, -2)

@@ -89,23 +89,40 @@ def orbit_signature_stack(
         If two clusters in some block are separated by less than
         10 * cluster_tol, naming the gap a per-state loop would meet first.
     """
-    return _signatures(linalg.block_eigvalsh(hs, alg.block_sizes), alg, cluster_tol)
+    codes, signatures = _clusters(linalg.block_eigvalsh(hs, alg.block_sizes), alg, cluster_tol)
+    return [signatures[code] for code in codes.tolist()]
 
 
-def _signatures(spectra, alg: AlgebraDescriptor, cluster_tol: float) -> list[OrbitSignature]:
-    """orbit_signature_stack from the block spectra of the stack."""
+def _clusters(spectra, alg: AlgebraDescriptor, cluster_tol: float) -> tuple[np.ndarray, list]:
+    """The clustering rule of orbit_signature_stack on the block spectra of
+    a stack: a (B,) integer code per row into the list of its distinct
+    signatures, in the order of their first row. Each distinct pattern of
+    cluster boundaries is matched to all rows at once by a comparison, so
+    no Python object is made per row."""
     _require_tol(cluster_tol, "cluster_tol")
     gaps = np.concatenate([w[:, 1:] - w[:, :-1] for w in spectra], axis=1)
     boundary = ~(gaps <= cluster_tol)
     ambiguous = boundary & (gaps < 10.0 * cluster_tol)
     if np.count_nonzero(ambiguous):
         raise AmbiguousClustering(float(gaps[ambiguous][0]), cluster_tol)
-    keys = list(map(tuple, boundary.tolist()))
-    made = {
-        key: OrbitSignature(alg=alg, per_block=_multiplicities(key, alg.block_sizes))
-        for key in set(keys)
+    codes, signatures = np.full(len(boundary), -1), []
+    while (left := np.flatnonzero(codes < 0)).size:
+        key = boundary[left[0]]
+        codes[(boundary == key).all(axis=1)] = len(signatures)
+        per_block = _multiplicities(tuple(key.tolist()), alg.block_sizes)
+        signatures.append(OrbitSignature(alg=alg, per_block=per_block))
+    return codes, signatures
+
+
+def _type_counts(codes: np.ndarray, signatures: list, dims: np.ndarray, alg) -> dict:
+    """{(signature, orbit dimension): rows} of a stack from its _clusters
+    codes and signatures and its (B,) orbit_dim_stack dimensions: one
+    bincount of the pairs, which no per-row object is made for."""
+    width = alg.unitary_group_dim + 1
+    table = np.bincount(codes * width + dims, minlength=len(signatures) * width)
+    return {
+        (signatures[k // width], k % width): int(table[k]) for k in np.flatnonzero(table).tolist()
     }
-    return [made[key] for key in keys]
 
 
 def orbit_signature(
@@ -120,7 +137,8 @@ def orbit_signature(
         If two clusters in some block are separated by less than
         10 * cluster_tol.
     """
-    return _signatures(_stack_of(rho).spectra, rho.alg, cluster_tol)[0]
+    codes, signatures = _clusters(_stack_of(rho).spectra, rho.alg, cluster_tol)
+    return signatures[codes[0]]
 
 
 def isotropy_dim(sig: OrbitSignature) -> int:

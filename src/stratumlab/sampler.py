@@ -50,7 +50,8 @@ from .errors import StratumLabError
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix, _gathered, _stack_of
 from .states import _StateStack, _validated_stack, full_algebra, validate_density
 from .strata import StratumLabel, _classified, _retract, _stack_decision, classify, tangent_basis
-from .streams import _box_muller, _factor_doubles, _ginibre_stack, _gram_stack, _uniform_rows
+from .streams import _box_muller, _factor_doubles, _ginibre_stack, _gram_stack, _path_table
+from .streams import _uniform_rows, _unitary_stack
 
 MAX_RESAMPLE = 100
 
@@ -62,8 +63,9 @@ FRONTIER_DELTA = 4e-7
 
 
 def _draws(alg: AlgebraDescriptor, ranks: tuple[int, ...] | None, seed: int, paths) -> np.ndarray:
-    """The unvalidated (B, n, n) stack of Gram draws of alg, one per stream
-    path: block b's factor is n_b x ranks[b], or square with ranks=None."""
+    """The unvalidated (B, n, n) stack of Gram draws of alg, one per row of
+    a (B, k) path table: block b's factor is n_b x ranks[b], or square with
+    ranks=None."""
     shapes = list(zip(alg.block_sizes, alg.block_sizes if ranks is None else ranks))
     return _gram_stack(shapes, _uniform_rows(seed, paths, _factor_doubles(shapes)))
 
@@ -71,7 +73,7 @@ def _draws(alg: AlgebraDescriptor, ranks: tuple[int, ...] | None, seed: int, pat
 def _hs_stack(n: int, seed: int, indices) -> np.ndarray:
     """The unvalidated (B, n, n) stack of the matrices of
     sample_hs(n, seed, index), one per index."""
-    return _draws(full_algebra(n), None, seed, ((0, index) for index in indices))
+    return _draws(full_algebra(n), None, seed, _path_table((0, 0, 1), indices))
 
 
 def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
@@ -81,7 +83,7 @@ def sample_hs(n: int, seed: int, index: int = 0) -> DensityMatrix:
 
 def _resampled_stack(alg: AlgebraDescriptor, seed: int, ranks, head: tuple, indices) -> _StateStack:
     """_resampled on attempt 0 of every index, drawn here."""
-    ms = _draws(alg, ranks, seed, [(*head, index, 0) for index in indices])
+    ms = _draws(alg, ranks, seed, _path_table((*head, 0, 1, 0), indices))
     return _resampled(ms, alg, seed, ranks, head, indices)
 
 
@@ -95,7 +97,8 @@ def _resampled(ms: np.ndarray, alg: AlgebraDescriptor, seed: int, ranks, head: t
     todo, pieces = np.arange(len(indices)), []
     for attempt in range(MAX_RESAMPLE):
         if attempt:
-            ms = _draws(alg, ranks, seed, [(*head, indices[k], attempt) for k in todo])
+            family = (*head, 0, 1, attempt)
+            ms = _draws(alg, ranks, seed, _path_table(family, [indices[k] for k in todo]))
         got = _validated_stack(ms, alg, DEFAULT_TOL)
         if ranks is None:
             return got
@@ -115,19 +118,10 @@ def sample_rank(n: int, r: int, seed: int, index: int = 0) -> DensityMatrix:
     return _resampled_stack(full_algebra(n), seed, (r,), (1,), [index]).states()[0]
 
 
-def _unitary_stack(u: np.ndarray, n: int) -> np.ndarray:
-    """The (B, n, n) Haar unitaries of the rows u (sample_unitary's of the
-    (2, index) rows): one stacked QR of the Ginibre matrices of each row's
-    first 2 n^2 uniforms."""
-    q, r = np.linalg.qr(_ginibre_stack(u, n, n))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def sample_unitary(n: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a Ginibre matrix, with each
     column rephased by the sign of the corresponding R diagonal entry."""
-    return _unitary_stack(_uniform_rows(seed, [(2, index)], 2 * n * n), n)[0]
+    return _unitary_stack(_uniform_rows(seed, _path_table((2, 0, 1), [index]), 2 * n * n), n)[0]
 
 
 def sample_block_unitary(alg: AlgebraDescriptor, seed: int, index: int = 0) -> np.ndarray:
@@ -142,7 +136,8 @@ def sample_block_unitary(alg: AlgebraDescriptor, seed: int, index: int = 0) -> n
 def sample_hermitian(n: int, seed: int, index: int = 0) -> np.ndarray:
     """Hermitian matrix of unit HS norm (GUE direction; generically
     indefinite)."""
-    h = linalg.hermitian_part(_ginibre_stack(_uniform_rows(seed, [(3, index)], 2 * n * n), n, n)[0])
+    u = _uniform_rows(seed, _path_table((3, 0, 1), [index]), 2 * n * n)
+    h = linalg.hermitian_part(_ginibre_stack(u, n, n)[0])
     return h / linalg.hs_norm(h)
 
 
@@ -226,8 +221,8 @@ def _first_failure(build, rows: int):
         raise
 
 
-# row families (head, at, stride, *tail): row i is path (head, at + stride i,
-# *tail); block b's approximant rotations are (2, 2000 + b, 16)
+# row families (streams._path_table): block b's approximant rotations are
+# (2, 2000 + b, 16)
 _SOURCE, _TAU = (4, 0, 1, 0), (6, 0, 1)
 
 
@@ -236,8 +231,7 @@ def _stream_rows(reads, seed: int, indices) -> dict:
     each family drawn once, to its longest read."""
     longest = {f: max(read.get(f, 0) for read in reads) for read in reads for f in read}
     return {
-        f: _uniform_rows(seed, [(f[0], f[1] + f[2] * i, *f[3:]) for i in indices], length)
-        for f, length in longest.items()
+        f: _uniform_rows(seed, _path_table(f, indices), length) for f, length in longest.items()
         if length
     }
 
@@ -303,8 +297,8 @@ def _sequence_stacks(
     n, r, d, m = y.dim, j - label_i.total, len(basis), y.dim - label_i.total
     # tau's uniforms, then per step the d uniforms u1 and the d uniforms u2
     # of its Box-Muller Gaussians
-    u = _uniform_rows(seed, [(5, index) for index in indices], 2 * r * r + 2 * length * d)
-    rotations = _uniform_rows(seed, [(2, 1000 + index) for index in indices], 2 * m * m)
+    u = _uniform_rows(seed, _path_table((5, 0, 1), indices), 2 * r * r + 2 * length * d)
+    rotations = _uniform_rows(seed, _path_table((2, 1000, 1), indices), 2 * m * m)
     sigma = _kernel_mixture(y.alg, frames, {0: _unitary_stack(rotations, m)}, [(0, r)], u)
     steps = u[:, 2 * r * r :].reshape(-1, 2, d)
     # handed over contiguous, as a step-by-step draw hands them

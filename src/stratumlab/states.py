@@ -322,6 +322,9 @@ def is_psd_sylvester(m: np.ndarray) -> bool:
     ------
     DimensionTooLarge
         For n > 12 (the minor count doubles per dimension).
+    NotFinite
+        If a minor or a scale of some size overflows a double (a NaN or an
+        infinity decides nothing), with the largest entry modulus.
     """
     h = linalg.as_hermitian(m)
     n = h.shape[0]
@@ -333,9 +336,16 @@ def is_psd_sylvester(m: np.ndarray) -> bool:
         subsets = list(itertools.combinations(range(n), size))
         idx = np.array(subsets)
         sub = h[idx[:, :, None], idx[:, None, :]]
-        minors = np.linalg.det(sub).real
-        row_norms = np.linalg.norm(sub, axis=2)
-        scales = np.maximum(1.0, np.prod(row_norms, axis=1))
+        # an overflow is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            minors = np.linalg.det(sub).real
+            row_norms = np.linalg.norm(sub, axis=2)
+            scales = np.maximum(1.0, np.prod(row_norms, axis=1))
+        if np.count_nonzero(np.isfinite(minors) & np.isfinite(scales)) != len(minors):
+            raise NotFinite(
+                f"a principal minor of size {size} or its scale overflows",
+                magnitude=float(np.abs(h).max()),
+            )
         if bool(np.any(minors < -DEFAULT_TOL * scales)):
             return False
     return True

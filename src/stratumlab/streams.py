@@ -3,11 +3,14 @@ SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905; numpy NEP 19).
 
 _uniform_rows(seed, paths, length) is the only reader of the streams: row b
 is the first length doubles of Generator(PCG64(SeedSequence([seed,
-*paths[b]]))). Seed and path entries are non-negative integers of any size.
-The port has two evaluators: Python ints per row for calls of fewer than
-STREAM_PORT_ROWS rows, numpy arrays for whole ensembles (in chunks of
-STREAM_CHUNK_ROWS rows). No module of the package loads numpy.random; the
-tests hold both evaluators to numpy's own generator.
+*paths[b]]))). The paths are one (B, k) integer table, which _path_table
+builds from a row family and an index array: family (head, at, stride,
+*tail) at index i is the path (head, at + stride i, *tail). Seed and path
+entries are non-negative integers of any size (a table of Python ints
+holds those past int64). The port has two evaluators: Python ints per row
+for calls of fewer than STREAM_PORT_ROWS rows, numpy arrays for whole
+ensembles (in chunks of STREAM_CHUNK_ROWS rows). No module of the package
+loads numpy.random; the tests hold both evaluators to numpy's own generator.
 A row's first l doubles are the same for any read of length L >= l. The
 Gaussians of the rows are Box-Muller transforms (polar for complex ones).
 """
@@ -70,32 +73,53 @@ def _words(value) -> list[int]:
     return words
 
 
-def _entropy_words(seed: int, paths: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, W) uint32 entropy words of SeedSequence([seed, *paths[b]]),
+def _entropy_words(seed: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, W) uint32 entropy words of SeedSequence([seed, *table[b]]),
     zero padded to W >= 4 columns, and the (B,) word count of each row, for
-    a list of B >= 1 paths."""
+    a (B, k) table of B >= 1 paths."""
     head = _words(seed)
-    try:
-        table = np.array(paths)
-    except ValueError:  # paths of unequal lengths
-        table = np.array(())
-    if table.ndim == 2 and (
-        table.size == 0
-        or table.dtype.kind in "iu" and table.min() >= 0 and table.max() <= _MASK32
+    if table.dtype.kind in "iu" and (
+        table.size == 0 or table.min() >= 0 and table.max() <= _MASK32
     ):
         # every entry is one word
-        tails = table.astype(np.uint32)
-        counts = np.full(len(paths), len(head) + tails.shape[1])
+        tails = table
+        counts = np.full(len(table), len(head) + tails.shape[1])
     else:
-        rows = [[w for entry in path for w in _words(entry)] for path in paths]
+        rows = [[w for entry in path for w in _words(entry)] for path in table.tolist()]
         tails = np.zeros((len(rows), max(map(len, rows))), dtype=np.uint32)
         for b, row in enumerate(rows):
             tails[b, : len(row)] = row
         counts = len(head) + np.array([len(row) for row in rows])
-    words = np.zeros((len(paths), max(4, len(head) + tails.shape[1])), dtype=np.uint32)
+    words = np.zeros((len(table), max(4, len(head) + tails.shape[1])), dtype=np.uint32)
     words[:, : len(head)] = head
     words[:, len(head) : len(head) + tails.shape[1]] = tails
     return words, counts
+
+
+def _path_table(family: tuple, indices) -> np.ndarray:
+    """The (B, k) table of the stream paths of a row family (head, at,
+    stride, *tail) at a sequence of B indices (a range, a list or an
+    integer array): row b is the path (head, at + stride indices[b],
+    *tail). An int64 table when the indices fit in one word, else a table
+    of Python ints, exact at any size; a non-integer index is refused here
+    (TypeError), a negative path entry by _uniform_rows (ValueError)."""
+    head, at, stride, *tail = family
+    if isinstance(indices, range):
+        index = np.arange(indices.start, indices.stop, indices.step)
+    else:
+        index = np.asarray(indices)
+    if not index.size or (
+        index.dtype.kind in "iu" and -_MASK32 <= index.min() <= index.max() <= _MASK32
+    ):
+        column = at + stride * index.astype(np.int64)
+    else:
+        column = np.empty(len(index), dtype=object)
+        column[:] = [at + stride * operator.index(i) for i in indices]
+    table = np.empty((len(column), 2 + len(tail)), dtype=column.dtype)
+    table[:, 0] = head
+    table[:, 1] = column
+    table[:, 2:] = tail
+    return table
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray, calls: np.ndarray) -> np.ndarray:
@@ -284,39 +308,38 @@ def _pcg64_seeding(words: list[int]) -> tuple[int, int]:
     return (s + inc) & _MASK128, inc
 
 
-def _uniform_rows(seed: int, paths, length: int) -> np.ndarray:
-    """The (B, length) array of one row of uniforms per stream path: row b
-    is the first length doubles of the PCG64 generator seeded by
-    SeedSequence([seed, *paths[b]]).
+def _uniform_rows(seed: int, paths: np.ndarray, length: int) -> np.ndarray:
+    """The (B, length) array of one row of uniforms per row of a (B, k)
+    table of stream paths (_path_table's): row b is the first length
+    doubles of the PCG64 generator seeded by SeedSequence([seed,
+    *paths[b]]).
 
     Two evaluators of one port read the same streams, bit for bit. Below
-    STREAM_PORT_ROWS paths, each row is seeded in Python ints and all its
-    outputs' states are one product pair of the packed jump tables, which
-    costs least per call. From there on, _pcg64_rows on chunks of
-    STREAM_CHUNK_ROWS rows, so that its (rows, length) temporaries stay
-    small whatever the ensemble size. Both refuse a seed or path entry that
-    is not a non-negative integer before any draw (TypeError, ValueError),
-    as SeedSequence does.
+    STREAM_PORT_ROWS paths, each row is seeded in Python ints (from the
+    table's .tolist() rows) and all its outputs' states are one product
+    pair of the packed jump tables, which costs least per call. From there
+    on, _pcg64_rows on chunks of STREAM_CHUNK_ROWS rows of the table's
+    entropy words, so that its (rows, length) temporaries stay small
+    whatever the ensemble size; an integer table whose entries are each one
+    word is read as it is, entries of 2^32 or more are split into words.
+    Both refuse a seed or path entry that is not a non-negative integer
+    before any draw (TypeError, ValueError), as SeedSequence does.
     """
-    paths = iter(paths)
-    first = list(itertools.islice(paths, STREAM_CHUNK_ROWS))
-    if len(first) < STREAM_PORT_ROWS:
+    table = np.asarray(paths)
+    if len(table) < STREAM_PORT_ROWS:
         head = _words(seed)
-        rows = [head + [w for entry in path for w in _words(entry)] for path in first]
+        rows = [head + [w for entry in path for w in _words(entry)] for path in table.tolist()]
         power, geometric = _jump_tables(length)
         states = [power * t + geometric * inc for t, inc in map(_pcg64_seeding, rows)]
         return _doubles(*_slot_halves(states, length))
-    # every chunk's entropy words, so that a bad entry refuses before a draw
-    chunks = [_entropy_words(seed, first)]
-    while chunk := list(itertools.islice(paths, STREAM_CHUNK_ROWS)):
-        chunks.append(_entropy_words(seed, chunk))
-    out = np.empty((sum(len(words) for words, _ in chunks), length))
-    at = 0
+    # every row's entropy words, so that a bad entry refuses before a draw
+    words, counts = _entropy_words(seed, table)
+    out = np.empty((len(table), length))
     # the LCG and the hash wrap around by design
     with np.errstate(over="ignore"):
-        for words, counts in chunks:
-            out[at : at + len(words)] = _pcg64_rows(words, counts, length)
-            at += len(words)
+        for at in range(0, len(table), STREAM_CHUNK_ROWS):
+            rows = slice(at, at + STREAM_CHUNK_ROWS)
+            out[rows] = _pcg64_rows(words[rows], counts[rows], length)
     return out
 
 
@@ -341,6 +364,15 @@ def _ginibre_stack(u: np.ndarray, n: int, m: int) -> np.ndarray:
         np.ascontiguousarray(u[:, :size]).reshape(len(u), n, m),
         np.ascontiguousarray(u[:, size : 2 * size]).reshape(len(u), n, m),
     )
+
+
+def _unitary_stack(u: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n, n) Haar unitaries of the rows u (sample_unitary's of the
+    (2, index) rows): one stacked QR of the Ginibre matrices of each row's
+    first 2 n^2 uniforms."""
+    q, r = np.linalg.qr(_ginibre_stack(u, n, n))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def _gram_stack(shapes, u: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ constant.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from . import linalg
@@ -18,13 +16,13 @@ from .charts import MIN_NODES, contour_quadrature_stack, small_spectral_projecto
 from .errors import EigenvalueOnContour
 from .joins import JOIN_RANK_NOTE, _join_stack, _piece_name, _split_stack, convex_split
 from .joins import join_piece_label, join_state, make_join_point
-from .orbits import DEFAULT_CLUSTER_TOL, _signatures, isotropy_dim, orbit_dim_stack
-from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack, _unitary_stack
+from .orbits import DEFAULT_CLUSTER_TOL, _clusters, _type_counts, isotropy_dim, orbit_dim_stack
+from .sampler import SEQUENCE_LENGTH, SEQUENCE_RATE, _hs_stack, _resampled_stack
 from .sampler import sample_rank
 from .states import DEFAULT_TOL, AlgebraDescriptor, _validated_stack, cone_matrix, full_algebra
 from .states import validate_density
 from .strata import _stack_decision
-from .streams import STREAM_CHUNK_ROWS, _uniform_rows
+from .streams import STREAM_CHUNK_ROWS, _path_table, _uniform_rows, _unitary_stack
 from .whitney import GAP_THRESHOLD, frontier_matrix, whitney_b_estimate
 from .whitney import whitney_negative_control
 
@@ -47,11 +45,21 @@ def _margin_split_stack(n: int, seed: int, indices) -> np.ndarray:
     """The (B, n, n) Hermitian matrices, one per sample index, whose spectra
     split across the contour with a comfortable margin: 1 + index % (n - 1)
     small eigenvalues in [0, 0.15], the others large in [0.4, 1]."""
-    u = _uniform_rows(seed, [(8, index) for index in indices], n)
+    u = _uniform_rows(seed, _path_table((8, 0, 1), indices), n)
     small = np.arange(n) < 1 + np.array(indices)[:, None] % (n - 1)
     w = np.where(small, u * SMALL_BAND, LARGE_BAND[0] + u * (LARGE_BAND[1] - LARGE_BAND[0]))
-    v = _unitary_stack(_uniform_rows(seed, [(2, 3000 + index) for index in indices], 2 * n * n), n)
+    v = _unitary_stack(_uniform_rows(seed, _path_table((2, 3000, 1), indices), 2 * n * n), n)
     return v @ (w[:, :, None] * np.eye(n)) @ v.conj().swapaxes(1, 2)
+
+
+def _median(x: np.ndarray):
+    """np.median of a 1-D array, bit for bit (NaN if any entry is), without
+    its check for masked arrays, which loads numpy.ma."""
+    x = np.sort(x)
+    half = len(x) // 2
+    if np.isnan(x[-1]):  # sorted last
+        return x[-1]
+    return x[half] if len(x) % 2 else (x[half - 1] + x[half]) / 2
 
 
 def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) -> dict:
@@ -79,8 +87,10 @@ def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) ->
             contour_quadrature_stack(g, CONTOUR_RADIUS, nodes)
         raise
     floor = 1e-16
-    ratio_proj = float(np.median(err_proj[:, 0]) / max(np.median(err_proj[:, 1]), floor))
-    ratio_part = float(np.median(err_part[:, 0]) / max(np.median(err_part[:, 1]), floor))
+    halved_proj, full_proj = map(_median, err_proj.T)
+    halved_part, full_part = map(_median, err_part.T)
+    ratio_proj = float(halved_proj / max(full_proj, floor))
+    ratio_part = float(halved_part / max(full_part, floor))
     max_err = float(max(err_proj[:, 1].max(), err_part[:, 1].max()))
     passed = bool(max_err <= 1e-8 and ratio_proj >= 10.0 and ratio_part >= 10.0)
     return {
@@ -91,8 +101,8 @@ def suite_projector_equiv(samples: int = 300, seed: int = 0, nodes: int = 64) ->
         "halved_nodes": nodes // 2,
         "contour_radius": CONTOUR_RADIUS,
         "max_error_full_nodes": max_err,
-        "median_error_halved_projector": float(np.median(err_proj[:, 0])),
-        "median_error_full_projector": float(np.median(err_proj[:, 1])),
+        "median_error_halved_projector": float(halved_proj),
+        "median_error_full_projector": float(full_proj),
         "error_ratio_projector": ratio_proj,
         "error_ratio_small_part": ratio_part,
         "passed": passed,
@@ -282,7 +292,7 @@ def suite_orbit_census(
     )
     reports = []
     for alg, draw, constructed, generic, other, generic_dim in table:
-        counts, pairs, first_dims = Counter(), {}, []
+        counts, pairs = {}, set()
         for start in range(0, draws, STREAM_CHUNK_ROWS):
             indices = range(start, min(start + STREAM_CHUNK_ROWS, draws))
             stack = draw(indices)
@@ -290,15 +300,16 @@ def suite_orbit_census(
             if indices.stop == draws:
                 hs = np.concatenate([hs, constructed.hs])
                 spectra = [np.concatenate(pair) for pair in zip(spectra, constructed.spectra)]
-            sigs = _signatures(spectra, alg, cluster_tol)
-            dims = orbit_dim_stack(hs, alg).tolist()
-            counts.update(sig.per_block for sig in sigs)
-            # few distinct (signature, dimension) pairs, keyed by pattern: each
-            # chunk makes its own signature objects
-            pairs.update(((sig.per_block, d), sig) for sig, d in zip(sigs, dims))
-            first_dims = (first_dims + dims)[: min(draws, 50)]
+            codes, sigs = _clusters(spectra, alg, cluster_tol)
+            dims = orbit_dim_stack(hs, alg)
+            if not start:
+                first_dims = dims[: min(draws, 50)].tolist()
+            # the few distinct (signature, dimension) pairs and their rows
+            for (sig, d), rows in _type_counts(codes, sigs, dims, alg).items():
+                counts[sig.per_block] = counts.get(sig.per_block, 0) + rows
+                pairs.add((sig, d))
         dim_u = alg.unitary_group_dim
-        consistent = all(d + isotropy_dim(s) == dim_u for (_, d), s in pairs.items())
+        consistent = all(d + isotropy_dim(s) == dim_u for s, d in pairs)
         generic_fraction = counts.get(generic, 0) / draws
         ok = set(counts) == {generic, other} and consistent and generic_fraction >= 0.999
         report = {

@@ -42,7 +42,7 @@ from .sampler import _approach_reads, _approach_stack, _resampled
 from .sampler import _sequence_base, _sequence_stacks, _stream_rows
 from .states import DEFAULT_TOL, AlgebraDescriptor, DensityMatrix
 from .strata import StratumLabel, _tangent_bases, frontier_leq
-from .streams import _box_muller, _factor_doubles, _gram_stack, _uniform_rows
+from .streams import _box_muller, _factor_doubles, _gram_stack, _path_table, _uniform_rows
 
 SLOPE_FIT_FLOOR = 1e-13
 
@@ -160,9 +160,10 @@ class WhitneyReport:
 
     def __post_init__(self):
         dists = [d for _, d, _ in self.pairs]
-        if any(b >= a for a, b in zip(dists[:-1], dists[1:])):
+        # both fail closed: a NaN distance or gap is refused
+        if any(not b < a for a, b in zip(dists[:-1], dists[1:])):
             raise ValueError("distances along the sequence must strictly decrease")
-        if any(g < 0 for _, _, g in self.pairs + self.pairs_fixed_base):
+        if any(not g >= 0 for _, _, g in self.pairs + self.pairs_fixed_base):
             raise ValueError("gaps cannot be negative")
 
 
@@ -271,7 +272,7 @@ def whitney_negative_control(terminal_pairs, seed: int = 0) -> dict:
     if len(algs) != 1:
         raise ValueError("the negative control needs terminal pairs, all of one algebra")
     n = algs.pop().dim
-    u = _uniform_rows(seed, ((7, t) for t in range(trials)), 4 * CONTROL_PLANE_DIM * n * n)
+    u = _uniform_rows(seed, _path_table((7, 0, 1), range(trials)), 4 * CONTROL_PLANE_DIM * n * n)
     # axes: trial, plane matrix, real / imaginary part, u1 / u2, entry
     u = u.reshape(trials, CONTROL_PLANE_DIM, 2, 2, n, n)
     z = _box_muller(np.ascontiguousarray(u[:, :, :, 0]), np.ascontiguousarray(u[:, :, :, 1]))

@@ -122,9 +122,10 @@ def test_only_uniform_rows_reads_the_random_streams(tmp_path):
 SUITES_IN_A_FRESH_PROCESS = """
 import sys
 import numpy
-# numpy before 2.0 imports numpy.random with numpy itself; there its
-# generators refuse instead, so that a suite drawing from them still fails
+# numpy before 2.0 imports numpy.random and numpy.ma with numpy itself; there
+# the generators refuse instead, so that a suite drawing from them still fails
 preloaded = "numpy.random" in sys.modules
+preloaded_ma = "numpy.ma" in sys.modules
 if preloaded:
     def refuse(*args, **kwargs):
         raise AssertionError("a suite called numpy.random")
@@ -137,12 +138,16 @@ verify.suite_join(samples=20, seed=7)
 verify.suite_orbit_census(draws=300, seed=7)
 verify.suite_projector_equiv(samples=20, seed=7)
 assert preloaded or "numpy.random" not in sys.modules, "a suite loaded numpy.random"
+# numpy.ma (which np.unique and its kin import on first use) costs about
+# 20 ms and over 1 MB of memory to load
+assert preloaded_ma or "numpy.ma" not in sys.modules, "a suite loaded numpy.ma"
 """
 
 
 def test_suites_never_load_numpy_random():
     # every suite at a small size, in a process of its own: the draws of
     # fewer than STREAM_PORT_ROWS rows included, none reaches numpy.random
+    # or numpy.ma
     run = subprocess.run([sys.executable, "-c", SUITES_IN_A_FRESH_PROCESS], capture_output=True,
                          text=True)
     assert run.returncode == 0, run.stderr

@@ -54,7 +54,7 @@ from stratumlab.errors import (
     ValidationError,
 )
 from stratumlab.fileio import canonical_json
-from stratumlab.orbits import DEFAULT_CLUSTER_TOL
+from stratumlab.orbits import DEFAULT_CLUSTER_TOL, _clusters, _type_counts
 from stratumlab.joins import (
     WEIGHT_DROP_TOL,
     _join_stack,
@@ -451,8 +451,7 @@ def test_frontier_sources_resample_only_the_rows_that_miss(monkeypatch):
     real_rows, real_validated, reads = sampler._uniform_rows, sampler._validated_stack, []
 
     def recorded(seed, paths, length):
-        paths = list(paths)
-        reads.extend(p for p in paths if p[0] == 4)
+        reads.extend(tuple(p) for p in paths.tolist() if p[0] == 4)
         return real_rows(seed, paths, length)
 
     def missing_at_3_and_7(ms, alg, tol, *args):
@@ -1052,6 +1051,16 @@ def _reference_projector_equiv(samples, seed, nodes):
     }
 
 
+def test_projector_equiv_median_is_numpys():
+    # the suite's medians, bit for bit, NaN included, of odd and even counts
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4, 5, 60, 61, 300):
+        x = rng.random(n) * 10.0 ** rng.integers(-18, 3, n)
+        assert np.float64(verify._median(x)).tobytes() == np.median(x).tobytes()
+        x[n // 2] = np.nan
+        assert np.isnan(verify._median(x))
+
+
 @pytest.mark.parametrize("seed", (0, 20201104))
 @pytest.mark.parametrize("samples, nodes", ((200, 16), (200, 17), (200, 64), (3, 17)))
 def test_projector_equiv_is_the_per_sample_loop(samples, nodes, seed):
@@ -1155,3 +1164,41 @@ def test_orbit_census_decomposes_each_m2_draw_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     suite_orbit_census(draws=300, seed=0)
     assert shapes.count((2, 2)) == 300 + 1 + 300 + 2
+
+
+@pytest.mark.parametrize("sizes", ((1, 3), (2, 2)))
+def test_orbit_type_counts_are_the_per_row_tally(sizes):
+    # the census tally (codes, one bincount of the pairs) against a Counter
+    # of the per-row signatures and orbit dimensions, on clustered states
+    # (C (+) M_3: a 1 x 1 block and several orbit types), plain draws and
+    # the maximally mixed state
+    alg = AlgebraDescriptor(sizes)
+    ms = [_clustered(alg, 7, s) for s in range(24)]
+    ms += [sample_algebra(alg, 7, index=s).matrix for s in range(4)]
+    stack = _validated_stack(np.array(ms + [maximally_mixed(alg).matrix]), alg, DEFAULT_TOL)
+    codes, signatures = _clusters(stack.spectra, alg, DEFAULT_CLUSTER_TOL)
+    dims = orbit_dim_stack(stack.hs, alg)
+    sigs = orbit_signature_stack(stack.hs, alg)
+    want = Counter(zip(sigs, dims.tolist()))
+    assert len(set(sigs)) >= 3
+    assert _type_counts(codes, signatures, dims, alg) == want
+    # the codes expand to the per-row signatures, distinct ones in order of
+    # their first row
+    assert [signatures[code] for code in codes.tolist()] == sigs
+    assert signatures == list(dict.fromkeys(sigs))
+
+
+def test_orbit_type_codes_raise_the_stacks_ambiguous_clustering():
+    # two rows with gaps in (cluster_tol, 10 cluster_tol): the census's
+    # clustering names the first, as orbit_signature_stack does
+    alg = AlgebraDescriptor((1, 3))
+    rows = [np.diag([0.2, 0.4, 0.4, 0.0]), np.diag([0.1, 0.3, 0.3, 0.3])]
+    rows += [np.diag([0.2, 0.4 - 2.5e-8, 0.4 + 2.5e-8, 0.0])]
+    rows += [np.diag([0.1, 0.3 - 1.5e-8, 0.3 + 1.5e-8, 0.3])]
+    stack = _validated_stack(np.array(rows, dtype=complex), alg, DEFAULT_TOL)
+    with pytest.raises(AmbiguousClustering) as per_stack:
+        orbit_signature_stack(stack.hs, alg)
+    with pytest.raises(AmbiguousClustering) as census:
+        _clusters(stack.spectra, alg, DEFAULT_CLUSTER_TOL)
+    assert str(census.value) == str(per_stack.value)
+    assert census.value.gap == per_stack.value.gap == pytest.approx(5e-8)

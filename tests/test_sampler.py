@@ -33,7 +33,7 @@ from stratumlab.sampler import (
     _unitary_stack,
 )
 from stratumlab.streams import _polar_normal
-from stratumlab.streams import STREAM_CHUNK_ROWS, STREAM_PORT_ROWS, _uniform_rows
+from stratumlab.streams import STREAM_CHUNK_ROWS, STREAM_PORT_ROWS, _path_table, _uniform_rows
 from stratumlab.strata import StratumLabel
 from stratumlab.whitney import enumerate_labels
 
@@ -177,27 +177,40 @@ def test_stacked_draws_match_per_draw_loops(seed):
 
 @pytest.mark.parametrize("seed", (0, 20201104))
 def test_uniform_rows_are_the_per_path_streams(seed):
-    # paths of one to four entries
+    # tables of paths of one to four entries
     for paths in ([(3,), (0,)], [(1, 4), (6, 0)], [(1, 7, 0), (4, 9, 3)], [(4, 2, 1, 5)]):
         for length in (1, 8, 33):
-            u = _uniform_rows(seed, iter(paths), length)
+            u = _uniform_rows(seed, np.array(paths), length)
             assert u.shape == (len(paths), length)
             for row, path in zip(u, paths):
                 assert np.array_equal(row, _stream(seed, *path).random(length))
-    assert _uniform_rows(seed, [], 6).shape == (0, 6)
+    assert _uniform_rows(seed, _path_table((4, 0, 1, 0), []), 6).shape == (0, 6)
 
 
 def _random_paths(rng, rows, ragged):
-    """rows stream paths: of 0 to 5 entries, about a third of them >= 2^32,
-    or (ragged=False) all of three entries below 2^32."""
+    """A (rows, k) table of stream paths: of 0 to 5 entries, about a third
+    of them >= 2^32, so that rows have ragged word counts, or
+    (ragged=False) of three entries below 2^32."""
     if not ragged:
-        return [tuple(int(e) for e in rng.integers(0, 2**32, 3)) for _ in range(rows)]
+        return rng.integers(0, 2**32, (rows, 3))
     big = lambda: 2**32 + int(rng.integers(0, 2**40))
-    return [
-        tuple(big() if rng.random() < 0.3 else int(rng.integers(0, 50))
-              for _ in range(rng.integers(0, 6)))
-        for _ in range(rows)
-    ]
+    width = int(rng.integers(0, 6))
+    return np.array(
+        [[big() if rng.random() < 0.3 else int(rng.integers(0, 50)) for _ in range(width)]
+         for _ in range(rows)]
+    ).reshape(rows, width)
+
+
+def _tables(max_entry, max_width, **rows):
+    """Hypothesis strategy: (rows, k) tables of Python ints (numpy would
+    make floats of a list mixing entries below and from 2^63), stream paths
+    of k <= max_width entries up to max_entry."""
+    return st.integers(min_value=0, max_value=max_width).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(min_value=0, max_value=max_entry), min_size=k, max_size=k),
+            **rows,
+        ).map(lambda paths: np.array(paths, dtype=object).reshape(len(paths), k))
+    )
 
 
 # one row and just below the crossover between the two evaluators (Python
@@ -212,43 +225,36 @@ def test_uniform_rows_routes_are_the_numpy_streams(rows, length):
     seed = 2**32 + int(rng.integers(0, 2**62)) * int(rng.integers(1, 2**8))
     for ragged in (True, False):
         paths = _random_paths(rng, rows, ragged)
-        u = _uniform_rows(seed, (path for path in paths), length)
+        u = _uniform_rows(seed, paths, length)
         assert u.shape == (rows, length)
-        for row, path in zip(u, paths):
+        for row, path in zip(u, paths.tolist()):
             assert np.array_equal(row, _stream(seed, *path).random(length))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**80),
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=2**70), max_size=5),
-        min_size=STREAM_PORT_ROWS,
-        max_size=3 * STREAM_PORT_ROWS,
-    ),
+    _tables(2**70, 5, min_size=STREAM_PORT_ROWS, max_size=3 * STREAM_PORT_ROWS),
     st.sampled_from((1, 8, 33, 128)),
 )
 def test_uniform_rows_port_is_the_numpy_streams(seed, paths, length):
-    u = _uniform_rows(seed, iter(paths), length)
-    for row, path in zip(u, paths):
+    u = _uniform_rows(seed, paths, length)
+    for row, path in zip(u, paths.tolist()):
         assert np.array_equal(row, _stream(seed, *path).random(length))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**80),
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=2**70), max_size=7),
-        max_size=STREAM_PORT_ROWS - 1,
-    ),
+    _tables(2**70, 7, max_size=STREAM_PORT_ROWS - 1),
     st.integers(min_value=0, max_value=200),
 )
 def test_uniform_rows_python_int_evaluator_is_the_numpy_streams(seed, paths, length):
     # seeds and entries of one to three words, paths of up to 7 entries (so
     # pools mixing up to 21 words), any row length from 0
-    u = _uniform_rows(seed, iter(paths), length)
+    u = _uniform_rows(seed, paths, length)
     assert u.shape == (len(paths), length)
-    for row, path in zip(u, paths):
+    for row, path in zip(u, paths.tolist()):
         assert np.array_equal(row, _stream(seed, *path).random(length))
 
 
@@ -301,9 +307,49 @@ def test_uniform_rows_refuse_non_integer_entries(rows, monkeypatch):
 def test_uniform_rows_refuse_negative_entries(rows, monkeypatch):
     _refuse_any_draw(monkeypatch)
     good = [(4, k, 0) for k in range(rows - 1)]
-    for seed, last in ((-1, (4, 0, 0)), (3, (4, -2**40, 0)), (3, (np.int64(-1),))):
+    for seed, last in ((-1, (4, 0, 0)), (3, (4, -2**40, 0)), (3, (np.int64(-1), 0, 0))):
         with pytest.raises(ValueError, match="non-negative integer"):
             _uniform_rows(seed, good + [last], 8)
+
+
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+def test_uniform_rows_tables_refuse_bad_entries(rows, monkeypatch):
+    # int64 tables and tables of Python ints, on both evaluators: a negative
+    # entry is a ValueError, a non-integer one a TypeError, before any draw
+    _refuse_any_draw(monkeypatch)
+    good = _path_table((4, 0, 1, 0), range(rows - 1))
+    for last, error in (
+        ([4, -1, 0], ValueError),
+        ([4, 2**70, -2**40], ValueError),
+        ([4, 2.0, 0], TypeError),
+        ([4, 2**70, 0.5], TypeError),
+    ):
+        # an int64, object, float64 and object table
+        with pytest.raises(error):
+            _uniform_rows(3, np.concatenate([good, np.array([last])]), 8)
+    # a non-integer index is refused as the table is built, a negative path
+    # entry by the read
+    with pytest.raises(TypeError):
+        _path_table((4, 0, 1, 0), list(range(rows - 1)) + [1.5])
+    with pytest.raises(ValueError, match="non-negative integer"):
+        _uniform_rows(3, _path_table((2, 1000, 1), list(range(rows - 1)) + [-1001]), 8)
+
+
+@pytest.mark.parametrize("rows", (1, STREAM_PORT_ROWS, STREAM_CHUNK_ROWS + 1))
+def test_path_table_rows_are_the_family_paths(rows):
+    # (head, at, stride, *tail) at index i is (head, at + stride i, *tail):
+    # int64 for indices of a word, Python ints beyond, exactly
+    for family in ((0, 0, 1), (4, 0, 1, 3), (2, 2000 + 2, 16)):
+        head, at, stride, *tail = family
+        for indices in (range(rows), np.arange(5, 5 + rows), [2**64 + k for k in range(rows)],
+                        [2**62] + list(range(rows - 1))):
+            table = _path_table(family, indices)
+            want = [(head, at + stride * int(i), *tail) for i in indices]
+            assert table.shape == (rows, 2 + len(tail))
+            assert list(map(tuple, table.tolist())) == want
+            assert table.dtype == (np.int64 if max(want)[1] <= 2**33 else object)
+    u = _uniform_rows(3, _path_table((2, 1000, 1), [2**64] * rows), 5)
+    assert np.array_equal(u[-1], _stream(3, 2, 2**64 + 1000).random(5))
 
 
 def test_uniform_rows_array_evaluator_temporaries_stay_few():

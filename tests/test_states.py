@@ -131,6 +131,24 @@ def test_sylvester_boundary_and_cap():
         is_psd_sylvester(np.eye(13))
 
 
+@pytest.mark.parametrize("s", (1e154, 1e160, 1e200))
+def test_sylvester_refuses_overflowing_minors(s):
+    # finite entries whose minors or Hadamard scales overflow: a refusal,
+    # never a True; the eigen route still decides the indefinite matrix
+    indefinite = np.array([[s, 2 * s], [2 * s, s]])
+    assert not is_psd_eigen(indefinite)
+    with pytest.raises(NotFinite, match="overflows"):
+        is_psd_sylvester(indefinite)
+
+
+def test_sylvester_refuses_an_overflowing_psd_matrix():
+    s = 1e200
+    psd = np.array([[s, s], [s, s]])
+    assert is_psd_eigen(psd)
+    with pytest.raises(NotFinite, match="overflows"):
+        is_psd_sylvester(psd)
+
+
 def test_psd_routes_take_no_tolerance():
     # both routes decide at DEFAULT_TOL; no keyword can widen the budget
     m = np.diag([2.0, -1.0])

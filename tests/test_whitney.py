@@ -113,6 +113,17 @@ def test_report_rejects_negative_gaps():
     assert WhitneyReport(**_report_kwargs()).terminal_gap == 5e-5
 
 
+def test_report_rejects_nan_distances_and_gaps():
+    # both checks fail closed: a NaN compares false either way
+    nan = float("nan")
+    for pairs in (((1, 0.5, 1e-4), (2, nan, 5e-5)), ((1, nan, 1e-4), (2, 0.25, 5e-5))):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            WhitneyReport(**_report_kwargs(pairs=pairs))
+    for key in ("pairs", "pairs_fixed_base"):
+        with pytest.raises(ValueError, match="negative"):
+            WhitneyReport(**_report_kwargs(**{key: ((1, 0.5, nan), (2, 0.25, 5e-5))}))
+
+
 def test_whitney_estimate_proper_pair():
     # rank 1 inside the closure of the rank-2 stratum of the 3x3 states
     y = sample_rank(3, 1, seed=31)
@@ -542,8 +553,7 @@ def test_whitney_estimate_reads_the_streams_of_a_chunk_at_once(monkeypatch):
     real, reads = sampler._uniform_rows, []
 
     def counted(seed, paths, length):
-        paths = list(paths)
-        reads.append((paths[0][0], len(paths)))
+        reads.append((paths[0, 0], len(paths)))
         return real(seed, paths, length)
 
     monkeypatch.setattr(sampler, "_uniform_rows", counted)
@@ -564,8 +574,7 @@ def test_frontier_matrix_reads_each_stream_path_once(monkeypatch):
     real, reads, counts = sampler._uniform_rows, [], []
 
     def recorded(seed, paths, length):
-        paths = list(paths)
-        reads.append((paths, length))
+        reads.append((list(map(tuple, paths.tolist())), length))
         return real(seed, paths, length)
 
     monkeypatch.setattr(sampler, "_uniform_rows", recorded)
